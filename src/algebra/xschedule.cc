@@ -10,6 +10,7 @@ Status XSchedule::Open() {
   ready_set_.clear();
   deferred_.clear();
   deferred_set_.clear();
+  scanned_installs_ = db_->buffer()->installs();
   seeding_ = false;
   clusters_entered_ = 0;
   NAVPATH_CHECK(options_.k >= 1);
@@ -102,10 +103,14 @@ Result<bool> XSchedule::SwitchToNextCluster() {
     // Keep the submission pipeline full: completions since the last
     // switch freed in-flight slots for deferred clusters.
     NAVPATH_RETURN_NOT_OK(TopUpPrefetches());
-    if (shared_->cooperative) {
+    if (shared_->cooperative &&
+        scanned_installs_ != db_->buffer()->installs()) {
       // A sibling query's wait may already have installed clusters we
       // queued (completions are delivered to whichever query blocks
       // first); pick those up instead of blocking on our own prefetches.
+      // Only an install can make a queued cluster newly qualify: Enqueue
+      // marks clusters already resident, and entered clusters leave q_.
+      scanned_installs_ = db_->buffer()->installs();
       for (const auto& [page, entries] : q_) {
         if (!entries.empty() && ready_set_.count(page) == 0 &&
             db_->buffer()->IsResident(TranslateToPhysical(

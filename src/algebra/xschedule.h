@@ -85,6 +85,10 @@ class XSchedule : public PathOperator {
 
   std::deque<PageId> ready_;
   std::unordered_set<PageId> ready_set_;
+  // BufferManager::installs() when the cooperative scan for clusters a
+  // sibling installed last ran (or at Open); the scan is skipped while it
+  // is unchanged. See DESIGN.md, "Claimed frames and the yield protocol".
+  std::uint64_t scanned_installs_ = 0;
 
   // Prefetches held back by options_.max_inflight, in submission order.
   std::deque<PageId> deferred_;

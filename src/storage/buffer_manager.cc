@@ -191,6 +191,7 @@ Result<std::size_t> BufferManager::InstallFromScratch(PageId id) {
   f.claimed = false;
   f.last_use = ++use_counter_;
   page_table_[id] = idx;
+  ++installs_;
   clock_->ChargeCpu(costs_.page_install);
   return idx;
 }

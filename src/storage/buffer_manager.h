@@ -134,6 +134,12 @@ class BufferManager {
 
   bool IsResident(PageId id) const { return page_table_.count(id) > 0; }
 
+  /// Number of pages installed into a frame so far: Fix misses, prefetch
+  /// completions, NewPage and AdoptPage of a non-resident id. Only an
+  /// install makes a page resident, so a caller that saw this value
+  /// unchanged knows no page has become resident in between.
+  std::uint64_t installs() const { return installs_; }
+
   /// True if any prefetch has been submitted and not yet consumed.
   bool HasPrefetchInFlight() const { return !in_flight_.empty(); }
 
@@ -258,6 +264,7 @@ class BufferManager {
   std::size_t aux_reserved_ = 0;  // page-equivalents held outside frames
   std::function<void(PageId)> unpin_listener_;
   std::uint64_t use_counter_ = 0;
+  std::uint64_t installs_ = 0;
   std::unique_ptr<std::byte[]> scratch_;  // staging buffer for disk I/O
 };
 

@@ -16,15 +16,9 @@ SimulatedDisk::SimulatedDisk(const DiskModel& model, std::size_t page_size,
 PageId SimulatedDisk::AllocatePage() {
   auto buf = std::make_unique<std::byte[]>(page_size_);
   std::memset(buf.get(), 0, page_size_);
-  // All-zero pages share one checksum; compute it once per page size.
-  static thread_local std::size_t cached_size = 0;
-  static thread_local std::uint32_t cached_crc = 0;
-  if (cached_size != page_size_) {
-    cached_size = page_size_;
-    cached_crc = Crc32c(buf.get(), page_size_);
-  }
+  const std::uint32_t crc = Crc32c(buf.get(), page_size_);
   pages_.push_back(std::move(buf));
-  trailers_.push_back(PageTrailer{cached_crc, 0});
+  trailers_.push_back(PageTrailer{crc, 0});
   return static_cast<PageId>(pages_.size() - 1);
 }
 

@@ -50,11 +50,17 @@ class Reader {
     return true;
   }
   bool exhausted() const { return left_ == 0; }
+  std::size_t remaining() const { return left_; }
 
  private:
   const unsigned char* p_;
   std::size_t left_;
 };
+
+// Fixed bytes of one encoded node record (tag 4, kind 1, parent 4,
+// count 8, extent count 4) and of one extent (first 4, last 4).
+constexpr std::size_t kNodeRecordBytes = 21;
+constexpr std::size_t kExtentRecordBytes = 8;
 
 /// Merges a sorted page list into inclusive [first, last] extents.
 std::vector<SummaryExtent> MergePages(std::vector<PageId>* pages) {
@@ -457,6 +463,11 @@ Result<std::unique_ptr<PathSummary>> PathSummary::Decode(const void* data,
     return Status::Corruption("path summary header truncated");
   }
   if (count == 0) return Status::Corruption("path summary has no nodes");
+  // Bound decoded counts by the bytes left before reserving, so garbage
+  // cannot request an unbounded allocation.
+  if (count > reader.remaining() / kNodeRecordBytes) {
+    return Status::Corruption("path summary node count exceeds input");
+  }
   summary->nodes_.reserve(count);
   std::uint64_t instance_sum = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -476,6 +487,9 @@ Result<std::unique_ptr<PathSummary>> PathSummary::Decode(const void* data,
     // (and only the root) has no parent.
     if (i == 0 ? node.parent != kNoParent : node.parent >= i) {
       return Status::Corruption("path summary parent link out of order");
+    }
+    if (extent_count > reader.remaining() / kExtentRecordBytes) {
+      return Status::Corruption("path summary extent count exceeds input");
     }
     node.extents.reserve(extent_count);
     for (std::uint32_t e = 0; e < extent_count; ++e) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "storage/buffer_manager.h"
 
@@ -156,6 +157,64 @@ TEST(BufferManagerTest, PrefetchLifecycle) {
   auto o4 = f.bm.Prefetch(a);
   ASSERT_TRUE(o4.ok());
   EXPECT_EQ(*o4, BufferManager::PrefetchOutcome::kResident);
+}
+
+TEST(BufferManagerTest, InstallCounterAdvancesOnlyOnInstalls) {
+  // XSchedule skips its scan for clusters a sibling query installed while
+  // this counter stands still, so it must move on every way a page
+  // becomes resident and on nothing else.
+  BufferFixture f(2);
+  const PageId a = f.NewDiskPage(1);
+  const PageId b = f.NewDiskPage(2);
+  const PageId c = f.NewDiskPage(3);
+  const PageId d = f.NewDiskPage(4);
+  EXPECT_EQ(f.bm.installs(), 0u);
+
+  { auto g = f.bm.Fix(a); ASSERT_TRUE(g.ok()); }  // miss
+  EXPECT_EQ(f.bm.installs(), 1u);
+  { auto g = f.bm.Fix(a); ASSERT_TRUE(g.ok()); }  // hit
+  EXPECT_EQ(f.bm.installs(), 1u);
+
+  ASSERT_TRUE(f.bm.Prefetch(b, /*owner=*/1).ok());
+  EXPECT_EQ(f.bm.installs(), 1u);  // submitting installs nothing
+  auto waited = f.bm.WaitAnyPrefetch();
+  ASSERT_TRUE(waited.ok());
+  EXPECT_EQ(*waited, b);
+  EXPECT_EQ(f.bm.installs(), 2u);
+
+  ASSERT_TRUE(f.bm.Prefetch(c, /*owner=*/1).ok());
+  auto early = f.bm.PollAnyPrefetch();  // the drive is not done yet
+  ASSERT_TRUE(early.ok());
+  EXPECT_EQ(*early, kInvalidPageId);
+  EXPECT_EQ(f.bm.installs(), 2u);
+  f.clock.WaitUntil(f.clock.now() + kSimSecond);
+  const auto evictions = f.metrics.buffer_evictions;
+  auto polled = f.bm.PollAnyPrefetch();
+  ASSERT_TRUE(polled.ok());
+  EXPECT_EQ(*polled, c);
+  // One install, although it also evicted `a` to make room.
+  EXPECT_EQ(f.metrics.buffer_evictions, evictions + 1);
+  EXPECT_FALSE(f.bm.IsResident(a));
+  EXPECT_EQ(f.bm.installs(), 3u);
+
+  ASSERT_TRUE(f.bm.Discard(c).ok());
+  EXPECT_EQ(f.bm.installs(), 3u);
+
+  {
+    auto g = f.bm.NewPage();
+    ASSERT_TRUE(g.ok());
+  }
+  EXPECT_EQ(f.bm.installs(), 4u);
+
+  std::vector<std::byte> image(kPage, std::byte{9});
+  { auto g = f.bm.AdoptPage(d, image.data()); ASSERT_TRUE(g.ok()); }
+  EXPECT_EQ(f.bm.installs(), 5u);
+  // Adopting a resident id overwrites its frame in place.
+  { auto g = f.bm.AdoptPage(d, image.data()); ASSERT_TRUE(g.ok()); }
+  EXPECT_EQ(f.bm.installs(), 5u);
+
+  ASSERT_TRUE(f.bm.InvalidateAll().ok());
+  EXPECT_EQ(f.bm.installs(), 5u);
 }
 
 TEST(BufferManagerTest, InvalidateAllDropsCleanly) {

@@ -47,6 +47,40 @@ TEST(ChecksumTest, DetectsSingleBitFlip) {
   EXPECT_NE(Crc32c(page.data(), page.size()), clean);
 }
 
+TEST(ChecksumTest, MatchesPortableReferenceEverywhere) {
+  // Crc32c may run on the SSE4.2 crc32 instruction; it must agree with
+  // the byte-wise table walk on every length, alignment and seed, or
+  // saved files and page trailers would differ between machines.
+  std::vector<std::byte> buf(9000 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (std::byte& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t n : {100u, 255u, 511u, 1000u, 4095u, 4096u, 8191u,
+                              8192u, 8193u, 9000u}) {
+    lengths.push_back(n);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::byte* data = buf.data() + offset;
+    for (const std::size_t n : lengths) {
+      EXPECT_EQ(Crc32c(data, n), Crc32cPortable(data, n))
+          << "offset " << offset << " length " << n;
+      for (const std::uint32_t init : {0x1u, 0xE3069283u, 0xFFFFFFFFu}) {
+        EXPECT_EQ(Crc32c(data, n, init), Crc32cPortable(data, n, init))
+            << "offset " << offset << " length " << n << " init " << init;
+      }
+      // Chained: the second half continues the first half's checksum.
+      const std::size_t half = n / 2;
+      EXPECT_EQ(Crc32c(data + half, n - half, Crc32c(data, half)),
+                Crc32cPortable(data, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 // --- Fault schedule determinism ------------------------------------------
 
 FaultInjectorOptions NoisyOptions(std::uint64_t seed) {

@@ -165,6 +165,15 @@ TEST(PathSummaryTest, DecodeRejectsCorruption) {
   EXPECT_FALSE(PathSummary::Decode(bytes.data(), 0).ok());
   std::string garbage(bytes.size(), '\x5a');
   EXPECT_FALSE(PathSummary::Decode(garbage.data(), garbage.size()).ok());
+  // Counts larger than the bytes left could hold are rejected before
+  // anything is reserved: the node count (offset 0) and the first node's
+  // extent count (after the 12-byte header and 17 bytes of the node).
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{29}}) {
+    std::string inflated = bytes;
+    inflated.replace(offset, 4, 4, '\xff');
+    auto decoded = PathSummary::Decode(inflated.data(), inflated.size());
+    EXPECT_TRUE(decoded.status().IsCorruption()) << "offset " << offset;
+  }
 }
 
 // --- End-to-end: navigation-free answers and pruning ---------------------

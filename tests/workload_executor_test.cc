@@ -5,6 +5,7 @@
 // the whole machinery must survive injected transient faults.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -155,6 +156,144 @@ TEST(WorkloadExecutorTest, PullScheduleIsDeterministicForEveryPolicy) {
 
     ASSERT_FALSE(first->empty()) << WorkloadPolicyName(policy);
     EXPECT_EQ(*first, *second) << WorkloadPolicyName(policy);
+  }
+}
+
+// --- The simulated schedule, pinned across commits ----------------------
+//
+// PullScheduleIsDeterministicForEveryPolicy compares two runs of one
+// binary, so a host-side change that reorders the simulated schedule
+// passes it. The recorded digests below catch that: a change meant to
+// save host time only must reproduce them exactly, and a change that
+// moves the simulated schedule on purpose re-records them and says why.
+
+/// FNV-1a over 64-bit words.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+struct ScheduleDigests {
+  std::uint64_t pulls = 0;      // on_pull calls
+  std::uint64_t on_pull = 0;    // (job index, active size) per decision
+  std::uint64_t finished = 0;   // per-query finished_at, in Add() order
+  std::uint64_t metrics = 0;    // Metrics::ToString() of the run window
+  bool operator==(const ScheduleDigests&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ScheduleDigests& d) {
+  return os << "{" << d.pulls << "u, 0x" << std::hex << d.on_pull
+            << "ull, 0x" << d.finished << "ull, 0x" << d.metrics << "ull"
+            << std::dec << "}";
+}
+
+constexpr const char* kThroughputMix[] = {
+    "/site/regions//item",
+    "/site/regions//name",
+    "/site/people/person/email",
+    "/site//description",
+    "/site/open_auctions/open_auction/bidder",
+    "/site/closed_auctions/closed_auction/annotation/description",
+    "/site//keyword",
+    "/site/people/person/address/city",
+};
+
+/// Runs the workload_throughput mix under `policy`, through Run() or
+/// through the stepping interface with Run()'s FIFO admission.
+Result<ScheduleDigests> DigestSchedule(XMarkFixture* fixture,
+                                       WorkloadPolicy policy,
+                                       bool stepping) {
+  ScheduleDigests d;
+  Fnv1a pulls;
+  WorkloadOptions options;
+  options.policy = policy;
+  options.stats = &fixture->stats();
+  options.on_pull = [&](std::size_t job_index, std::size_t active_size) {
+    ++d.pulls;
+    pulls.Add(job_index);
+    pulls.Add(active_size);
+  };
+  WorkloadExecutor executor(fixture->db(), fixture->doc(), options);
+  for (const char* q : kThroughputMix) {
+    NAVPATH_RETURN_NOT_OK(executor.Add(q, PaperPlan(PlanKind::kXSchedule)));
+  }
+  WorkloadResult result;
+  if (!stepping) {
+    NAVPATH_ASSIGN_OR_RETURN(result, executor.Run());
+  } else {
+    NAVPATH_RETURN_NOT_OK(executor.BeginStepping(executor.size()));
+    std::size_t next = 0;
+    const auto admit = [&]() -> Status {
+      while (next < executor.size() && executor.CanAdmit(next)) {
+        NAVPATH_RETURN_NOT_OK(executor.ActivateJob(next++));
+      }
+      return Status::OK();
+    };
+    NAVPATH_RETURN_NOT_OK(admit());
+    while (executor.active_count() > 0) {
+      NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, executor.StepOnce());
+      if (done != WorkloadExecutor::kNoJob) NAVPATH_RETURN_NOT_OK(admit());
+    }
+    NAVPATH_ASSIGN_OR_RETURN(result, executor.EndStepping());
+  }
+  d.on_pull = pulls.h;
+  Fnv1a finished;
+  for (const WorkloadQueryResult& q : result.queries) {
+    NAVPATH_RETURN_NOT_OK(q.status);
+    finished.Add(q.finished_at);
+  }
+  d.finished = finished.h;
+  Fnv1a metrics;
+  for (const char c : result.metrics.ToString()) {
+    metrics.Add(static_cast<unsigned char>(c));
+  }
+  d.metrics = metrics.h;
+  return d;
+}
+
+TEST(WorkloadExecutorTest, SimulatedScheduleMatchesRecordedDigests) {
+  // The store is at least twice the pool, so queries evict each other's
+  // clusters and XSchedule's cooperative paths (sibling installs, yields)
+  // run.
+  // Each run gets a fresh store: the drive head survives runs.
+  FixtureOptions options;
+  options.db.buffer_pages = 100;
+  struct Expected {
+    WorkloadPolicy policy;
+    ScheduleDigests digests;
+  };
+  // Run() and the stepping interface must both reproduce the same row.
+  const Expected expected[] = {
+      {WorkloadPolicy::kRoundRobin,
+       {4951u, 0x914befe9aafc1687ull, 0x13eb9f5c93462f1full,
+        0x88dd60b3b96f000cull}},
+      {WorkloadPolicy::kFewestPendingIos,
+       {4469u, 0xcf74a07a0e145d24ull, 0xa4fd06a04b83e00aull,
+        0x906e3852dc7a88cbull}},
+      {WorkloadPolicy::kShortestRemainingCost,
+       {4481u, 0x2cc96c73c5feed25ull, 0x1b0a6af90d285698ull,
+        0x81a2db8607f10ce4ull}},
+      {WorkloadPolicy::kHybrid,
+       {4524u, 0x33f2e12864c276c0ull, 0x63fb3f6fbc0a6b0full,
+        0xd27becf46630a02dull}},
+  };
+  for (const Expected& e : expected) {
+    for (const bool stepping : {false, true}) {
+      auto fixture = XMarkFixture::Create(0.02, options);
+      ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+      ASSERT_GE((*fixture)->doc().pages, 2 * options.db.buffer_pages);
+      auto digests = DigestSchedule(fixture->get(), e.policy, stepping);
+      ASSERT_TRUE(digests.ok()) << WorkloadPolicyName(e.policy) << ": "
+                                << digests.status().ToString();
+      EXPECT_EQ(*digests, e.digests)
+          << WorkloadPolicyName(e.policy)
+          << (stepping ? " (stepping)" : " (Run)");
+    }
   }
 }
 
