@@ -140,7 +140,7 @@ Result<bool> FanOut::PullFor(std::size_t slot, PathInstance* out,
     // The producer may derive the same prefix node along several
     // navigations; each distinct right end is streamed exactly once.
     db_->clock()->ChargeCpu(db_->costs().set_op);
-    if (!emitted_.insert(inst.right.Key()).second) {
+    if (!emitted_.insert(inst.right.Key())) {
       ++dedup_hits_;
       continue;
     }

@@ -29,10 +29,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/operator.h"
+#include "common/flat_set.h"
 
 namespace navpath {
 
@@ -110,7 +110,7 @@ class FanOut {
   /// Right-end keys already streamed: the producer may derive the same
   /// prefix instance along several navigations; consumers must see each
   /// distinct right end once.
-  std::unordered_set<std::uint64_t> emitted_;
+  FlatSet<std::uint64_t> emitted_;
 
   std::vector<Consumer> consumers_;
   bool producer_open_ = false;

@@ -4,9 +4,9 @@
 #define NAVPATH_ALGEBRA_OPERATOR_H_
 
 #include <optional>
-#include <unordered_set>
 
 #include "algebra/path_instance.h"
+#include "common/flat_set.h"
 #include "common/status.h"
 #include "observe/profile.h"
 #include "observe/trace.h"
@@ -154,7 +154,7 @@ struct PlanSharedState {
 
   /// Clusters already visited by the I/O operator (used by speculative
   /// XSchedule to avoid scheduling visits whose answers are already in S).
-  std::unordered_set<PageId> visited_clusters;
+  FlatSet<PageId> visited_clusters;
 
   /// Identity of the query this plan belongs to within a multi-query
   /// workload (0 = standalone execution). The buffer manager attributes

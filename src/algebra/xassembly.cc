@@ -38,11 +38,13 @@ void XAssembly::TriggerFallback() {
 
 Status XAssembly::Reach(const PathInstance& inst) {
   // Iterative closure; each work item carries the provenance left end.
-  std::vector<PathInstance> worklist;
-  worklist.push_back(inst);
-  while (!worklist.empty()) {
-    const PathInstance item = worklist.back();
-    worklist.pop_back();
+  // The stack is a member so that arrivals do not allocate; clearing it
+  // first drops whatever a failed earlier call left behind.
+  worklist_.clear();
+  worklist_.push_back(inst);
+  while (!worklist_.empty()) {
+    const PathInstance item = worklist_.back();
+    worklist_.pop_back();
     const PathEnd& e = item.right;
 
     if (options_.first_step_reaches_all && e.step == 0 && e.border) {
@@ -51,7 +53,7 @@ Status XAssembly::Reach(const PathInstance& inst) {
     }
     db_->clock()->ChargeCpu(db_->costs().set_op);
     ++db_->metrics()->r_set_probes;
-    if (!r_.insert(e.Key()).second) continue;  // already known
+    if (!r_.insert(e.Key())) continue;  // already known
 
     if (!e.border) {
 #if NAVPATH_OBSERVE_ENABLED
@@ -79,7 +81,7 @@ Status XAssembly::Reach(const PathInstance& inst) {
       ++db_->metrics()->s_set_probes;
       for (const PathInstance& x : it->second) {
         // x: "if e is reachable, x.right is reachable".
-        worklist.push_back(x);
+        worklist_.push_back(x);
       }
       s_size_ -= it->second.size();
       s_.erase(it);
@@ -88,7 +90,7 @@ Status XAssembly::Reach(const PathInstance& inst) {
     if (schedule_ != nullptr) {
       const bool covered_by_seeds =
           options_.speculative && !shared_->fallback &&
-          shared_->visited_clusters.count(e.node.page) > 0;
+          shared_->visited_clusters.contains(e.node.page);
       if (!covered_by_seeds) {
         NAVPATH_RETURN_NOT_OK(schedule_->AddWork(PathInstance{item.left, e}));
       }
@@ -118,7 +120,7 @@ Status XAssembly::HandleArrival(const PathInstance& y) {
   const std::uint64_t key = x.left.Key();
   const bool left_known =
       (options_.first_step_reaches_all && x.left.step == 0) ||
-      r_.count(key) > 0;
+      r_.contains(key);
   db_->clock()->ChargeCpu(db_->costs().set_op);
   ++db_->metrics()->r_set_probes;
   if (left_known) {

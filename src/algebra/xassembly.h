@@ -19,10 +19,10 @@
 
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/operator.h"
+#include "common/flat_set.h"
 
 namespace navpath {
 
@@ -78,10 +78,11 @@ class XAssembly : public PathOperator {
   XSchedule* schedule_;
   XAssemblyOptions options_;
 
-  std::unordered_set<std::uint64_t> r_;
+  FlatSet<std::uint64_t> r_;
   std::unordered_map<std::uint64_t, std::vector<PathInstance>> s_;
   std::size_t s_size_ = 0;
   std::deque<PathInstance> pending_;  // full instances awaiting emission
+  std::vector<PathInstance> worklist_;  // Reach's closure stack, reused
 };
 
 }  // namespace navpath

@@ -23,7 +23,7 @@ Status XSchedule::Close() {
 }
 
 void XSchedule::MarkReady(PageId page) {
-  if (ready_set_.insert(page).second) ready_.push_back(page);
+  if (ready_set_.insert(page)) ready_.push_back(page);
 }
 
 Status XSchedule::Enqueue(const PathInstance& inst) {
@@ -39,7 +39,7 @@ Status XSchedule::SchedulePrefetch(PageId page) {
   // buffer/drive interactions below use the snapshot's physical mapping.
   const PageTranslator* translator = shared_->cluster.translator();
   const PageId physical = TranslateToPhysical(translator, page);
-  if (options_.max_inflight > 0 && deferred_set_.count(page) == 0 &&
+  if (options_.max_inflight > 0 && !deferred_set_.contains(page) &&
       db_->buffer()->PendingFor(shared_->owner_id) >=
           options_.max_inflight &&
       !db_->buffer()->IsResident(physical)) {
@@ -112,7 +112,7 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       // marks clusters already resident, and entered clusters leave q_.
       scanned_installs_ = db_->buffer()->installs();
       for (const auto& [page, entries] : q_) {
-        if (!entries.empty() && ready_set_.count(page) == 0 &&
+        if (!entries.empty() && !ready_set_.contains(page) &&
             db_->buffer()->IsResident(TranslateToPhysical(
                 shared_->cluster.translator(), page))) {
           MarkReady(page);

@@ -23,9 +23,9 @@
 
 #include <deque>
 #include <map>
-#include <unordered_set>
 
 #include "algebra/operator.h"
+#include "common/flat_set.h"
 
 namespace navpath {
 
@@ -84,7 +84,7 @@ class XSchedule : public PathOperator {
   bool producer_done_ = false;
 
   std::deque<PageId> ready_;
-  std::unordered_set<PageId> ready_set_;
+  FlatSet<PageId> ready_set_;
   // BufferManager::installs() when the cooperative scan for clusters a
   // sibling installed last ran (or at Open); the scan is skipped while it
   // is unchanged. See DESIGN.md, "Claimed frames and the yield protocol".
@@ -92,7 +92,7 @@ class XSchedule : public PathOperator {
 
   // Prefetches held back by options_.max_inflight, in submission order.
   std::deque<PageId> deferred_;
-  std::unordered_set<PageId> deferred_set_;
+  FlatSet<PageId> deferred_set_;
 
   // Speculative seed enumeration state for the current cluster.
   bool seeding_ = false;

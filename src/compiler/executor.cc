@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+
+#include "common/flat_set.h"
 
 namespace navpath {
 namespace {
@@ -14,7 +15,7 @@ Status DrainPlan(Database* db, PathPlan* plan, bool collect_nodes,
                  std::uint64_t* count, std::vector<LogicalNode>* nodes,
                  std::uint64_t stop_after = 0) {
   NAVPATH_RETURN_NOT_OK(plan->root()->Open());
-  std::unordered_set<std::uint64_t> seen;
+  FlatSet<std::uint64_t> seen;
   std::uint64_t produced = 0;
   bool stopped_early = false;
   PathInstance inst;
@@ -24,7 +25,7 @@ Status DrainPlan(Database* db, PathPlan* plan, bool collect_nodes,
     // Final duplicate elimination (required for the Simple method; a
     // cheap re-check for XAssembly plans, whose R already deduplicates).
     db->clock()->ChargeCpu(db->costs().set_op);
-    if (!seen.insert(inst.right.node.Pack()).second) continue;
+    if (!seen.insert(inst.right.node.Pack())) continue;
     ++*count;
     ++produced;
     if (collect_nodes) {
@@ -86,7 +87,7 @@ Result<bool> StorePredicateHolds(Database* db, NodeID context,
     const LocationStep& step = path.steps[i];
     const bool last = i + 1 == path.steps.size();
     std::vector<NodeID> next;
-    std::unordered_set<std::uint64_t> seen;
+    FlatSet<std::uint64_t> seen;
     CrossClusterCursor cursor(db, translator);
     for (const NodeID ctx : frontier) {
       NAVPATH_RETURN_NOT_OK(cursor.Start(step.axis, ctx));
@@ -96,7 +97,7 @@ Result<bool> StorePredicateHolds(Database* db, NodeID context,
         if (!more) break;
         db->clock()->ChargeCpu(db->costs().node_test);
         if (!step.test.Matches(node.tag)) continue;
-        if (!seen.insert(node.id.Pack()).second) continue;
+        if (!seen.insert(node.id.Pack())) continue;
         NAVPATH_ASSIGN_OR_RETURN(
             const bool keep,
             StepSatisfiesPredicates(db, node, step, translator));
@@ -154,13 +155,13 @@ Result<std::vector<LogicalNode>> EvaluateWithPredicates(
         BuildPlan(db, doc, segment, contexts, plan_options));
     NAVPATH_RETURN_NOT_OK(plan.root()->Open());
     std::vector<LogicalNode> nodes;
-    std::unordered_set<std::uint64_t> seen;
+    FlatSet<std::uint64_t> seen;
     PathInstance inst;
     for (;;) {
       NAVPATH_ASSIGN_OR_RETURN(const bool more, plan.root()->Pull(&inst));
       if (!more) break;
       db->clock()->ChargeCpu(db->costs().set_op);
-      if (!seen.insert(inst.right.node.Pack()).second) continue;
+      if (!seen.insert(inst.right.node.Pack())) continue;
       nodes.push_back(LogicalNode{inst.right.node, 0, inst.right.order});
     }
     NAVPATH_RETURN_NOT_OK(plan.root()->Close());

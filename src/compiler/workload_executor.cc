@@ -831,7 +831,7 @@ void WorkloadExecutor::FinishJob(std::size_t active_pos) {
   Job& job = jobs_[run_active_[active_pos]];
   job.result.finished_at = db_->clock()->now();
   job.plan = PathPlan();
-  job.seen.clear();
+  job.seen = FlatSet<std::uint64_t>();  // release the table, not just empty it
   // Transaction state goes after the plan (the plan's translator points
   // into the snapshot). Dropping the snapshot unpins its version for
   // reclamation; a writer still open here (insert failure path) was
@@ -995,7 +995,7 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
   if (have) {
     // Final duplicate elimination, as in single-query execution.
     db_->clock()->ChargeCpu(db_->costs().set_op);
-    if (!job.seen.insert(step_inst_.right.node.Pack()).second) {
+    if (!job.seen.insert(step_inst_.right.node.Pack())) {
       return kNoJob;
     }
     ++job.result.count;

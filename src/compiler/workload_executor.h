@@ -37,10 +37,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "algebra/fanout.h"
+#include "common/flat_set.h"
 #include "compiler/cost_model.h"
 #include "compiler/executor.h"
 #include "compiler/plan.h"
@@ -466,7 +466,7 @@ class WorkloadExecutor {
     // Run state.
     std::size_t path_index = 0;
     PathPlan plan;
-    std::unordered_set<std::uint64_t> seen;  // dedup within current path
+    FlatSet<std::uint64_t> seen;  // dedup within current path
     std::uint64_t produced_in_path = 0;
     std::uint64_t last_pull = 0;  // scheduler decision stamp (fair ties)
     // Classification window (kHybrid): snapshots of the job's pull count

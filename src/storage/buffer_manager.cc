@@ -169,7 +169,7 @@ Result<std::size_t> BufferManager::GetFreeFrame() {
     NAVPATH_RETURN_NOT_OK(WritePageWithRetry(f.page_id, f.data.get()));
     f.dirty = false;
   }
-  page_table_.erase(f.page_id);
+  Unmap(f.page_id);
   ++metrics_->buffer_evictions;
   NAVPATH_TRACE(tracer_, Instant(TraceCategory::kBuffer, kTrackBuffer,
                                  "evict", clock_->now(),
@@ -179,6 +179,9 @@ Result<std::size_t> BufferManager::GetFreeFrame() {
 }
 
 Result<std::size_t> BufferManager::InstallFromScratch(PageId id) {
+  // Only pages of the disk are ever installed, which keeps the dense page
+  // table no larger than the disk.
+  NAVPATH_CHECK(id < disk_->num_pages());
   NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, GetFreeFrame());
   Frame& f = frames_[idx];
   if (f.data == nullptr) {
@@ -190,7 +193,12 @@ Result<std::size_t> BufferManager::InstallFromScratch(PageId id) {
   f.dirty = false;
   f.claimed = false;
   f.last_use = ++use_counter_;
-  page_table_[id] = idx;
+  if (id >= page_table_.size()) {
+    page_table_.resize(static_cast<std::size_t>(id) + 1, kNoFrame);
+  }
+  NAVPATH_DCHECK(page_table_[id] == kNoFrame);
+  page_table_[id] = static_cast<std::uint32_t>(idx);
+  ++pages_resident_;
   ++installs_;
   clock_->ChargeCpu(costs_.page_install);
   return idx;
@@ -202,11 +210,9 @@ Result<std::size_t> BufferManager::FixInternal(PageId id, bool charge_swizzle) {
     clock_->ChargeCpu(costs_.swizzle);
     ++metrics_->swizzle_ops;
   }
-  auto it = page_table_.find(id);
-  std::size_t idx;
-  if (it != page_table_.end()) {
+  std::size_t idx = FrameOf(id);
+  if (idx != kNoFrame) {
     ++metrics_->buffer_hits;
-    idx = it->second;
   } else {
     ++metrics_->buffer_misses;
     [[maybe_unused]] const SimTime miss_begin = clock_->now();
@@ -247,16 +253,14 @@ Result<PageGuard> BufferManager::NewPage() {
 
 Result<PageGuard> BufferManager::AdoptPage(PageId id,
                                            const std::byte* content) {
-  auto it = page_table_.find(id);
-  std::size_t idx;
-  if (it != page_table_.end()) {
-    idx = it->second;
-  } else {
+  std::size_t idx = FrameOf(id);
+  const bool resident = idx != kNoFrame;
+  if (!resident) {
     std::memcpy(scratch_.get(), content, disk_->page_size());
     NAVPATH_ASSIGN_OR_RETURN(idx, InstallFromScratch(id));
   }
   Frame& f = frames_[idx];
-  if (it != page_table_.end()) {
+  if (resident) {
     std::memcpy(f.data.get(), content, disk_->page_size());
     clock_->ChargeCpu(costs_.page_install);
   }
@@ -268,14 +272,13 @@ Result<PageGuard> BufferManager::AdoptPage(PageId id,
 }
 
 Status BufferManager::Discard(PageId id) {
-  const auto it = page_table_.find(id);
-  if (it == page_table_.end()) return Status::OK();
-  Frame& f = frames_[it->second];
+  const std::size_t idx = FrameOf(id);
+  if (idx == kNoFrame) return Status::OK();
+  Frame& f = frames_[idx];
   if (f.pin_count > 0) {
     return Status::InvalidArgument("cannot discard a pinned page");
   }
-  page_table_.erase(it);
-  const std::size_t idx = &f - frames_.data();
+  Unmap(id);
   f.page_id = kInvalidPageId;
   f.dirty = false;
   f.claimed = false;
@@ -285,12 +288,12 @@ Status BufferManager::Discard(PageId id) {
 
 Result<BufferManager::PrefetchOutcome> BufferManager::Prefetch(
     PageId id, std::uint32_t owner, ReadPriority priority) {
-  const auto resident = page_table_.find(id);
-  if (resident != page_table_.end()) {
+  const std::size_t resident = FrameOf(id);
+  if (resident != kNoFrame) {
     // A concurrent query will come back for this page once its scheduler
     // pulls the corresponding cluster; shield it from eviction until
     // then, exactly like a prefetch it had paid I/O for.
-    if (owner != 0) frames_[resident->second].claimed = true;
+    if (owner != 0) frames_[resident].claimed = true;
     return PrefetchOutcome::kResident;
   }
   const auto it = in_flight_.find(id);
@@ -350,7 +353,7 @@ Result<PageId> BufferManager::WaitAnyPrefetch() {
     ++metrics_->fault_fallbacks;
     NAVPATH_RETURN_NOT_OK(ReadPageWithRetry(id, scratch_.get()));
   }
-  if (page_table_.count(id) == 0) {
+  if (!IsResident(id)) {
     NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, InstallFromScratch(id));
     frames_[idx].claimed = claim;
   }
@@ -370,7 +373,7 @@ Result<PageId> BufferManager::PollAnyPrefetch() {
     ++metrics_->fault_fallbacks;
     NAVPATH_RETURN_NOT_OK(ReadPageWithRetry(id, scratch_.get()));
   }
-  if (page_table_.count(id) == 0) {
+  if (!IsResident(id)) {
     NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, InstallFromScratch(id));
     frames_[idx].claimed = claim;
   }
@@ -395,7 +398,7 @@ Status BufferManager::InvalidateAll() {
     if (f.pin_count > 0) {
       return Status::InvalidArgument("cannot invalidate a pinned page");
     }
-    page_table_.erase(f.page_id);
+    Unmap(f.page_id);
     f.page_id = kInvalidPageId;
     f.claimed = false;
     free_frames_.push_back(i);

@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -81,7 +82,7 @@ class BufferManager {
   BufferManager& operator=(const BufferManager&) = delete;
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t pages_resident() const { return page_table_.size(); }
+  std::size_t pages_resident() const { return pages_resident_; }
 
   /// Fixes `id` in the buffer, reading it synchronously on a miss.
   Result<PageGuard> Fix(PageId id);
@@ -132,7 +133,7 @@ class BufferManager {
                                    ReadPriority priority =
                                        ReadPriority::kNormal);
 
-  bool IsResident(PageId id) const { return page_table_.count(id) > 0; }
+  bool IsResident(PageId id) const { return FrameOf(id) != kNoFrame; }
 
   /// Number of pages installed into a frame so far: Fix misses, prefetch
   /// completions, NewPage and AdoptPage of a non-resident id. Only an
@@ -212,6 +213,9 @@ class BufferManager {
   }
 
  private:
+  static constexpr std::uint32_t kNoFrame =
+      std::numeric_limits<std::uint32_t>::max();
+
   struct Frame {
     PageId page_id = kInvalidPageId;
     std::unique_ptr<std::byte[]> data;
@@ -224,6 +228,19 @@ class BufferManager {
     bool claimed = false;
     std::uint64_t last_use = 0;  // LRU stamp
   };
+
+  /// Frame holding `id`, or kNoFrame when it is not resident (including
+  /// ids the table has not grown to, and kInvalidPageId).
+  std::uint32_t FrameOf(PageId id) const {
+    return id < page_table_.size() ? page_table_[id] : kNoFrame;
+  }
+
+  /// Drops `id`'s page-table entry (its frame is being reused or freed).
+  void Unmap(PageId id) {
+    NAVPATH_DCHECK(FrameOf(id) != kNoFrame);
+    page_table_[id] = kNoFrame;
+    --pages_resident_;
+  }
 
   /// Finds a frame to (re)use, evicting the LRU unpinned page if needed.
   /// Unclaimed frames are preferred victims (see Frame::claimed).
@@ -257,7 +274,12 @@ class BufferManager {
 
   std::vector<Frame> frames_;
   std::vector<std::size_t> free_frames_;
-  std::unordered_map<PageId, std::size_t> page_table_;
+  // Page table: the frame index of each resident page, indexed by page
+  // id, kNoFrame elsewhere. Page ids are dense (SimulatedDisk hands them
+  // out as 0, 1, 2, ...), so the vector grows on install to the highest
+  // id seen and stays no larger than the disk.
+  std::vector<std::uint32_t> page_table_;
+  std::size_t pages_resident_ = 0;
   // In-flight prefetches, each with the owners interested in the page
   // (small vectors: a handful of concurrent queries at most).
   std::unordered_map<PageId, std::vector<std::uint32_t>> in_flight_;

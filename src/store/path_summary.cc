@@ -1,6 +1,7 @@
 #include "store/path_summary.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace navpath {
@@ -410,23 +411,61 @@ SummaryMatch PathSummary::Match(const LocationPath& path) const {
 
 std::vector<SummaryExtent> PathSummary::ExtentUnion(
     const std::vector<std::uint32_t>& nodes) const {
-  std::vector<SummaryExtent> all;
+  // Coverage sweep: mark the pages every extent covers in a bitmap over
+  // the extents' page span, then read the maximal runs of marked pages
+  // back out. Sorting the concatenated extents and folding overlapping or
+  // adjacent ones yields exactly these runs, since no extent ends at
+  // kInvalidPageId (Decode refuses one), where "last + 1" would wrap. The
+  // sweep is linear in the extents plus span / 64 words.
+  PageId lo = kInvalidPageId;
+  PageId hi = 0;
   for (const std::uint32_t s : nodes) {
     NAVPATH_DCHECK(s < nodes_.size());
-    all.insert(all.end(), nodes_[s].extents.begin(), nodes_[s].extents.end());
-  }
-  std::sort(all.begin(), all.end(),
-            [](const SummaryExtent& a, const SummaryExtent& b) {
-              return a.first != b.first ? a.first < b.first : a.last < b.last;
-            });
-  std::vector<SummaryExtent> merged;
-  for (const SummaryExtent& e : all) {
-    if (!merged.empty() && e.first <= merged.back().last + 1 &&
-        merged.back().last != kInvalidPageId) {
-      merged.back().last = std::max(merged.back().last, e.last);
-    } else {
-      merged.push_back(e);
+    for (const SummaryExtent& e : nodes_[s].extents) {
+      lo = std::min(lo, e.first);
+      hi = std::max(hi, e.last);
     }
+  }
+  std::vector<SummaryExtent> merged;
+  if (lo > hi) return merged;
+  const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
+  std::vector<std::uint64_t> covered((span + 63) / 64, 0);
+  for (const std::uint32_t s : nodes) {
+    for (const SummaryExtent& e : nodes_[s].extents) {
+      const std::size_t a = e.first - lo;
+      const std::size_t b = e.last - lo;
+      const std::uint64_t head = ~std::uint64_t{0} << (a % 64);
+      const std::uint64_t tail = ~std::uint64_t{0} >> (63 - b % 64);
+      if (a / 64 == b / 64) {
+        covered[a / 64] |= head & tail;
+      } else {
+        covered[a / 64] |= head;
+        std::fill(covered.begin() + static_cast<std::ptrdiff_t>(a / 64 + 1),
+                  covered.begin() + static_cast<std::ptrdiff_t>(b / 64),
+                  ~std::uint64_t{0});
+        covered[b / 64] |= tail;
+      }
+    }
+  }
+  // First bit at or after `from` that is set (or clear); bits past the
+  // span are clear, so a run always ends by covered.size() * 64.
+  const auto next = [&covered](std::size_t from, bool set) {
+    std::size_t w = from / 64;
+    if (w >= covered.size()) return covered.size() * 64;
+    std::uint64_t bits = (set ? covered[w] : ~covered[w]) &
+                         (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++w == covered.size()) return covered.size() * 64;
+      bits = set ? covered[w] : ~covered[w];
+    }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  };
+  std::size_t first = next(0, true);
+  while (first < span) {
+    const std::size_t past = next(first, false);  // one past the run
+    merged.push_back(SummaryExtent{static_cast<PageId>(lo + first),
+                                   static_cast<PageId>(lo + past - 1)});
+    first = next(past, true);
   }
   return merged;
 }
@@ -501,6 +540,9 @@ Result<std::unique_ptr<PathSummary>> PathSummary::Decode(const void* data,
           (!node.extents.empty() &&
            extent.first <= node.extents.back().last)) {
         return Status::Corruption("path summary extents unordered");
+      }
+      if (extent.last == kInvalidPageId) {
+        return Status::Corruption("path summary extent ends past any page");
       }
       node.extents.push_back(extent);
     }

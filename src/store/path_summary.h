@@ -158,7 +158,8 @@ class PathSummary {
   SummaryMatch Match(const LocationPath& path) const;
 
   /// Merged union of the extents of `nodes` (summary node indices),
-  /// sorted by first page.
+  /// sorted by first page: the maximal runs of consecutive pages that
+  /// some extent covers. Allocates a bitmap over the extents' page span.
   std::vector<SummaryExtent> ExtentUnion(
       const std::vector<std::uint32_t>& nodes) const;
 
@@ -192,7 +193,7 @@ class PathSummary {
 
   /// Inverse of Encode. Returns Status::Corruption on any structural
   /// inconsistency (truncation, forward parent references, unordered
-  /// extents).
+  /// extents, an extent ending at kInvalidPageId).
   static Result<std::unique_ptr<PathSummary>> Decode(const void* data,
                                                      std::size_t size);
 

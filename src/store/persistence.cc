@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "storage/checksum.h"
+#include "store/tree_page.h"
 
 namespace navpath {
 namespace {
@@ -38,6 +39,16 @@ bool ReadU32(std::istream& in, std::uint32_t* v) {
 bool ReadU64(std::istream& in, std::uint64_t* v) {
   in.read(reinterpret_cast<char*>(v), sizeof(*v));
   return in.good();
+}
+
+/// True when every extent of `summary` lies within the file's
+/// `page_count` pages; a synopsis that points past them is damaged.
+bool ExtentsWithin(const PathSummary& summary, std::uint32_t page_count) {
+  for (std::uint32_t i = 0; i < summary.size(); ++i) {
+    const std::vector<SummaryExtent>& extents = summary.node(i).extents;
+    if (!extents.empty() && extents.back().last >= page_count) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -127,6 +138,18 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
                                     DatabaseOptions options) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open for reading: " + path);
+  // Every size and count read below is checked against the bytes left in
+  // the file before it sizes an allocation, so a damaged or hostile header
+  // yields Corruption instead of an abort or a huge allocation.
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  const auto remaining = [&in, file_size]() -> std::uint64_t {
+    const std::streamoff at = in.tellg();
+    return at < 0 || at > file_size
+               ? 0
+               : static_cast<std::uint64_t>(file_size - at);
+  };
 
   char magic[4];
   in.read(magic, sizeof(magic));
@@ -142,13 +165,21 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
       !ReadU32(in, &tag_count)) {
     return Status::Corruption("truncated header");
   }
+  if (page_size < TreePage::kMinPageSize ||
+      page_size > TreePage::kMaxPageSize) {
+    return Status::Corruption("bad page size " + std::to_string(page_size));
+  }
+  // Each stored page is its image followed by its integrity trailer.
+  if (page_count > remaining() / (page_size + kPageTrailerBytes)) {
+    return Status::Corruption("page count exceeds file size");
+  }
   options.page_size = page_size;
 
   LoadedDatabase loaded;
   loaded.db = std::make_unique<Database>(options);
   for (std::uint32_t t = 0; t < tag_count; ++t) {
     std::uint32_t len = 0;
-    if (!ReadU32(in, &len) || len > 1 << 20) {
+    if (!ReadU32(in, &len) || len > 1 << 20 || len > remaining()) {
       return Status::Corruption("bad tag entry");
     }
     std::string name(len, '\0');
@@ -184,7 +215,7 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
     }
     if (has_summary == 1) {
       std::uint64_t len = 0;
-      if (!ReadU64(in, &len) || len > (1ull << 31)) {
+      if (!ReadU64(in, &len) || len > remaining()) {
         return Status::Corruption("bad summary block length");
       }
       std::string encoded(len, '\0');
@@ -199,6 +230,10 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
             Status::Corruption("path summary failed checksum verification");
       } else {
         auto summary = PathSummary::Decode(encoded.data(), encoded.size());
+        if (summary.ok() && !ExtentsWithin(**summary, page_count)) {
+          summary =
+              Status::Corruption("path summary extent past the last page");
+        }
         if (summary.ok()) {
           loaded.db->SetSummary(std::shared_ptr<const PathSummary>(
               std::move(*summary)));
@@ -218,7 +253,8 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
       VersionedRootState& txn = loaded.txn_state;
       std::uint32_t mapping_count = 0;
       if (!ReadU64(in, &txn.seq) || !ReadU32(in, &mapping_count) ||
-          mapping_count > page_count) {
+          mapping_count > page_count ||
+          mapping_count > remaining() / (2 * sizeof(std::uint32_t))) {
         return Status::Corruption("bad versioned-root mapping table");
       }
       txn.mappings.reserve(mapping_count);
@@ -233,7 +269,8 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
       auto read_page_list = [&](std::vector<PageId>* list,
                                 const char* what) -> Status {
         std::uint32_t n = 0;
-        if (!ReadU32(in, &n) || n > page_count) {
+        if (!ReadU32(in, &n) || n > page_count ||
+            n > remaining() / sizeof(std::uint32_t)) {
           return Status::Corruption(std::string("bad ") + what + " list");
         }
         list->reserve(n);

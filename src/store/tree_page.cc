@@ -5,7 +5,7 @@
 namespace navpath {
 
 void TreePage::Initialize(std::byte* data, std::size_t page_size) {
-  NAVPATH_CHECK(page_size >= 64 && page_size <= 0xFFFF);
+  NAVPATH_CHECK(page_size >= kMinPageSize && page_size <= kMaxPageSize);
   TreePage page(data, page_size);
   page.StoreU16(0, 0);  // slot_count
   page.StoreU16(2, static_cast<std::uint16_t>(page_size));  // record_start

@@ -54,6 +54,10 @@ class TreePage {
   // prefix(10) + tag(4) + order(8) + first_attr(2) + text_len(2)
   static constexpr std::size_t kCoreRecordBase = 26;  // also attributes
   static constexpr std::size_t kBorderRecordBytes = 18;
+  // Page sizes the layout can address: offsets, including record_start ==
+  // page_size on an empty page, are 16-bit.
+  static constexpr std::size_t kMinPageSize = 64;
+  static constexpr std::size_t kMaxPageSize = 0xFFFF;
 
   TreePage(std::byte* data, std::size_t page_size)
       : data_(data), page_size_(page_size) {}

@@ -227,6 +227,77 @@ TEST(BufferManagerTest, InvalidateAllDropsCleanly) {
   EXPECT_EQ(f.bm.pages_resident(), 0u);
 }
 
+TEST(BufferManagerTest, PageTableAnswersForIdsItHasNotGrownTo) {
+  // The page table is a vector indexed by page id and grown on install;
+  // ids beyond it, including kInvalidPageId, are simply not resident.
+  BufferFixture f(2);
+  EXPECT_FALSE(f.bm.IsResident(0));
+  EXPECT_FALSE(f.bm.IsResident(kInvalidPageId));
+  const PageId a = f.NewDiskPage(1);
+  f.NewDiskPage(2);
+  { auto g = f.bm.Fix(a); ASSERT_TRUE(g.ok()); }
+  EXPECT_TRUE(f.bm.IsResident(a));
+  EXPECT_FALSE(f.bm.IsResident(kInvalidPageId));
+  EXPECT_FALSE(f.bm.IsResident(kInvalidPageId - 1));
+  EXPECT_FALSE(f.bm.IsResident(f.disk.num_pages()));
+  EXPECT_FALSE(f.bm.IsResident(f.disk.num_pages() + 1000));
+  // A miss on an id past the disk's end fails at the drive and installs
+  // nothing, so it does not grow the table either.
+  EXPECT_FALSE(f.bm.Fix(f.disk.num_pages()).ok());
+  EXPECT_FALSE(f.bm.IsResident(f.disk.num_pages()));
+  EXPECT_EQ(f.bm.pages_resident(), 1u);
+}
+
+TEST(BufferManagerTest, PagesResidentTracksInstallsAndRemovals) {
+  BufferFixture f(3);
+  std::vector<PageId> pages;
+  for (std::uint8_t i = 0; i < 6; ++i) pages.push_back(f.NewDiskPage(i));
+  // pages_resident() is a running count; the page table itself is the
+  // ground truth.
+  const auto expect_count = [&](std::size_t n, const char* after) {
+    std::size_t resident = 0;
+    for (PageId p = 0; p < f.disk.num_pages(); ++p) {
+      if (f.bm.IsResident(p)) ++resident;
+    }
+    EXPECT_EQ(resident, n) << after;
+    EXPECT_EQ(f.bm.pages_resident(), n) << after;
+  };
+  expect_count(0, "start");
+  { auto g = f.bm.Fix(pages[0]); ASSERT_TRUE(g.ok()); }
+  { auto g = f.bm.Fix(pages[1]); ASSERT_TRUE(g.ok()); }
+  { auto g = f.bm.Fix(pages[0]); ASSERT_TRUE(g.ok()); }
+  expect_count(2, "two misses and a hit");
+  ASSERT_TRUE(f.bm.Prefetch(pages[2]).ok());
+  expect_count(2, "prefetch submitted");
+  ASSERT_TRUE(f.bm.WaitAnyPrefetch().ok());
+  expect_count(3, "prefetch installed");
+  { auto g = f.bm.Fix(pages[3]); ASSERT_TRUE(g.ok()); }
+  expect_count(3, "miss that evicts");
+  EXPECT_FALSE(f.bm.IsResident(pages[1]));  // the LRU page went
+  ASSERT_TRUE(f.bm.Discard(pages[0]).ok());
+  expect_count(2, "discard");
+  ASSERT_TRUE(f.bm.Discard(pages[0]).ok());
+  expect_count(2, "discard of a page no longer resident");
+  {
+    auto g = f.bm.NewPage();
+    ASSERT_TRUE(g.ok());
+  }
+  expect_count(3, "new page");
+  std::vector<std::byte> image(kPage, std::byte{7});
+  { auto g = f.bm.AdoptPage(pages[3], image.data()); ASSERT_TRUE(g.ok()); }
+  expect_count(3, "adopt of a resident page");
+  ASSERT_TRUE(f.bm.InvalidateAll().ok());
+  expect_count(0, "invalidate all");
+  for (const PageId p : {pages[5], pages[4], pages[3], pages[2]}) {
+    auto g = f.bm.Fix(p);
+    ASSERT_TRUE(g.ok());
+  }
+  expect_count(3, "refill after invalidate");
+  { auto g = f.bm.AdoptPage(pages[1], image.data()); ASSERT_TRUE(g.ok()); }
+  expect_count(3, "adopt that evicts");
+  EXPECT_TRUE(f.bm.IsResident(pages[1]));
+}
+
 TEST(BufferManagerTest, InvalidateRefusesWhilePinned) {
   BufferFixture f(4);
   const PageId a = f.NewDiskPage(1);

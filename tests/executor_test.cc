@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "benchlib/harness.h"
 #include "compiler/executor.h"
 #include "tests/test_util.h"
 #include "xml/parser.h"
@@ -207,6 +208,70 @@ TEST(ExecutorTest, MetricsExposeTheMechanism) {
   // XScan reads every page exactly once, almost fully sequential.
   EXPECT_EQ(xscan->metrics.disk_reads, f.doc.page_count());
   EXPECT_GT(xscan->metrics.speculative_instances, 0u);
+}
+
+TEST(ExecutorTest, SimulatedCostsMatchRecordedDigests) {
+  // Pins the single-query path's simulated costs: XAssembly's R and S,
+  // fallback mode, and ExecuteQuery's dedup sets (the final one, the one
+  // per predicate segment and the one per predicate step). Each row runs
+  // the paper's Q6', Q7 and Q15 and one predicate query cold, in order,
+  // on a fresh store at least twice the buffer pool, and digests every
+  // result count and Metrics::ToString(). The constants were recorded by
+  // building this test against the code before the host-side membership
+  // sets and page table became flat; host-side data structures must not
+  // move them.
+  FixtureOptions options;
+  options.db.buffer_pages = 100;
+  const char* const queries[] = {
+      kQ6Prime, kQ7, kQ15, "/site/regions//item[description//keyword]/name"};
+  const auto plan = [](PlanKind kind, bool speculative, std::size_t s_budget,
+                       bool use_summary) {
+    PlanOptions p = PaperPlan(kind);
+    p.speculative = speculative;
+    p.s_budget = s_budget;
+    p.use_summary = use_summary;
+    return p;
+  };
+  struct Row {
+    const char* name;
+    PlanOptions plan;
+    bool falls_back;
+    std::uint64_t digest;
+  };
+  const Row rows[] = {
+      {"simple", plan(PlanKind::kSimple, false, 0, false), false,
+       0x1833695f4f1a7acbull},
+      {"xschedule", plan(PlanKind::kXSchedule, false, 0, false), false,
+       0x807480ec75a583aaull},
+      {"xschedule speculative", plan(PlanKind::kXSchedule, true, 0, false),
+       false, 0x209b4eca858500bfull},
+      {"xscan", plan(PlanKind::kXScan, false, 0, false), false,
+       0x1560530d2aeecd20ull},
+      {"xscan s_budget=64", plan(PlanKind::kXScan, false, 64, false), true,
+       0x459c907c1805b259ull},
+      {"xscan summary", plan(PlanKind::kXScan, false, 0, true), false,
+       0xe2fc9701384a3068ull},
+  };
+  for (const Row& row : rows) {
+    auto fixture = XMarkFixture::Create(0.02, options);
+    ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+    ASSERT_GE((*fixture)->doc().pages, 2 * options.db.buffer_pages);
+    Fnv1a digest;
+    std::uint64_t fallbacks = 0;
+    for (const char* query : queries) {
+      auto result = (*fixture)->Run(query, row.plan);
+      ASSERT_TRUE(result.ok()) << row.name << " " << query << ": "
+                               << result.status().ToString();
+      digest.Add(result->count);
+      for (const char c : result->metrics.ToString()) {
+        digest.Add(static_cast<unsigned char>(c));
+      }
+      fallbacks += result->metrics.fallback_activations;
+    }
+    EXPECT_EQ(fallbacks > 0, row.falls_back) << row.name;
+    EXPECT_EQ(digest.h, row.digest)
+        << row.name << ": 0x" << std::hex << digest.h << "ull";
+  }
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 // sweep restriction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "benchlib/harness.h"
+#include "common/random.h"
 #include "compiler/executor.h"
 #include "store/path_summary.h"
 #include "tests/test_util.h"
@@ -174,6 +176,13 @@ TEST(PathSummaryTest, DecodeRejectsCorruption) {
     auto decoded = PathSummary::Decode(inflated.data(), inflated.size());
     EXPECT_TRUE(decoded.status().IsCorruption()) << "offset " << offset;
   }
+  // An extent may not end at kInvalidPageId, which is no page; the first
+  // node's first extent sits after its extent count, at offset 33.
+  ASSERT_GT(f.db.summary()->node(0).extents.size(), 0u);
+  std::string past_end = bytes;
+  past_end.replace(37, 4, 4, '\xff');  // its last page
+  auto decoded = PathSummary::Decode(past_end.data(), past_end.size());
+  EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
 }
 
 // --- End-to-end: navigation-free answers and pruning ---------------------
@@ -315,6 +324,158 @@ TEST(PathSummaryTest, XScanRestrictionNeverReadsMorePages) {
       EXPECT_LE(with.second, without.second) << text << " " << clustering;
     }
   }
+}
+
+// --- ExtentUnion ------------------------------------------------------------
+
+/// The sort-based ExtentUnion that the coverage sweep replaced, kept as
+/// the reference: concatenate the nodes' extents, sort by (first, last), and
+/// fold overlapping or adjacent extents into runs.
+std::vector<SummaryExtent> ReferenceExtentUnion(
+    const PathSummary& summary, const std::vector<std::uint32_t>& nodes) {
+  std::vector<SummaryExtent> all;
+  for (const std::uint32_t s : nodes) {
+    const std::vector<SummaryExtent>& extents = summary.node(s).extents;
+    all.insert(all.end(), extents.begin(), extents.end());
+  }
+  std::sort(all.begin(), all.end(),
+            [](const SummaryExtent& a, const SummaryExtent& b) {
+              return a.first != b.first ? a.first < b.first : a.last < b.last;
+            });
+  std::vector<SummaryExtent> merged;
+  for (const SummaryExtent& e : all) {
+    if (!merged.empty() && e.first <= merged.back().last + 1 &&
+        merged.back().last != kInvalidPageId) {
+      merged.back().last = std::max(merged.back().last, e.last);
+    } else {
+      merged.push_back(e);
+    }
+  }
+  return merged;
+}
+
+/// Encodes a chain-shaped summary (node i's parent is i - 1, one instance
+/// each) whose node i has `extents[i]`, in PathSummary's wire format.
+std::string EncodeWithExtents(
+    const std::vector<std::vector<SummaryExtent>>& extents) {
+  std::string out;
+  const auto u32 = [&out](std::uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  const auto u64 = [&out](std::uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  u32(static_cast<std::uint32_t>(extents.size()));
+  u64(extents.size());  // total instances
+  for (std::size_t i = 0; i < extents.size(); ++i) {
+    u32(static_cast<std::uint32_t>(i));  // tag
+    out.push_back(static_cast<char>(DomNodeKind::kElement));
+    u32(i == 0 ? PathSummary::kNoParent : static_cast<std::uint32_t>(i - 1));
+    u64(1);  // count
+    u32(static_cast<std::uint32_t>(extents[i].size()));
+    for (const SummaryExtent& e : extents[i]) {
+      u32(e.first);
+      u32(e.last);
+    }
+  }
+  return out;
+}
+
+/// A sorted, disjoint extent list as Decode accepts it (adjacent extents
+/// allowed), over a small page range from `base` so that lists of
+/// different nodes overlap, nest and touch, and runs cross 64-page words.
+std::vector<SummaryExtent> RandomExtents(Random* rng, PageId base) {
+  std::vector<SummaryExtent> extents;
+  const std::uint64_t n = rng->NextBounded(7);
+  std::uint64_t next = base + rng->NextBounded(24);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t first = next + rng->NextBounded(6);
+    const std::uint64_t last =
+        first + (rng->NextBool(0.1) ? rng->NextBounded(200)
+                                    : rng->NextBounded(12));
+    extents.push_back(SummaryExtent{static_cast<PageId>(first),
+                                    static_cast<PageId>(last)});
+    next = last + 1;
+  }
+  return extents;
+}
+
+std::string ExtentsToString(const std::vector<SummaryExtent>& extents) {
+  std::string out;
+  for (const SummaryExtent& e : extents) {
+    out += '[';
+    out += std::to_string(e.first);
+    out += ',';
+    out += std::to_string(e.last);
+    out += ']';
+  }
+  return out;
+}
+
+TEST(PathSummaryTest, ExtentUnionMatchesSortReferenceOnRandomExtents) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Random rng(seed);
+    const std::size_t n = 1 + rng.NextBounded(12);
+    std::vector<std::vector<SummaryExtent>> extents(n);
+    // Every fourth seed places its pages just below kInvalidPageId, the
+    // highest extents Decode accepts.
+    const PageId base = seed % 4 == 0 ? kInvalidPageId - 2000 : 0;
+    for (auto& list : extents) list = RandomExtents(&rng, base);
+    const std::string bytes = EncodeWithExtents(extents);
+    auto summary = PathSummary::Decode(bytes.data(), bytes.size());
+    ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+    for (int trial = 0; trial < 8; ++trial) {
+      // Any node subset, in any order, with repeats.
+      std::vector<std::uint32_t> nodes;
+      const std::size_t picks = rng.NextBounded(2 * n + 1);
+      for (std::size_t i = 0; i < picks; ++i) {
+        nodes.push_back(static_cast<std::uint32_t>(rng.NextBounded(n)));
+      }
+      if (trial % 2 == 0) {
+        std::sort(nodes.begin(), nodes.end());
+        nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+      }
+      const auto expected = ReferenceExtentUnion(**summary, nodes);
+      const auto actual = (*summary)->ExtentUnion(nodes);
+      ASSERT_EQ(actual, expected)
+          << "seed " << seed << " trial " << trial << ": got "
+          << ExtentsToString(actual) << ", want "
+          << ExtentsToString(expected);
+    }
+  }
+}
+
+TEST(PathSummaryTest, ExtentUnionMatchesSortReferenceOnXMark) {
+  Database db(SmallDb());
+  XMarkOptions xmark;
+  xmark.scale = 0.01;
+  const DomTree tree = GenerateXMark(xmark, db.tags());
+  SubtreeClusteringPolicy policy(448);
+  ASSERT_TRUE(db.Import(tree, &policy).ok());
+  const PathSummary& summary = *db.summary();
+  const char* paths[] = {
+      "/site/regions//item", "/site//description", "/site//annotation",
+      "/site//email", "/site//keyword", "/site/people/person/address/city",
+      "/site/closed_auctions/closed_auction/annotation/description/parlist/"
+      "listitem/parlist/listitem/text/emph/keyword/bold",
+  };
+  for (const char* text : paths) {
+    auto path = ParsePath(text, db.tags());
+    ASSERT_TRUE(path.ok()) << text;
+    const SummaryMatch match = summary.Match(*path);
+    ASSERT_TRUE(match.applicable) << text;
+    EXPECT_EQ(summary.ExtentUnion(match.touched),
+              ReferenceExtentUnion(summary, match.touched))
+        << text;
+    EXPECT_EQ(summary.ExtentUnion(match.final_nodes),
+              ReferenceExtentUnion(summary, match.final_nodes))
+        << text;
+  }
+  std::vector<std::uint32_t> all(summary.size());
+  for (std::uint32_t s = 0; s < summary.size(); ++s) all[s] = s;
+  const auto everything = summary.ExtentUnion(all);
+  EXPECT_EQ(everything, ReferenceExtentUnion(summary, all));
+  EXPECT_FALSE(everything.empty());
 }
 
 TEST(PathSummaryTest, UpdatesInvalidateTheSummary) {

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include "compiler/executor.h"
+#include "storage/checksum.h"
 #include "store/export.h"
 #include "store/persistence.h"
 #include "store/update.h"
@@ -207,6 +208,115 @@ TEST(PersistenceTest, RejectsGarbageFiles) {
   }
   EXPECT_FALSE(LoadDatabase(path).ok());
   EXPECT_FALSE(LoadDatabase(TempPath("missing.nvph")).ok());
+  std::remove(path.c_str());
+}
+
+/// Writes a v4 file header by hand: magic, version, `page_size`,
+/// `page_count`, an empty tag table and a zeroed catalog, then `tail`
+/// (the summary and versioned-root blocks and whatever follows).
+void WriteV4Header(const std::string& path, std::uint32_t page_size,
+                   std::uint32_t page_count, const std::string& tail) {
+  std::string bytes = "NVPH";
+  const auto u32 = [&bytes](std::uint32_t v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  u32(4);  // version
+  u32(page_size);
+  u32(page_count);
+  u32(0);  // tag count
+  // Catalog: root page, root slot, root order, first/last page, then five
+  // 64-bit record counts.
+  bytes.append(4 + 4 + 8 + 4 + 4 + 5 * 8, '\0');
+  bytes += tail;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+std::string U8(std::uint8_t v) { return std::string(1, static_cast<char>(v)); }
+std::string U32(std::uint32_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+std::string U64(std::uint64_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+TEST(PersistenceTest, RejectsPageSizesThePageLayoutCannotAddress) {
+  const std::string path = TempPath("bad_page_size.nvph");
+  const std::string no_blocks = U8(0) + U8(0);
+  for (const std::uint32_t page_size : {0u, 1u, 0x10000u, 0xFFFFFFFFu}) {
+    WriteV4Header(path, page_size, 0, no_blocks);
+    auto loaded = LoadDatabase(path);
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << page_size << ": " << loaded.status().ToString();
+  }
+  // The same header with a usable page size and no pages loads.
+  WriteV4Header(path, 512, 0, no_blocks);
+  EXPECT_TRUE(LoadDatabase(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, RejectsCountsLargerThanTheFile) {
+  const std::string path = TempPath("bad_counts.nvph");
+  // A page count no file this size can hold, and a versioned-root block
+  // whose mapping count would reserve ~32 GiB.
+  WriteV4Header(path, 512, 0xFFFFFFFFu,
+                U8(0) + U8(1) + U64(0) + U32(0xFFFFFFF0u) + U64(0));
+  auto loaded = LoadDatabase(path);
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  // A page count the file could hold at the header, but a mapping count
+  // that the bytes left after a large summary block cannot.
+  WriteV4Header(path, 512, 1,
+                U8(1) + U64(600) + std::string(600, 'x') + U32(0) + U8(1) +
+                    U64(0) + U32(1));
+  loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("mapping table"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, RejectsSummaryLengthLargerThanTheFile) {
+  // A 2 GiB summary block in a file of a hundred bytes is refused from its
+  // length field, before a buffer for it is allocated.
+  const std::string path = TempPath("bad_summary_length.nvph");
+  WriteV4Header(path, 512, 0, U8(1) + U64(1ull << 31) + std::string(16, 'x'));
+  auto loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("summary block length"),
+            std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, SummaryExtentPastTheLastPageDegradesToNoSummary) {
+  // A one-node summary with a valid CRC whose extent names page 0 of a
+  // file that holds no pages: the synopsis is dropped, the load succeeds.
+  const auto summary_block = [](std::uint32_t extent_count) {
+    std::string encoded = U32(1) + U64(1);  // one node, one instance
+    encoded += U32(0) + U8(0) + U32(0xFFFFFFFFu) + U64(1);
+    encoded += U32(extent_count);
+    for (std::uint32_t i = 0; i < extent_count; ++i) encoded += U64(0);
+    const std::uint32_t crc = Crc32c(
+        reinterpret_cast<const std::byte*>(encoded.data()), encoded.size());
+    return U8(1) + U64(encoded.size()) + encoded + U32(crc) + U8(0);
+  };
+  const std::string path = TempPath("summary_past_end.nvph");
+  WriteV4Header(path, 512, 0, summary_block(1));
+  auto loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->summary_status.IsCorruption())
+      << loaded->summary_status.ToString();
+  EXPECT_EQ(loaded->db->summary(), nullptr);
+  // The same summary without the extent is kept.
+  WriteV4Header(path, 512, 0, summary_block(0));
+  loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->summary_status.ok())
+      << loaded->summary_status.ToString();
+  EXPECT_NE(loaded->db->summary(), nullptr);
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 #ifndef NAVPATH_TESTS_TEST_UTIL_H_
 #define NAVPATH_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -109,6 +110,18 @@ class ExplicitClusteringPolicy : public ClusteringPolicy {
 /// disagrees structurally with `tree`.
 Result<std::unordered_map<std::uint64_t, NodeID>> MapOrderToNodeID(
     Database* db, const ImportedDocument& doc, const DomTree& tree);
+
+/// FNV-1a over 64-bit words: digests of simulated schedules and costs,
+/// compared against constants recorded from an earlier build.
+struct Fnv1a {
+  std::uint64_t h = 1469598103934665603ull;
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+};
 
 }  // namespace navpath
 

@@ -15,6 +15,7 @@
 #include "storage/disk.h"
 #include "storage/fault_injector.h"
 #include "storage/page.h"
+#include "tests/test_util.h"
 #include "xmark/generator.h"
 #include "xpath/parser.h"
 
@@ -166,17 +167,6 @@ TEST(WorkloadExecutorTest, PullScheduleIsDeterministicForEveryPolicy) {
 // passes it. The recorded digests below catch that: a change meant to
 // save host time only must reproduce them exactly, and a change that
 // moves the simulated schedule on purpose re-records them and says why.
-
-/// FNV-1a over 64-bit words.
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-  void Add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-};
 
 struct ScheduleDigests {
   std::uint64_t pulls = 0;      // on_pull calls
