@@ -155,9 +155,9 @@ int main() {
   json.Key("runs").BeginArray();
 
   PrintTableHeader(
-      "sequential vs interleaved (round-robin / fewest-I/O / SJF / hybrid)",
-      {"N", "seq[s]", "rr[s]", "fewest[s]", "sjf[s]", "hyb[s]", "speedup",
-       "merged", "depth"});
+      "sequential vs interleaved (round-robin / SJF / hybrid)",
+      {"N", "seq[s]", "rr[s]", "sjf[s]", "hyb[s]", "speedup", "merged",
+       "depth"});
 
   bool n4_ok = false;
   bool hybrid_ok = true;
@@ -171,11 +171,10 @@ int main() {
 
     const WorkloadPolicy policies[] = {
         WorkloadPolicy::kRoundRobin,
-        WorkloadPolicy::kFewestPendingIos,
         WorkloadPolicy::kShortestRemainingCost,
         WorkloadPolicy::kHybrid,
     };
-    constexpr int kPolicies = 4;
+    constexpr int kPolicies = 3;
     double seconds[kPolicies] = {};
     double p50[kPolicies] = {};
     WorkloadResult rr;
@@ -205,8 +204,7 @@ int main() {
     PrintTableRow({std::to_string(n),
                    FormatSeconds(sequential->total_seconds()),
                    FormatSeconds(seconds[0]), FormatSeconds(seconds[1]),
-                   FormatSeconds(seconds[2]), FormatSeconds(seconds[3]),
-                   speedup, merged, depth});
+                   FormatSeconds(seconds[2]), speedup, merged, depth});
 
     if (n == 4) {
       n4_ok = seconds[0] < sequential->total_seconds() &&
@@ -216,14 +214,14 @@ int main() {
     if (n >= 4) {
       // The hybrid's contract: SJF-class median turnaround without
       // SJF's makespan collapse (a few percent of round-robin's).
-      const double p50_ratio = p50[3] / p50[2];
-      const double makespan_ratio = seconds[3] / seconds[0];
+      const double p50_ratio = p50[2] / p50[1];
+      const double makespan_ratio = seconds[2] / seconds[0];
       std::printf("    hybrid at N=%zu: p50 %.2fx of SJF, makespan %.2fx "
                   "of round-robin\n", n, p50_ratio, makespan_ratio);
       if (n == 8) {
         hybrid_ok = page_resident
                         ? p50_ratio <= 1.05 && makespan_ratio <= 1.05
-                        : p50[3] < p50[0] && seconds[3] < seconds[2];
+                        : p50[2] < p50[0] && seconds[2] < seconds[1];
       }
     }
     if (n == 8) rr8_seconds = seconds[0];
@@ -254,8 +252,8 @@ int main() {
       .Value(SimClock::ToSeconds(mean_interarrival));
   json.Key("runs").BeginArray();
   for (const WorkloadPolicy policy :
-       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kFewestPendingIos,
-        WorkloadPolicy::kShortestRemainingCost, WorkloadPolicy::kHybrid}) {
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+        WorkloadPolicy::kHybrid}) {
     auto open = RunPoisson(fixture->get(), poisson_jobs, mean_interarrival,
                            kPoissonSeed, policy);
     open.status().AbortIfNotOk();

@@ -66,8 +66,13 @@ int Shell(const std::string& path) {
   {
     auto text = ExportDocument(db, doc);
     text.status().AbortIfNotOk();
+    // A document nested deeper than kMaxXmlDepth does not re-parse.
     auto tree = ParseXml(*text, db->tags());
-    tree.status().AbortIfNotOk();
+    if (!tree.ok()) {
+      std::fprintf(stderr, "statistics failed: %s\n",
+                   tree.status().ToString().c_str());
+      return 1;
+    }
     stats = DocumentStats::Build(*tree, doc, db->options().page_size);
     db->ResetMeasurement().AbortIfNotOk();
   }

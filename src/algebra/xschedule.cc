@@ -8,8 +8,6 @@ Status XSchedule::Open() {
   producer_done_ = false;
   ready_.clear();
   ready_set_.clear();
-  deferred_.clear();
-  deferred_set_.clear();
   scanned_installs_ = db_->buffer()->installs();
   seeding_ = false;
   clusters_entered_ = 0;
@@ -31,51 +29,17 @@ Status XSchedule::Enqueue(const PathInstance& inst) {
   db_->clock()->ChargeCpu(db_->costs().set_op);
   q_[cluster].push_back(inst);
   ++q_size_;
-  return SchedulePrefetch(cluster);
-}
-
-Status XSchedule::SchedulePrefetch(PageId page) {
-  // The queue and ready/deferred sets stay in logical page ids; only the
-  // buffer/drive interactions below use the snapshot's physical mapping.
-  const PageTranslator* translator = shared_->cluster.translator();
-  const PageId physical = TranslateToPhysical(translator, page);
-  if (options_.max_inflight > 0 && !deferred_set_.contains(page) &&
-      db_->buffer()->PendingFor(shared_->owner_id) >=
-          options_.max_inflight &&
-      !db_->buffer()->IsResident(physical)) {
-    deferred_.push_back(page);
-    deferred_set_.insert(page);
-    return Status::OK();
-  }
+  // The queue and ready set stay in logical page ids; only the
+  // buffer/drive interaction below uses the snapshot's physical mapping.
   NAVPATH_ASSIGN_OR_RETURN(
       const BufferManager::PrefetchOutcome outcome,
-      db_->buffer()->Prefetch(physical, shared_->owner_id,
-                              shared_->io_priority ? ReadPriority::kHigh
-                                                   : ReadPriority::kNormal));
+      db_->buffer()->Prefetch(
+          TranslateToPhysical(shared_->cluster.translator(), cluster),
+          shared_->owner_id,
+          shared_->io_priority ? ReadPriority::kHigh
+                               : ReadPriority::kNormal));
   if (outcome == BufferManager::PrefetchOutcome::kResident) {
-    MarkReady(page);
-  }
-  return Status::OK();
-}
-
-Status XSchedule::TopUpPrefetches() {
-  while (!deferred_.empty() &&
-         db_->buffer()->PendingFor(shared_->owner_id) <
-             options_.max_inflight) {
-    const PageId page = deferred_.front();
-    deferred_.pop_front();
-    deferred_set_.erase(page);
-    NAVPATH_ASSIGN_OR_RETURN(
-        const BufferManager::PrefetchOutcome outcome,
-        db_->buffer()->Prefetch(
-            TranslateToPhysical(shared_->cluster.translator(), page),
-            shared_->owner_id,
-                                shared_->io_priority
-                                    ? ReadPriority::kHigh
-                                    : ReadPriority::kNormal));
-    if (outcome == BufferManager::PrefetchOutcome::kResident) {
-      MarkReady(page);
-    }
+    MarkReady(cluster);
   }
   return Status::OK();
 }
@@ -100,9 +64,6 @@ Status XSchedule::Replenish() {
 
 Result<bool> XSchedule::SwitchToNextCluster() {
   for (;;) {
-    // Keep the submission pipeline full: completions since the last
-    // switch freed in-flight slots for deferred clusters.
-    NAVPATH_RETURN_NOT_OK(TopUpPrefetches());
     if (shared_->cooperative &&
         scanned_installs_ != db_->buffer()->installs()) {
       // A sibling query's wait may already have installed clusters we

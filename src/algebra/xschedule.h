@@ -36,12 +36,6 @@ struct XScheduleOptions {
   bool speculative = false;
   /// |pi|, needed to generate seeds for each step.
   int path_length = 0;
-  /// Bound on this operator's outstanding asynchronous reads; 0 means
-  /// unbounded (every queued cluster is submitted immediately, the solo
-  /// behavior). The workload executor sets it so that N concurrent
-  /// queries' aggregate install-ahead fits the buffer pool — otherwise
-  /// prefetched clusters are evicted before their owner consumes them.
-  std::size_t max_inflight = 0;
 };
 
 class XSchedule : public PathOperator {
@@ -61,14 +55,10 @@ class XSchedule : public PathOperator {
   std::uint64_t clusters_entered() const { return clusters_entered_; }
 
  private:
+  /// Queues `inst` under its right end's cluster and submits that
+  /// cluster's read (every queued cluster is on order at once).
   Status Enqueue(const PathInstance& inst);
   void MarkReady(PageId page);
-  /// Submits the prefetch for `page`, or defers it when the in-flight
-  /// bound is reached (no-op without a bound, where Enqueue submits
-  /// directly).
-  Status SchedulePrefetch(PageId page);
-  /// Re-submits deferred prefetches up to the in-flight bound.
-  Status TopUpPrefetches();
   Status Replenish();
   /// Picks and pins the next cluster; false when no work remains.
   Result<bool> SwitchToNextCluster();
@@ -89,10 +79,6 @@ class XSchedule : public PathOperator {
   // sibling installed last ran (or at Open); the scan is skipped while it
   // is unchanged. See DESIGN.md, "Claimed frames and the yield protocol".
   std::uint64_t scanned_installs_ = 0;
-
-  // Prefetches held back by options_.max_inflight, in submission order.
-  std::deque<PageId> deferred_;
-  FlatSet<PageId> deferred_set_;
 
   // Speculative seed enumeration state for the current cluster.
   bool seeding_ = false;

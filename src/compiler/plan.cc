@@ -90,7 +90,6 @@ Result<PathPlan> BuildPlan(Database* db, const ImportedDocument& doc,
       sched_options.k = options.queue_k;
       sched_options.speculative = options.speculative;
       sched_options.path_length = length;
-      sched_options.max_inflight = options.prefetch_inflight_cap;
       auto* schedule = static_cast<XSchedule*>(add(
           std::make_unique<XSchedule>(db, plan.shared_.get(), tip,
                                       sched_options),

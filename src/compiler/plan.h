@@ -42,10 +42,6 @@ struct PlanOptions {
   bool speculative = false;
   /// XSchedule's desired minimum queue size (paper default: 100).
   std::size_t queue_k = 100;
-  /// XSchedule only: bound on outstanding asynchronous reads (0 =
-  /// unbounded, the solo default). Set by the workload executor so N
-  /// concurrent queries' aggregate install-ahead fits the buffer pool.
-  std::size_t prefetch_inflight_cap = 0;
   /// Memory budget for XAssembly's S (instances; 0 = unlimited). Exceeding
   /// it reverts the plan to fallback mode (Sec. 5.4.6).
   std::size_t s_budget = 0;

@@ -35,17 +35,13 @@ constexpr std::uint64_t kClassifyMinPulls = 4;
 constexpr std::size_t kHybridBreadth = 1;
 
 /// Buffer pages a plan's prefetch/speculative state may occupy while the
-/// query is active: XSchedule keeps its in-flight reads (bounded by
-/// prefetch_inflight_cap once the workload sets one, queue_k-ish
-/// otherwise) plus the pinned current cluster; XScan and Simple touch one
-/// page at a time.
+/// query is active: XSchedule keeps its in-flight reads (queue_k-ish)
+/// plus the pinned current cluster; XScan and Simple touch one page at a
+/// time.
 std::size_t EstimateFootprint(const PlanOptions& plan) {
   switch (plan.kind) {
     case PlanKind::kXSchedule:
-      return (plan.prefetch_inflight_cap > 0
-                  ? std::min(plan.queue_k, plan.prefetch_inflight_cap)
-                  : plan.queue_k) +
-             2;
+      return plan.queue_k + 2;
     case PlanKind::kXScan:
     case PlanKind::kSimple:
       return 2;
@@ -94,18 +90,6 @@ Status ValidateWorkloadOptions(const WorkloadOptions& options) {
     return Status::InvalidArgument(
         "max_writers must be at least 1 (0 would never admit a writer)");
   }
-  if (options.shards != nullptr && options.txn != nullptr) {
-    return Status::InvalidArgument(
-        "sharded execution (WorkloadOptions.shards) cannot be combined "
-        "with transactions (WorkloadOptions.txn): commit ordering and "
-        "snapshot visibility across shard-local version chains are not "
-        "implemented — run transactional workloads unsharded");
-  }
-  if (options.shards != nullptr && options.enable_sharing) {
-    return Status::InvalidArgument(
-        "cross-query sharing plans prefix groups whole-workload against "
-        "one store and cannot span shard-partitioned sub-workloads");
-  }
   if (options.writer_batch == 0) {
     return Status::InvalidArgument(
         "writer_batch must be at least 1 (a pull must make progress)");
@@ -117,8 +101,6 @@ const char* WorkloadPolicyName(WorkloadPolicy policy) {
   switch (policy) {
     case WorkloadPolicy::kRoundRobin:
       return "round-robin";
-    case WorkloadPolicy::kFewestPendingIos:
-      return "fewest-pending-ios";
     case WorkloadPolicy::kShortestRemainingCost:
       return "shortest-remaining-cost";
     case WorkloadPolicy::kHybrid:
@@ -159,13 +141,6 @@ Status WorkloadExecutor::Add(const PathQuery& query, const PlanOptions& plan,
   job.query = query;
   job.plan_options = plan;
   if (options_.explain) job.plan_options.profile = true;
-  // Under external admission the per-query prefetch cap applies from the
-  // moment the job exists (Run() instead applies it once, in BeginRun,
-  // when it knows the workload runs concurrently).
-  if (stepping_ && options_.prefetch_inflight_cap > 0 &&
-      job.plan_options.kind == PlanKind::kXSchedule) {
-    job.plan_options.prefetch_inflight_cap = options_.prefetch_inflight_cap;
-  }
   job.contexts = std::move(contexts);
   job.arrival = arrival;
   job.deadline = deadline;
@@ -294,8 +269,8 @@ Status WorkloadExecutor::PlanShareGroups() {
 
     // The producer evaluates the prefix once with XSchedule — the
     // operator built for exactly this streaming role; its options derive
-    // from the first member's, so workload-wide tuning (queue_k,
-    // prefetch caps) carries over.
+    // from the first member's, so workload-wide tuning (queue_k) carries
+    // over.
     PlanOptions producer_options = jobs_[group.members.front()].plan_options;
     producer_options.kind = PlanKind::kXSchedule;
     producer_options.profile = false;
@@ -670,26 +645,6 @@ std::size_t WorkloadExecutor::PickNext(
       rr_cursor_ = active[pick];
       return pick;
     }
-    case WorkloadPolicy::kFewestPendingIos: {
-      // Queries with few reads on order are either near completion or
-      // starved for I/O; pulling them makes them submit, keeping the
-      // elevator pool deep. Ties go to the least recently pulled.
-      std::size_t best = 0;
-      std::size_t best_pending = std::numeric_limits<std::size_t>::max();
-      std::uint64_t best_stamp = std::numeric_limits<std::uint64_t>::max();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const Job& job = jobs_[active[i]];
-        const std::size_t pending =
-            db_->buffer()->PendingFor(job.owner_id);
-        if (pending < best_pending ||
-            (pending == best_pending && job.last_pull < best_stamp)) {
-          best = i;
-          best_pending = pending;
-          best_stamp = job.last_pull;
-        }
-      }
-      return best;
-    }
     case WorkloadPolicy::kShortestRemainingCost: {
       std::vector<std::size_t> all(active.size());
       for (std::size_t i = 0; i < active.size(); ++i) all[i] = i;
@@ -769,12 +724,6 @@ std::size_t WorkloadExecutor::PickNext(
 
 Status WorkloadExecutor::BeginRun() {
   NAVPATH_RETURN_NOT_OK(ValidateWorkloadOptions(options_));
-  if (options_.shards != nullptr) {
-    return Status::InvalidArgument(
-        "a plain WorkloadExecutor runs one shard; drive sharded stores "
-        "through ShardedWorkloadExecutor, which routes each query and "
-        "fans sub-queries out to per-shard executors");
-  }
   if (!stepping_) n_total_ = jobs_.size();
   if (options_.cold_start) {
     NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
@@ -798,27 +747,6 @@ Status WorkloadExecutor::BeginRun() {
   window_start_ = db_->metrics()->Snapshot();
   window_t0_ = db_->clock()->now();
   window_cpu0_ = db_->clock()->cpu_time();
-
-  // Optionally bound each query's outstanding prefetches. Unbounded is
-  // the default and usually the right call: claimed-frame protection in
-  // the buffer keeps install-ahead pages alive, and yielding (below)
-  // means deep pools are an asset, not a liability. The explicit cap
-  // exists for configurations whose buffer genuinely cannot hold the
-  // aggregate in-flight set. Stepping drivers admit jobs that are not
-  // known yet, so they always run concurrently-capped (see Add).
-  const std::size_t n_target =
-      options_.max_concurrent == 0
-          ? jobs_.size()
-          : std::min(jobs_.size(), options_.max_concurrent);
-  if ((n_target > 1 || stepping_) && options_.prefetch_inflight_cap > 0) {
-    for (Job& job : jobs_) {
-      if (job.plan_options.kind == PlanKind::kXSchedule) {
-        job.plan_options.prefetch_inflight_cap =
-            options_.prefetch_inflight_cap;
-        job.footprint = FootprintFor(job);
-      }
-    }
-  }
 
   budget_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
@@ -1077,90 +1005,72 @@ Result<WorkloadResult> WorkloadExecutor::Run() {
   }
   stepping_ = false;
   NAVPATH_RETURN_NOT_OK(BeginRun());
-
-  // Sharing groups are planned after the prefetch caps settle, so the
-  // producers inherit the effective per-query options and the members'
-  // consumer footprints are not clobbered by the recomputation above.
   NAVPATH_RETURN_NOT_OK(PlanShareGroups());
 
-  std::size_t next_admit = 0;
-
-  auto admit = [&]() -> Status {
-    while (next_admit < jobs_.size()) {
-      Job& job = jobs_[next_admit];
-      if (job.arrival > db_->clock()->now()) break;  // not yet in system
-      const bool have_slot =
-          options_.max_concurrent == 0 ||
-          run_active_.size() < options_.max_concurrent;
-      // A shared member's first admission also charges its group's
-      // producer footprint (once per group).
-      std::size_t charge = job.footprint;
-      if (job.share_group != kNoGroup &&
-          !groups_[job.share_group].charged) {
-        charge += groups_[job.share_group].footprint;
-      }
-      const bool fits =
-          run_active_.empty() || footprint_used_ + charge <= budget_;
-      // Writer admission (head-of-line): a queued writer waits until the
-      // active-writer count drops under the limit the cost model picks —
-      // max_writers while optimistic retries price below serialized
-      // queueing at the observed conflict rate, 1 otherwise.
-      const bool writer_ok = !job.is_write || writers_active_ < WriterLimit();
-      if (!have_slot || !fits || !writer_ok) break;
-      job.activated = true;
-      const Status started = StartNextPath(&job);
-      job.result.admitted_at = db_->clock()->now();
-      if (!started.ok()) {
-        // A plan that fails to open fails its query alone; the workload
-        // keeps serving (per-query status isolation).
-        job.result.status = started;
-        job.result.finished_at = db_->clock()->now();
-        job.plan = PathPlan();
-        job.snapshot.reset();
-        if (job.share_group != kNoGroup) LeaveShareGroup(&job);
-        job.done = true;
-        ++completed_;
-        ++next_admit;
-        continue;
-      }
-      // StartNextPath may have fallen back to private (pre-start
-      // detach), so the charge derives from the job's current state.
-      footprint_used_ += job.footprint;
-      if (job.share_group != kNoGroup) {
-        ShareGroup& group = groups_[job.share_group];
-        if (!group.charged) {
-          group.charged = true;
-          footprint_used_ += group.footprint;
-        }
-      }
-      run_active_.push_back(next_admit);
-      ++next_admit;
+  // FIFO admission in Add() order: activate arrived jobs while the gate
+  // admits the head.
+  std::size_t next = 0;
+  const auto admit = [&] {
+    while (next < jobs_.size() &&
+           jobs_[next].arrival <= db_->clock()->now() && CanAdmit(next)) {
+      Activate(next++);
     }
-    return Status::OK();
   };
-  NAVPATH_RETURN_NOT_OK(admit());
-
-  while (!run_active_.empty() || next_admit < jobs_.size()) {
+  admit();
+  while (!run_active_.empty() || next < jobs_.size()) {
     if (run_active_.empty()) {
       // Open system, idle gap: nothing to run until the next arrival.
-      db_->clock()->WaitUntil(jobs_[next_admit].arrival);
-      NAVPATH_RETURN_NOT_OK(admit());
+      db_->clock()->WaitUntil(jobs_[next].arrival);
+      admit();
       continue;
     }
     // Open-system arrivals join the active set mid-run; the gate keeps
     // closed workloads (every arrival == 0) on the exact admission
     // sequence they had before arrivals existed.
-    if (next_admit < jobs_.size() && jobs_[next_admit].arrival != 0 &&
-        jobs_[next_admit].arrival <= db_->clock()->now()) {
-      NAVPATH_RETURN_NOT_OK(admit());
+    if (next < jobs_.size() && jobs_[next].arrival != 0 &&
+        jobs_[next].arrival <= db_->clock()->now()) {
+      admit();
     }
     NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, PullOnce());
-    if (done != kNoJob) {
-      NAVPATH_RETURN_NOT_OK(admit());
-    }
+    if (done != kNoJob) admit();
   }
 
   return CollectResult();
+}
+
+void WorkloadExecutor::Activate(std::size_t index) {
+  Job& job = jobs_[index];
+  job.activated = true;
+  const Status started = StartNextPath(&job);
+  job.result.admitted_at = db_->clock()->now();
+  if (!started.ok()) {
+    // A plan that fails to open fails its query alone; the workload and
+    // the serving loop keep running (per-query status isolation).
+    job.result.status = started;
+    job.result.finished_at = db_->clock()->now();
+    job.plan = PathPlan();
+    job.snapshot.reset();
+    if (job.share_group != kNoGroup) LeaveShareGroup(&job);
+    job.done = true;
+    ++completed_;
+    return;
+  }
+  // StartNextPath may have fallen back to private (pre-start detach), so
+  // the charges derive from the job's current state. A shared member's
+  // first admission also charges its group's producer footprint.
+  footprint_used_ += job.footprint;
+  if (job.share_group != kNoGroup) {
+    ShareGroup& group = groups_[job.share_group];
+    if (!group.charged) {
+      group.charged = true;
+      footprint_used_ += group.footprint;
+    }
+  }
+  // Keep the active set ascending by job id: the rotation picks
+  // (kRoundRobin, hybrid I/O set) rely on that order for fairness.
+  run_active_.insert(
+      std::lower_bound(run_active_.begin(), run_active_.end(), index),
+      index);
 }
 
 Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
@@ -1183,7 +1093,7 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
   if (index >= jobs_.size()) {
     return Status::InvalidArgument("no such job");
   }
-  Job& job = jobs_[index];
+  const Job& job = jobs_[index];
   if (job.activated || job.done) {
     return Status::InvalidArgument("job already activated");
   }
@@ -1195,26 +1105,7 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
         "writer concurrency limit reached (admission runs writers "
         "serialized or optimistically up to max_writers)");
   }
-  job.activated = true;
-  const Status started = StartNextPath(&job);
-  job.result.admitted_at = db_->clock()->now();
-  if (!started.ok()) {
-    // Per-query isolation, as in Run()'s admission: the driver's loop
-    // survives one query's bad plan; the job reports the error itself.
-    job.result.status = started;
-    job.result.finished_at = db_->clock()->now();
-    job.plan = PathPlan();
-    job.snapshot.reset();
-    job.done = true;
-    ++completed_;
-    return Status::OK();
-  }
-  footprint_used_ += job.footprint;
-  // Keep the active set ascending by job id: the rotation picks
-  // (kRoundRobin, hybrid I/O set) rely on that order for fairness.
-  run_active_.insert(
-      std::lower_bound(run_active_.begin(), run_active_.end(), index),
-      index);
+  Activate(index);
   return Status::OK();
 }
 
@@ -1242,10 +1133,6 @@ Status WorkloadExecutor::RetierJob(std::size_t index,
   }
   job.plan_options = plan;
   if (options_.explain) job.plan_options.profile = true;
-  if (options_.prefetch_inflight_cap > 0 &&
-      job.plan_options.kind == PlanKind::kXSchedule) {
-    job.plan_options.prefetch_inflight_cap = options_.prefetch_inflight_cap;
-  }
   ComputeEstimates(&job);
   job.footprint = FootprintFor(job);
   job.result.degraded = true;
@@ -1275,8 +1162,18 @@ bool WorkloadExecutor::CanAdmit(std::size_t index) const {
   const Job& job = jobs_[index];
   const bool have_slot = options_.max_concurrent == 0 ||
                          run_active_.size() < options_.max_concurrent;
+  // A shared member's first admission also charges its group's producer
+  // footprint (once per group; no group exists under stepping).
+  std::size_t charge = job.footprint;
+  if (job.share_group != kNoGroup && !groups_[job.share_group].charged) {
+    charge += groups_[job.share_group].footprint;
+  }
   const bool fits =
-      run_active_.empty() || footprint_used_ + job.footprint <= budget_;
+      run_active_.empty() || footprint_used_ + charge <= budget_;
+  // Writer admission (head-of-line): a queued writer waits until the
+  // active-writer count drops under the limit the cost model picks —
+  // max_writers while optimistic retries price below serialized queueing
+  // at the observed conflict rate, 1 otherwise.
   const bool writer_ok = !job.is_write || writers_active_ < WriterLimit();
   return have_slot && fits && writer_ok;
 }

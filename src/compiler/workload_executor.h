@@ -11,11 +11,8 @@
 // and admission control keeps the aggregate prefetch footprint of the
 // active queries within the buffer budget.
 //
-// Four interleaving policies are provided:
+// Three interleaving policies are provided:
 //   kRoundRobin          — one pull per active query in turn (fairness),
-//   kFewestPendingIos    — pull the query with the fewest in-flight
-//                          prefetches, nudging it to submit more and keep
-//                          the elevator pool deep,
 //   kShortestRemainingCost — shortest-expected-remaining-cost first, using
 //                          the cost model's per-path estimates (SJF-style,
 //                          minimizes mean turnaround but serializes the
@@ -52,11 +49,8 @@
 
 namespace navpath {
 
-class ShardedStore;  // src/shard — never dereferenced at this layer
-
 enum class WorkloadPolicy {
   kRoundRobin,
-  kFewestPendingIos,
   kShortestRemainingCost,
   kHybrid,
 };
@@ -75,12 +69,6 @@ struct WorkloadOptions {
   /// head of the admission queue is always admitted, even if its
   /// footprint alone exceeds the budget (a lone query must run).
   double buffer_budget_fraction = 0.75;
-
-  /// Optional per-query bound on outstanding prefetches while
-  /// interleaving; 0 (default) leaves submission unbounded — claimed-frame
-  /// eviction protection keeps the aggregate in-flight set alive, and
-  /// deeper pools only help the elevator.
-  std::size_t prefetch_inflight_cap = 0;
 
   /// Collect result nodes (document order) for node-mode queries.
   bool collect_nodes = false;
@@ -182,16 +170,6 @@ struct WorkloadOptions {
   /// batch and commit after the pull that applies the last op, raising
   /// commit throughput at the price of coarser write/read interleaving.
   std::size_t writer_batch = 1;
-
-  /// Sharded store (src/shard) this workload fans out over. The plain
-  /// WorkloadExecutor never dereferences it: the knob lives here so every
-  /// entry point (Run, BeginStepping, the serving layer) validates shard
-  /// combinations with one rule — ValidateWorkloadOptions rejects
-  /// shards+txn and shards+enable_sharing — and BeginRun rejects any
-  /// non-null value, directing callers to ShardedWorkloadExecutor, which
-  /// splits the workload into per-shard executors whose options carry
-  /// shards == nullptr again.
-  const ShardedStore* shards = nullptr;
 };
 
 /// One primitive of a write transaction submitted via AddWrite.
@@ -355,7 +333,8 @@ class WorkloadExecutor {
 
   /// Runs every admitted query to completion and reports per-query and
   /// aggregate outcomes. Jobs are admitted in Add() order as budget and
-  /// slots free up; active jobs are interleaved by the policy. The
+  /// slots free up (a FIFO loop over CanAdmit and the activation
+  /// ActivateJob performs); active jobs are interleaved by the policy. The
   /// executor can be reused: Run() clears the job list afterwards.
   Result<WorkloadResult> Run();
 
@@ -364,9 +343,9 @@ class WorkloadExecutor {
   // Run() owns its admission policy (FIFO in Add() order). A serving
   // front-end (src/serve) instead drives the engine one scheduling
   // decision at a time and decides itself which job to activate when —
-  // per-tenant queues, weighted fair sharing, overload degradation. The
-  // pull loop (PullOnce) is the very same code Run() executes, so a
-  // stepping driver that mirrors Run()'s admission policy reproduces its
+  // per-tenant queues, weighted fair sharing, overload degradation. Run()
+  // is itself a driver over the same activation and pull code, so a
+  // stepping driver that mirrors its admission policy reproduces its
   // schedule byte for byte.
 
   /// Enters stepping mode: validates options, performs the cold start and
@@ -414,7 +393,9 @@ class WorkloadExecutor {
   std::size_t footprint_used() const { return footprint_used_; }
   std::size_t footprint_budget() const { return budget_; }
   /// Whether Run()'s admission gate would admit `index` right now: a free
-  /// slot and either an empty active set or room in the buffer budget.
+  /// slot, either an empty active set or room in the buffer budget for
+  /// the job's footprint (plus its sharing group's producer footprint on
+  /// the group's first admission), and a free writer slot for a writer.
   bool CanAdmit(std::size_t index) const;
   /// The cost model's up-front estimate for the whole job (sum over its
   /// paths; 0 without stats). The DRR admission quantum currency.
@@ -434,8 +415,8 @@ class WorkloadExecutor {
     SimTime deadline = 0;
     /// Buffer pages the job's prefetch state may occupy (admission).
     std::size_t footprint = 0;
-    /// Lifecycle under external admission (BeginStepping drivers). Run()
-    /// keeps its own next_admit_ cursor and leaves these in sync.
+    /// Lifecycle: set by Activate (under Run() and stepping drivers
+    /// alike) and by completion.
     bool activated = false;
     bool done = false;
 
@@ -512,10 +493,16 @@ class WorkloadExecutor {
   void ComputeEstimates(Job* job) const;
 
   /// Shared setup of Run() and BeginStepping(): option validation, cold
-  /// start, measurement-window snapshots, per-query prefetch caps, the
-  /// admission budget, and scheduler-state reset. `n_target` is the
-  /// effective concurrency bound used for the prefetch-cap decision.
+  /// start, measurement-window snapshots, the admission budget, and
+  /// scheduler-state reset.
   Status BeginRun();
+
+  /// Activates job `index`: opens its first plan and charges its
+  /// footprint (and, for a sharing group's first member, the group's
+  /// producer footprint), then joins the active set. A plan that fails to
+  /// open fails the job alone: it is finished on the spot with the error
+  /// in its result. The one activation path of Run() and ActivateJob.
+  void Activate(std::size_t index);
 
   /// One scheduling decision over run_active_: pick, pull, account.
   /// Handles yields, results, path transitions, sharing detach/fallback,

@@ -82,22 +82,6 @@ Status ValidateServeOptions(const ServeOptions& options) {
     return Status::InvalidArgument(
         "cross-query sharing is not available under the serving layer");
   }
-  // Same pattern for shard knobs: the shards+txn combination is invalid
-  // in itself (sharded MVCC is unimplemented), and must say so at this
-  // entry point too rather than hiding behind the generic shard
-  // rejection below.
-  if (options.workload.shards != nullptr && options.workload.txn != nullptr) {
-    return Status::InvalidArgument(
-        "sharded serving (WorkloadOptions.shards) cannot be combined with "
-        "transactions (WorkloadOptions.txn): commit ordering across "
-        "shard-local version chains is not implemented");
-  }
-  if (options.workload.shards != nullptr) {
-    return Status::InvalidArgument(
-        "serving a sharded store is not supported yet: the admission "
-        "front-end steps one WorkloadExecutor over one database; run "
-        "sharded workloads through ShardedWorkloadExecutor directly");
-  }
   return ValidateWorkloadOptions(options.workload);
 }
 
@@ -256,8 +240,9 @@ Status Server::Activate(std::size_t sub) {
 
 Status Server::AdmitFifo() {
   // The executor's own admission policy, externalized: strict Add-order
-  // FIFO with head-of-line blocking. Byte-identical to Run()'s admit(),
-  // which is what makes an underloaded serving layer transparent.
+  // FIFO with head-of-line blocking over the same CanAdmit gate as
+  // Run()'s, which is what makes an underloaded serving layer
+  // transparent.
   for (;;) {
     while (next_fifo_ < executor_.size() && job_activated_[next_fifo_]) {
       ++next_fifo_;

@@ -20,8 +20,9 @@
 //
 // While the controller reads "normal", admission is the executor's own
 // global FIFO with head-of-line blocking, driven through the stepping
-// interface — the pull loop is byte-for-byte Run()'s, so an underloaded
-// serving layer produces the exact schedule of a serving-layer-off run.
+// interface — the same CanAdmit gate, activation and pull loop Run() is
+// built on, so an underloaded serving layer produces the exact schedule
+// of a serving-layer-off run.
 // The fairness machinery (DRR) engages only under overload, where the
 // FIFO guarantee is already forfeit.
 #ifndef NAVPATH_SERVE_SERVER_H_
@@ -70,7 +71,9 @@ struct ServeOptions {
 
   /// Executor configuration (policy, budget fraction, stats, priority_io,
   /// explain, ...). Validated on entry via ValidateWorkloadOptions.
-  /// enable_sharing is unsupported under external admission.
+  /// enable_sharing is unsupported under external admission. A Server
+  /// steps one executor over one Database, so a sharded store cannot be
+  /// served (drive it through ShardedWorkloadExecutor).
   WorkloadOptions workload;
 
   // --- Overload controller thresholds ---------------------------------
@@ -211,7 +214,7 @@ class Server {
   Status ProcessArrivals();
 
   /// Admission pass: global FIFO with head-of-line blocking in the normal
-  /// state (byte-identical to Run()'s admit()), deficit round-robin over
+  /// state (byte-identical to Run()'s admission), deficit round-robin over
   /// the tenant queues under overload.
   Status TryAdmit();
   Status AdmitFifo();

@@ -67,9 +67,6 @@ ShardedWorkloadExecutor::ShardedWorkloadExecutor(
     ShardedStore* store, const WorkloadOptions& options)
     : store_(store), router_(store), options_(options) {
   NAVPATH_CHECK(store != nullptr);
-  // Mark the options as shard-driving so ValidateWorkloadOptions applies
-  // the shard combination rules (no txn, no cross-query sharing).
-  options_.shards = store;
 }
 
 Status ShardedWorkloadExecutor::Add(const std::string& query,
@@ -92,6 +89,18 @@ Status ShardedWorkloadExecutor::Add(const std::string& query,
 
 Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
   NAVPATH_RETURN_NOT_OK(ValidateWorkloadOptions(options_));
+  if (options_.txn != nullptr) {
+    return Status::InvalidArgument(
+        "sharded execution cannot be combined with transactions "
+        "(WorkloadOptions.txn): commit ordering and snapshot visibility "
+        "across shard-local version chains are not implemented — run "
+        "transactional workloads unsharded");
+  }
+  if (options_.enable_sharing) {
+    return Status::InvalidArgument(
+        "cross-query sharing plans prefix groups whole-workload against "
+        "one store and cannot span shard-partitioned sub-workloads");
+  }
   const std::size_t shard_count = store_->shard_count();
 
   // One plain WorkloadExecutor per participating shard; sub-queries are
@@ -107,7 +116,6 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
     for (const std::size_t k : q.route.participants) {
       if (execs[k] == nullptr) {
         WorkloadOptions per_shard = options_;
-        per_shard.shards = nullptr;
         per_shard.stats = &store_->stats(k);
         per_shard.on_pull = [this, k](std::size_t job, std::size_t active) {
           if (on_shard_pull) on_shard_pull(k, job, active);

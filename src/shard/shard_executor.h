@@ -73,9 +73,7 @@ class ShardedWorkloadExecutor {
  public:
   /// `store` must outlive the executor. `options` govern every per-shard
   /// executor (policy, budgets, collect_nodes, ...); `options.stats` is
-  /// overridden per shard with that shard's DocumentStats, and
-  /// `options.shards` is set internally so ValidateWorkloadOptions
-  /// enforces the shard combination rules (no txn, no sharing).
+  /// overridden per shard with that shard's DocumentStats.
   ShardedWorkloadExecutor(ShardedStore* store,
                           const WorkloadOptions& options);
 
@@ -88,7 +86,9 @@ class ShardedWorkloadExecutor {
 
   /// Runs every participating shard's executor and merges. Hard failures
   /// (validation, a shard run failing as a whole) fail the call;
-  /// per-query errors stay per-query, as in WorkloadExecutor.
+  /// per-query errors stay per-query, as in WorkloadExecutor. Options
+  /// with `txn` (sharded MVCC is not implemented) or `enable_sharing`
+  /// (prefix groups cannot span shards) are InvalidArgument.
   Result<ShardWorkloadResult> Run();
 
   /// Test hook: like WorkloadOptions::on_pull with the shard id

@@ -1,6 +1,7 @@
 #include "store/persistence.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -60,8 +61,12 @@ Status SaveDatabase(Database* db, const ImportedDocument& doc,
   // Everything buffered must reach the page images first.
   NAVPATH_RETURN_NOT_OK(db->buffer()->FlushAll());
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for writing: " + path);
+  // Write a temp file beside the target and rename it over the target only
+  // once it is complete, so a save that fails part-way leaves the last good
+  // file in place.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open for writing: " + tmp);
 
   out.write(kMagic, sizeof(kMagic));
   WriteU32(out, kVersion);
@@ -129,8 +134,15 @@ Status SaveDatabase(Database* db, const ImportedDocument& doc,
     WriteU32(out, db->disk()->PageCrc(p));
     WriteU32(out, 0);  // reserved
   }
-  out.flush();
-  if (!out) return Status::IOError("write failed: " + path);
+  out.close();
+  if (!out) {
+    std::remove(tmp.c_str());
+    return Status::IOError("write failed: " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot rename " + tmp + " over " + path);
+  }
   return Status::OK();
 }
 

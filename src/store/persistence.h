@@ -53,6 +53,9 @@ struct VersionedRootState {
 };
 
 /// Writes the database's pages, tags and `doc`'s catalog entry to `path`.
+/// The file is written as `<path>.tmp` and renamed over `path` once
+/// complete; a failed save returns IOError, removes the temp file and
+/// leaves any previous file at `path` untouched.
 /// `txn_state`, when non-null, persists the MVCC versioned root so the
 /// current document version survives the round trip (without it, a reload
 /// would see pre-copy-on-write page images for shadowed pages).

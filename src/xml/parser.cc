@@ -14,7 +14,7 @@ class Parser {
 
   Result<DomTree> Run() {
     SkipProlog();
-    NAVPATH_RETURN_NOT_OK(ParseElement(kNilDomNode));
+    NAVPATH_RETURN_NOT_OK(ParseElement(kNilDomNode, 1));
     SkipMisc();
     if (pos_ != input_.size()) {
       return Fail("trailing content after document element");
@@ -154,7 +154,8 @@ class Parser {
     }
   }
 
-  Status ParseContent(DomNodeId element) {
+  /// Content of `element`, which sits at nesting depth `depth`.
+  Status ParseContent(DomNodeId element, std::size_t depth) {
     for (;;) {
       const std::size_t text_start = pos_;
       while (!AtEnd() && Peek() != '<') ++pos_;
@@ -181,11 +182,16 @@ class Parser {
         continue;
       }
       if (input_.substr(pos_, 2) == "</") return Status::OK();
-      NAVPATH_RETURN_NOT_OK(ParseElement(element));
+      NAVPATH_RETURN_NOT_OK(ParseElement(element, depth + 1));
     }
   }
 
-  Status ParseElement(DomNodeId parent) {
+  /// One element at nesting depth `depth` (the root is 1).
+  Status ParseElement(DomNodeId parent, std::size_t depth) {
+    if (depth > kMaxXmlDepth) {
+      return Fail("elements nested deeper than " +
+                  std::to_string(kMaxXmlDepth));
+    }
     if (!Match("<")) return Fail("expected '<'");
     NAVPATH_ASSIGN_OR_RETURN(const std::string_view name, ParseName());
     const TagId tag = tags_->Intern(name);
@@ -195,7 +201,7 @@ class Parser {
     NAVPATH_RETURN_NOT_OK(ParseAttributes(element));
     if (Match("/>")) return Status::OK();
     if (!Match(">")) return Fail("expected '>'");
-    NAVPATH_RETURN_NOT_OK(ParseContent(element));
+    NAVPATH_RETURN_NOT_OK(ParseContent(element, depth));
     if (!Match("</")) return Fail("expected end tag");
     NAVPATH_ASSIGN_OR_RETURN(const std::string_view end_name, ParseName());
     if (end_name != name) {

@@ -1,6 +1,7 @@
 #include "xpath/parser.h"
 
 #include <cctype>
+#include <string>
 
 namespace navpath {
 
@@ -44,7 +45,7 @@ class PathParser {
       : text_(text), tags_(tags) {}
 
   Result<LocationPath> ParsePathOnly() {
-    NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr());
+    NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr(0));
     SkipSpace();
     if (!AtEnd()) return Error("trailing characters after path");
     return path;
@@ -60,7 +61,7 @@ class PathParser {
         if (!MatchWord("count")) return Error("expected 'count'");
         SkipSpace();
         if (!Match('(')) return Error("expected '(' after count");
-        NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr());
+        NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr(0));
         SkipSpace();
         if (!Match(')')) return Error("expected ')' after count path");
         query.paths.push_back(std::move(path));
@@ -77,7 +78,7 @@ class PathParser {
         if (!MatchWord("exists")) return Error("expected 'exists'");
         SkipSpace();
         if (!Match('(')) return Error("expected '(' after exists");
-        NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr());
+        NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr(0));
         SkipSpace();
         if (!Match(')')) return Error("expected ')' after exists path");
         query.paths.push_back(std::move(path));
@@ -86,7 +87,7 @@ class PathParser {
       }
     } else {
       query.mode = PathQuery::Mode::kNodes;
-      NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr());
+      NAVPATH_ASSIGN_OR_RETURN(LocationPath path, ParsePathExpr(0));
       query.paths.push_back(std::move(path));
     }
     SkipSpace();
@@ -148,7 +149,9 @@ class PathParser {
   }
 
   /// Parses one step; `after_slash_slash` requests '//'-normalization.
-  Status ParseStep(bool after_slash_slash, LocationPath* path) {
+  /// `depth` is the predicate nesting of the enclosing path.
+  Status ParseStep(bool after_slash_slash, std::size_t depth,
+                   LocationPath* path) {
     SkipSpace();
     if (Match2('.', '.')) {
       if (after_slash_slash) {
@@ -241,16 +244,21 @@ class PathParser {
     LocationStep step{axis, std::move(test), {}};
     SkipSpace();
     while (Match('[')) {
-      NAVPATH_RETURN_NOT_OK(ParsePredicate(&step));
+      NAVPATH_RETURN_NOT_OK(ParsePredicate(depth + 1, &step));
       SkipSpace();
     }
     path->steps.push_back(std::move(step));
     return Status::OK();
   }
 
-  Status ParsePredicate(LocationStep* step) {
+  /// Parses a predicate at nesting depth `depth` (the outermost is 1).
+  Status ParsePredicate(std::size_t depth, LocationStep* step) {
+    if (depth > kMaxPredicateDepth) {
+      return Error("predicates nested deeper than " +
+                   std::to_string(kMaxPredicateDepth));
+    }
     Predicate pred;
-    NAVPATH_ASSIGN_OR_RETURN(LocationPath inner, ParsePathExpr());
+    NAVPATH_ASSIGN_OR_RETURN(LocationPath inner, ParsePathExpr(depth));
     if (inner.absolute) {
       return Error("predicates must contain relative paths");
     }
@@ -277,7 +285,8 @@ class PathParser {
     return Status::OK();
   }
 
-  Result<LocationPath> ParsePathExpr() {
+  /// Parses a path at predicate nesting depth `depth` (0 outside any).
+  Result<LocationPath> ParsePathExpr(std::size_t depth) {
     SkipSpace();
     LocationPath path;
     bool pending_slash_slash = false;
@@ -294,7 +303,7 @@ class PathParser {
       path.absolute = false;
     }
     for (;;) {
-      NAVPATH_RETURN_NOT_OK(ParseStep(pending_slash_slash, &path));
+      NAVPATH_RETURN_NOT_OK(ParseStep(pending_slash_slash, depth, &path));
       SkipSpace();
       if (Match2('/', '/')) {
         pending_slash_slash = true;

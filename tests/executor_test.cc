@@ -263,9 +263,7 @@ TEST(ExecutorTest, SimulatedCostsMatchRecordedDigests) {
       ASSERT_TRUE(result.ok()) << row.name << " " << query << ": "
                                << result.status().ToString();
       digest.Add(result->count);
-      for (const char c : result->metrics.ToString()) {
-        digest.Add(static_cast<unsigned char>(c));
-      }
+      digest.AddText(result->metrics.ToString());
       fallbacks += result->metrics.fallback_activations;
     }
     EXPECT_EQ(fallbacks > 0, row.falls_back) << row.name;

@@ -1,9 +1,14 @@
 // Tests for database save/load.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <string>
+#include <sys/resource.h>
 #include <unistd.h>
+
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "compiler/executor.h"
 #include "storage/checksum.h"
@@ -72,6 +77,45 @@ TEST(PersistenceTest, RoundTripPreservesDocument) {
   EXPECT_NEAR(static_cast<double>(before->total_time),
               static_cast<double>(after->total_time), 20e6 /* 20ms */);
 
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, FailedSaveKeepsThePreviousFile) {
+  DatabaseOptions options;
+  options.page_size = 1024;
+  options.buffer_pages = 128;
+  Database db(options);
+  XMarkOptions xmark;
+  xmark.scale = 0.005;
+  const DomTree tree = GenerateXMark(xmark, db.tags());
+  SubtreeClusteringPolicy policy(896);
+  auto doc = db.Import(tree, &policy);
+  ASSERT_TRUE(doc.ok());
+
+  const std::string path = TempPath("failed_save.nvph");
+  ASSERT_TRUE(SaveDatabase(&db, *doc, path).ok());
+  const std::uintmax_t size = std::filesystem::file_size(path);
+
+  // A file-size limit of half the file makes the second save fail
+  // part-way: its writes get EFBIG (SIGXFSZ ignored, so the process
+  // survives). The limit and the handler are restored right after.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit half = saved;
+  half.rlim_cur = static_cast<rlim_t>(size / 2);
+  void (*const handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &half), 0);
+  const Status failed = SaveDatabase(&db, *doc, path);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, handler);
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+
+  // The previous file is intact and loads; the temp file is gone.
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(std::filesystem::file_size(path), size);
+  auto loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->doc.core_records, doc->core_records);
   std::remove(path.c_str());
 }
 

@@ -20,6 +20,7 @@
 #include "storage/disk.h"
 #include "storage/fault_injector.h"
 #include "storage/page.h"
+#include "tests/test_util.h"
 #include "txn/txn.h"
 
 namespace navpath {
@@ -291,6 +292,24 @@ TEST(ServeTest, DeterministicAdmissionShedAndPriorityJumps) {
     EXPECT_EQ(a.outcomes[i].degraded, b.outcomes[i].degraded) << i;
     EXPECT_EQ(a.outcomes[i].finished_at, b.outcomes[i].finished_at) << i;
   }
+
+  // Two runs of one binary cannot catch a change that moves the served
+  // schedule, so the run is also pinned against a digest recorded by
+  // building this test against an earlier commit. The run must shed and
+  // degrade, or the digest would not cover those paths.
+  ASSERT_FALSE(a.shed.empty());
+  ASSERT_TRUE(std::any_of(a.outcomes.begin(), a.outcomes.end(),
+                          [](const ServeOutcome& o) { return o.degraded; }));
+  Fnv1a digest;
+  for (const std::size_t i : a.admission_order) digest.Add(i);
+  for (const std::size_t i : a.shed) digest.Add(i);
+  for (const ServeOutcome& o : a.outcomes) {
+    digest.Add(o.finished_at);
+    digest.Add(o.degraded);
+  }
+  digest.Add(a.workload.metrics.priority_jumps);
+  EXPECT_EQ(digest.h, 0x2ab14ba9d4527289ull)
+      << std::hex << "0x" << digest.h << "ull";
 }
 
 TEST(ServeTest, ValidationRejectsMalformedConfiguration) {

@@ -14,7 +14,6 @@
 
 #include "benchlib/harness.h"
 #include "compiler/workload_executor.h"
-#include "serve/server.h"
 #include "shard/shard_executor.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_store.h"
@@ -516,68 +515,28 @@ TEST(ShardValidationTest, RejectsShardsCombinedWithTransactions) {
   TxnManager txn((*fixture)->db(), (*fixture)->mutable_doc());
 
   WorkloadOptions options;
-  options.shards = store->get();
   options.txn = &txn;
-  const Status status = ValidateWorkloadOptions(options);
-  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  EXPECT_NE(status.ToString().find("transactions"), std::string::npos)
-      << status.ToString();
+  ShardedWorkloadExecutor executor(store->get(), options);
+  ASSERT_TRUE(executor.Add("/site//keyword",
+                           PaperPlan(PlanKind::kXSchedule)).ok());
+  auto run = executor.Run();
+  ASSERT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+  EXPECT_NE(run.status().ToString().find("transactions"), std::string::npos)
+      << run.status().ToString();
 }
 
 TEST(ShardValidationTest, RejectsShardsCombinedWithSharing) {
   auto store = BuildSharded(0.01, 1);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   WorkloadOptions options;
-  options.shards = store->get();
   options.enable_sharing = true;
-  const Status status = ValidateWorkloadOptions(options);
-  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
-}
-
-TEST(ShardValidationTest, PlainExecutorRefusesShardedOptions) {
-  auto fixture = XMarkFixture::Create(0.01);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-  auto store = BuildSharded(0.01, 1);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-
-  WorkloadOptions options;
-  options.shards = store->get();
-  WorkloadExecutor executor((*fixture)->db(), (*fixture)->doc(), options);
+  ShardedWorkloadExecutor executor(store->get(), options);
   ASSERT_TRUE(executor.Add("/site//keyword",
                            PaperPlan(PlanKind::kXSchedule)).ok());
   auto run = executor.Run();
-  ASSERT_FALSE(run.ok());
-  EXPECT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
-  EXPECT_NE(run.status().ToString().find("ShardedWorkloadExecutor"),
-            std::string::npos)
+  ASSERT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
+  EXPECT_NE(run.status().ToString().find("sharing"), std::string::npos)
       << run.status().ToString();
-}
-
-TEST(ShardValidationTest, ServeEntryPointRejectsShardKnobs) {
-  auto fixture = XMarkFixture::Create(0.01);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-  auto store = BuildSharded(0.01, 1);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  TxnManager txn((*fixture)->db(), (*fixture)->mutable_doc());
-
-  ServeOptions serve;
-  serve.tenants.push_back(TenantSpec{});
-  serve.tenants.back().name = "tenant";
-
-  // shards + txn gets the combination-specific message.
-  serve.workload.shards = store->get();
-  serve.workload.txn = &txn;
-  Status status = ValidateServeOptions(serve);
-  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  EXPECT_NE(status.ToString().find("transactions"), std::string::npos)
-      << status.ToString();
-
-  // shards alone is rejected too: serving drives one unsharded executor.
-  serve.workload.txn = nullptr;
-  status = ValidateServeOptions(serve);
-  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
-  EXPECT_NE(status.ToString().find("sharded"), std::string::npos)
-      << status.ToString();
 }
 
 TEST(ShardedWorkloadTest, RejectsOutOfDomainQueriesAtMultiShard) {

@@ -4,12 +4,15 @@
 // deterministic scheduling, byte-identical declines, spill-to-recompute).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/harness.h"
 #include "compiler/workload_executor.h"
 #include "share/prefix_trie.h"
+#include "tests/test_util.h"
 #include "xpath/parser.h"
 
 namespace navpath {
@@ -171,11 +174,13 @@ const char* const kDisjoint[] = {
     "/site/closed_auctions//price",
 };
 
+/// (job index, active-set size) per scheduling decision, from on_pull.
+using PullSchedule = std::vector<std::pair<std::size_t, std::size_t>>;
+
 Result<WorkloadResult> RunShareWorkload(
     XMarkFixture* fixture, const std::vector<std::string>& queries,
     bool enable_sharing, std::size_t share_buffer_pages = 64,
-    std::size_t max_concurrent = 0,
-    std::vector<std::size_t>* schedule = nullptr) {
+    std::size_t max_concurrent = 0, PullSchedule* schedule = nullptr) {
   WorkloadOptions options;
   options.policy = WorkloadPolicy::kHybrid;
   options.collect_nodes = true;
@@ -184,8 +189,8 @@ Result<WorkloadResult> RunShareWorkload(
   options.share_buffer_pages = share_buffer_pages;
   options.max_concurrent = max_concurrent;
   if (schedule != nullptr) {
-    options.on_pull = [schedule](std::size_t job, std::size_t) {
-      schedule->push_back(job);
+    options.on_pull = [schedule](std::size_t job, std::size_t active) {
+      schedule->emplace_back(job, active);
     };
   }
   WorkloadExecutor executor(fixture->db(), fixture->doc(), options);
@@ -193,6 +198,54 @@ Result<WorkloadResult> RunShareWorkload(
     NAVPATH_RETURN_NOT_OK(executor.Add(q, PaperPlan(PlanKind::kXSchedule)));
   }
   return executor.Run();
+}
+
+// --- The shared schedule, pinned across commits ---------------------------
+//
+// Comparing two runs of one binary cannot catch a change that moves the
+// simulated schedule. These digests were recorded by building the tests
+// against an earlier commit; a change that moves the schedule on purpose
+// re-records them and says why.
+
+struct ShareDigests {
+  std::uint64_t on_pull = 0;   // (job index, active size) per decision
+  std::uint64_t finished = 0;  // per-query finished_at, in Add() order
+  std::uint64_t metrics = 0;   // Metrics::ToString() of the run window
+  std::uint64_t share = 0;     // every share.* counter, name and value
+  bool operator==(const ShareDigests&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ShareDigests& d) {
+  return os << std::hex << "{0x" << d.on_pull << "ull, 0x" << d.finished
+            << "ull, 0x" << d.metrics << "ull, 0x" << d.share << "ull}"
+            << std::dec;
+}
+
+ShareDigests DigestShareRun(const PullSchedule& schedule,
+                            const WorkloadResult& result) {
+  ShareDigests d;
+  Fnv1a on_pull;
+  for (const auto& [job, active] : schedule) {
+    on_pull.Add(job);
+    on_pull.Add(active);
+  }
+  d.on_pull = on_pull.h;
+  Fnv1a finished;
+  for (const WorkloadQueryResult& q : result.queries) {
+    finished.Add(q.finished_at);
+  }
+  d.finished = finished.h;
+  Fnv1a metrics;
+  metrics.AddText(result.metrics.ToString());
+  d.metrics = metrics.h;
+  Fnv1a share;
+  for (const auto& [name, value] : result.scheduler.counters) {
+    if (name.rfind("share.", 0) != 0) continue;
+    share.AddText(name);
+    share.Add(value);
+  }
+  d.share = share.h;
+  return d;
 }
 
 TEST(ShareWorkloadTest, SharedExecutionMatchesPrivateResults) {
@@ -259,14 +312,14 @@ TEST(ShareWorkloadTest, DeclinedSharingIsByteIdentical) {
 
   auto fixture_off = XMarkFixture::Create(0.02);
   ASSERT_TRUE(fixture_off.ok()) << fixture_off.status().ToString();
-  std::vector<std::size_t> schedule_off;
+  PullSchedule schedule_off;
   auto off = RunShareWorkload(fixture_off->get(), queries, false, 64, 0,
                               &schedule_off);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
 
   auto fixture_on = XMarkFixture::Create(0.02);
   ASSERT_TRUE(fixture_on.ok()) << fixture_on.status().ToString();
-  std::vector<std::size_t> schedule_on;
+  PullSchedule schedule_on;
   auto on = RunShareWorkload(fixture_on->get(), queries, true, 64, 0,
                              &schedule_on);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
@@ -286,11 +339,11 @@ TEST(ShareWorkloadTest, SharedPullOrderIsDeterministic) {
   auto second_fixture = XMarkFixture::Create(0.02);
   ASSERT_TRUE(second_fixture.ok()) << second_fixture.status().ToString();
 
-  std::vector<std::size_t> first_schedule;
+  PullSchedule first_schedule;
   auto first = RunShareWorkload(first_fixture->get(), queries, true, 64, 0,
                                 &first_schedule);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  std::vector<std::size_t> second_schedule;
+  PullSchedule second_schedule;
   auto second = RunShareWorkload(second_fixture->get(), queries, true, 64,
                                  0, &second_schedule);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
@@ -298,6 +351,14 @@ TEST(ShareWorkloadTest, SharedPullOrderIsDeterministic) {
   ASSERT_FALSE(first_schedule.empty());
   EXPECT_EQ(first_schedule, second_schedule);
   EXPECT_EQ(first->total_time, second->total_time);
+
+  // One adopted group of all eight members, pinned across commits.
+  ASSERT_EQ(first->scheduler.CounterOr("share.groups_adopted"), 1u);
+  ASSERT_EQ(first->scheduler.CounterOr("share.members_shared"),
+            queries.size());
+  const ShareDigests expected{0x9da5c3e8bf8ef983ull, 0xa1e0ed47736c3a48ull,
+                              0xf90d3c7903e96d7ull, 0xbf6aea275b82001dull};
+  EXPECT_EQ(DigestShareRun(first_schedule, *first), expected);
 }
 
 TEST(ShareWorkloadTest, SpillDetachesLaggardAndStaysExact) {
@@ -319,9 +380,10 @@ TEST(ShareWorkloadTest, SpillDetachesLaggardAndStaysExact) {
   auto private_run = RunShareWorkload(fixture->get(), queries, false);
   ASSERT_TRUE(private_run.ok()) << private_run.status().ToString();
 
+  PullSchedule schedule;
   auto spilled = RunShareWorkload(fixture->get(), queries, true,
                                   /*share_buffer_pages=*/1,
-                                  /*max_concurrent=*/1);
+                                  /*max_concurrent=*/1, &schedule);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
   EXPECT_EQ(spilled->scheduler.CounterOr("share.groups_adopted"), 1u);
   EXPECT_GT(spilled->scheduler.CounterOr("share.spills"), 0u);
@@ -333,6 +395,11 @@ TEST(ShareWorkloadTest, SpillDetachesLaggardAndStaysExact) {
               OrdersOf(private_run->queries[i].nodes))
         << queries[i];
   }
+  // Members detached before they started run the activation fallback
+  // branch; the schedule it produces is pinned across commits.
+  const ShareDigests expected{0xb09bc6c0ca36d8c3ull, 0x1f7d33a29b020e6cull,
+                              0xa1d742c435bee7abull, 0xc434e9f8e57b7144ull};
+  EXPECT_EQ(DigestShareRun(schedule, *spilled), expected);
 }
 
 }  // namespace

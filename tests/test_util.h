@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -120,6 +121,10 @@ struct Fnv1a {
       h ^= (v >> (8 * i)) & 0xff;
       h *= 1099511628211ull;
     }
+  }
+  /// One Add per character (e.g. of Metrics::ToString()).
+  void AddText(std::string_view text) {
+    for (const char c : text) Add(static_cast<unsigned char>(c));
   }
 };
 

@@ -94,8 +94,8 @@ TEST(WorkloadExecutorTest, AllPoliciesProduceIdenticalResults) {
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (const WorkloadPolicy policy :
-       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kFewestPendingIos,
-        WorkloadPolicy::kShortestRemainingCost, WorkloadPolicy::kHybrid}) {
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+        WorkloadPolicy::kHybrid}) {
     auto run = RunWorkload(fixture->get(), queries, PlanKind::kXSchedule,
                            policy, 0);
     ASSERT_TRUE(run.ok())
@@ -141,8 +141,8 @@ TEST(WorkloadExecutorTest, PullScheduleIsDeterministicForEveryPolicy) {
   const std::vector<std::string> queries(std::begin(kQueries),
                                          std::end(kQueries));
   for (const WorkloadPolicy policy :
-       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kFewestPendingIos,
-        WorkloadPolicy::kShortestRemainingCost, WorkloadPolicy::kHybrid}) {
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+        WorkloadPolicy::kHybrid}) {
     auto first_fixture = XMarkFixture::Create(0.02);
     ASSERT_TRUE(first_fixture.ok()) << first_fixture.status().ToString();
     auto second_fixture = XMarkFixture::Create(0.02);
@@ -239,9 +239,7 @@ Result<ScheduleDigests> DigestSchedule(XMarkFixture* fixture,
   }
   d.finished = finished.h;
   Fnv1a metrics;
-  for (const char c : result.metrics.ToString()) {
-    metrics.Add(static_cast<unsigned char>(c));
-  }
+  metrics.AddText(result.metrics.ToString());
   d.metrics = metrics.h;
   return d;
 }
@@ -262,9 +260,6 @@ TEST(WorkloadExecutorTest, SimulatedScheduleMatchesRecordedDigests) {
       {WorkloadPolicy::kRoundRobin,
        {4951u, 0x914befe9aafc1687ull, 0x13eb9f5c93462f1full,
         0x88dd60b3b96f000cull}},
-      {WorkloadPolicy::kFewestPendingIos,
-       {4469u, 0xcf74a07a0e145d24ull, 0xa4fd06a04b83e00aull,
-        0x906e3852dc7a88cbull}},
       {WorkloadPolicy::kShortestRemainingCost,
        {4481u, 0x2cc96c73c5feed25ull, 0x1b0a6af90d285698ull,
         0x81a2db8607f10ce4ull}},
@@ -429,33 +424,6 @@ TEST(WorkloadExecutorTest, SurvivesTransientFaults) {
   }
   // Recovery costs simulated time; the faulty run cannot be faster.
   EXPECT_GE(survived->total_time, expected->total_time);
-}
-
-TEST(WorkloadExecutorTest, ExplicitInflightCapStillProducesExactResults) {
-  auto fixture = XMarkFixture::Create(0.02);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-  const std::vector<std::string> queries(std::begin(kQueries),
-                                         std::end(kQueries));
-
-  auto unbounded = RunWorkload(fixture->get(), queries, PlanKind::kXSchedule,
-                               WorkloadPolicy::kRoundRobin, 0);
-  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
-
-  WorkloadOptions options;
-  options.collect_nodes = true;
-  options.prefetch_inflight_cap = 8;
-  WorkloadExecutor executor(fixture->get()->db(), fixture->get()->doc(),
-                            options);
-  for (const std::string& q : queries) {
-    ASSERT_TRUE(executor.Add(q, PaperPlan(PlanKind::kXSchedule)).ok());
-  }
-  auto capped = executor.Run();
-  ASSERT_TRUE(capped.ok()) << capped.status().ToString();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(capped->queries[i].count, unbounded->queries[i].count);
-    EXPECT_EQ(OrdersOf(capped->queries[i].nodes),
-              OrdersOf(unbounded->queries[i].nodes));
-  }
 }
 
 TEST(WorkloadExecutorTest, OneQuerysCorruptionDoesNotFailItsNeighbors) {

@@ -1,6 +1,8 @@
 // Unit tests for the XML layer: tag registry, DOM, parser, serializer.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xml/dom.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -109,6 +111,32 @@ TEST(ParserTest, RejectsTrailingContent) {
 TEST(ParserTest, RejectsUnterminated) {
   TagRegistry tags;
   EXPECT_TRUE(ParseXml("<a><b>", &tags).status().IsParseError());
+}
+
+/// `depth` elements, each the only child of the one before.
+std::string NestedXml(std::size_t depth) {
+  std::string xml;
+  xml.reserve(7 * depth);
+  for (std::size_t i = 0; i < depth; ++i) xml += "<a>";
+  for (std::size_t i = 0; i < depth; ++i) xml += "</a>";
+  return xml;
+}
+
+TEST(ParserTest, AcceptsNestingAtTheDepthLimit) {
+  TagRegistry tags;
+  auto tree = ParseXml(NestedXml(kMaxXmlDepth), &tags);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(tree->size(), kMaxXmlDepth);
+}
+
+TEST(ParserTest, RejectsNestingPastTheDepthLimit) {
+  // One past the limit, and deep enough to overflow any stack if the
+  // parser recursed all the way down.
+  for (const std::size_t depth : {kMaxXmlDepth + 1, std::size_t{1000000}}) {
+    TagRegistry tags;
+    EXPECT_TRUE(ParseXml(NestedXml(depth), &tags).status().IsParseError())
+        << depth;
+  }
 }
 
 TEST(SerializerTest, RoundTrip) {

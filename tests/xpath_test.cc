@@ -1,6 +1,8 @@
 // Unit tests for the XPath parser and the DOM oracle evaluator.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "xml/parser.h"
 #include "xpath/oracle.h"
 #include "xpath/parser.h"
@@ -185,6 +187,43 @@ TEST(XPathParserTest, Errors) {
   EXPECT_FALSE(ParsePath("/bogus::a", &tags).ok());
   EXPECT_FALSE(ParseQuery("count(/a", &tags).ok());
   EXPECT_FALSE(ParseQuery("count(/a) + /b", &tags).ok());
+}
+
+/// `/a` with `depth` nested predicates: /a[a[a...]]].
+std::string NestedPredicates(std::size_t depth) {
+  std::string query = "/a";
+  query.reserve(2 + 3 * depth);
+  for (std::size_t i = 0; i < depth; ++i) query += "[a";
+  query.append(depth, ']');
+  return query;
+}
+
+TEST(XPathParserTest, AcceptsPredicatesAtTheDepthLimit) {
+  TagRegistry tags;
+  auto query = ParseQuery(NestedPredicates(kMaxPredicateDepth), &tags);
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  std::size_t depth = 0;
+  for (const LocationPath* path = &query->paths[0];
+       !path->steps.back().predicates.empty();
+       path = path->steps.back().predicates[0].path.get()) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxPredicateDepth);
+}
+
+TEST(XPathParserTest, RejectsPredicatesPastTheDepthLimit) {
+  // One past the limit, and deep enough to overflow any stack if the
+  // parser recursed all the way down.
+  for (const std::size_t depth :
+       {kMaxPredicateDepth + 1, std::size_t{1000000}}) {
+    TagRegistry tags;
+    EXPECT_TRUE(
+        ParseQuery(NestedPredicates(depth), &tags).status().IsParseError())
+        << depth;
+    EXPECT_TRUE(
+        ParsePath(NestedPredicates(depth), &tags).status().IsParseError())
+        << depth;
+  }
 }
 
 TEST(XPathParserTest, ToStringRoundTrip) {
