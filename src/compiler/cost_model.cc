@@ -379,48 +379,6 @@ PlanCosts EstimatePlanCosts(const DocumentStats& stats,
   return costs;
 }
 
-SharedPrefixEstimate EstimateSharedPrefix(const DocumentStats& stats,
-                                          const LocationPath& prefix,
-                                          const std::vector<LocationPath>& members,
-                                          const DiskModel& disk,
-                                          const CpuCostModel& cpu) {
-  SharedPrefixEstimate est;
-  const PhysicalReads reads = EstimatePhysicalReads(stats, disk);
-  const double hop = static_cast<double>(cpu.record_hop + cpu.node_test);
-  const double crossing_unit =
-      static_cast<double>(cpu.swizzle + cpu.buffer_probe + cpu.set_op);
-
-  const PathEstimate prefix_est = EstimatePath(stats, prefix);
-  est.producer_cost = EstimatePlanCosts(stats, prefix, disk, cpu).xschedule;
-
-  double max_residual_clusters = 0;
-  for (const LocationPath& full : members) {
-    const PathEstimate full_est = EstimatePath(stats, full);
-    // Residual navigation CPU is paid per member: every member walks its
-    // own suffix over the streamed prefix instances.
-    est.suffix_cost_total +=
-        std::max(0.0, full_est.nodes_examined - prefix_est.nodes_examined) *
-            hop +
-        std::max(0.0, full_est.crossings - prefix_est.crossings) *
-            crossing_unit;
-    max_residual_clusters = std::max(
-        max_residual_clusters,
-        std::max(0.0,
-                 full_est.clusters_touched - prefix_est.clusters_touched));
-    const PlanCosts priv = EstimatePlanCosts(stats, full, disk, cpu);
-    est.private_cost_total +=
-        std::min(priv.simple, std::min(priv.xschedule, priv.xscan));
-  }
-  // Residual I/O is pooled, not per member: the members extend the same
-  // prefix instances through overlapping document regions, and the buffer
-  // pool keeps residual clusters resident across consumers, so the union
-  // of residual clusters — approximated by the largest member residual —
-  // is read once for the whole group.
-  est.suffix_cost_total += max_residual_clusters * reads.random_read;
-  est.beneficial = est.shared_cost() < est.private_cost_total;
-  return est;
-}
-
 PlanKind ChoosePlanKind(const DocumentStats& stats, const PathQuery& query,
                         const DiskModel& disk, const CpuCostModel& cpu,
                         const PathSummary* summary) {

@@ -136,27 +136,6 @@ PlanCosts EstimatePlanCosts(const DocumentStats& stats,
                             const CpuCostModel& cpu,
                             const PathSummary* summary = nullptr);
 
-/// Estimated benefit of evaluating one shared prefix for a group of
-/// queries: a single XSchedule producer materializes the prefix instances
-/// once, and each member extends them with its residual steps against a
-/// buffer pool that keeps residual clusters resident across members.
-struct SharedPrefixEstimate {
-  double producer_cost = 0;       // one XSchedule evaluation of the prefix
-  double suffix_cost_total = 0;   // pooled residual I/O + per-member CPU
-  double private_cost_total = 0;  // sum of cheapest private plans
-  double shared_cost() const { return producer_cost + suffix_cost_total; }
-  bool beneficial = false;        // shared_cost() < private_cost_total
-};
-
-/// Prices sharing `prefix` across `members` (full paths; each must extend
-/// `prefix`) against the cheapest private plan per member. The workload
-/// executor adopts a sharing group only when `beneficial`.
-SharedPrefixEstimate EstimateSharedPrefix(const DocumentStats& stats,
-                                          const LocationPath& prefix,
-                                          const std::vector<LocationPath>& members,
-                                          const DiskModel& disk,
-                                          const CpuCostModel& cpu);
-
 /// The optimizer: picks the cheapest I/O-performing operator for `query`
 /// (summing estimates over count() operands).
 PlanKind ChoosePlanKind(const DocumentStats& stats, const PathQuery& query,

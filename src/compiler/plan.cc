@@ -9,16 +9,6 @@
 
 namespace navpath {
 
-PathPlan PathPlan::Assemble(std::unique_ptr<PlanSharedState> shared,
-                            std::vector<std::unique_ptr<PathOperator>> ops,
-                            PathOperator* root) {
-  PathPlan plan;
-  plan.shared_ = std::move(shared);
-  plan.operators_ = std::move(ops);
-  plan.root_ = root;
-  return plan;
-}
-
 Result<PathPlan> BuildPlan(Database* db, const ImportedDocument& doc,
                            const LocationPath& path,
                            std::vector<LogicalNode> contexts,

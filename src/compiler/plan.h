@@ -82,15 +82,6 @@ class PathPlan {
   /// collapsed it to an empty ContextScan (no cluster is ever touched).
   bool summary_pruned() const { return summary_pruned_; }
 
-  /// Assembles a plan from pre-built operators. Used by the sharing
-  /// subsystem, whose consumer plans read a shared stream instead of the
-  /// shapes BuildPlan produces. `root` must be owned by `ops` (or by a
-  /// longer-lived structure such as a FanOut's producer plan). No
-  /// assembly or profiler is attached.
-  static PathPlan Assemble(std::unique_ptr<PlanSharedState> shared,
-                           std::vector<std::unique_ptr<PathOperator>> ops,
-                           PathOperator* root);
-
  private:
   friend Result<PathPlan> BuildPlan(Database*, const ImportedDocument&,
                                     const LocationPath&,

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "algebra/unnest_map.h"
 #include "storage/disk.h"
 #include "xpath/parser.h"
 
@@ -49,14 +48,6 @@ std::size_t EstimateFootprint(const PlanOptions& plan) {
   return 2;
 }
 
-/// Admission footprint of a sharing-group consumer: FanOutReader +
-/// UnnestMap chains navigate one page at a time, like kSimple plans.
-constexpr std::size_t kConsumerFootprint = 2;
-
-/// Approximate in-memory size of one buffered PathInstance, translating
-/// the page-denominated stream budget into a FanOut instance budget.
-constexpr std::size_t kInstanceBytes = 64;
-
 /// Deadline-urgency headroom: a job is urgent once its remaining slack no
 /// longer covers this multiple of its estimated remaining cost. Two keeps
 /// a margin for estimate error and queueing ahead of the deadline instead
@@ -68,6 +59,11 @@ constexpr double kDeadlineHeadroom = 2.0;
 /// plus slack for the chain page a gapped insert may redistribute into.
 constexpr std::size_t kWriterFootprint = 4;
 
+/// Base backoff before an aborted writer's first retry; doubles per retry
+/// (capped at 64x). Simulated time, charged via the clock, so backed-off
+/// writers yield the window to their conflictors.
+constexpr SimTime kWriterRetryBackoff = 100 * kSimMicrosecond;
+
 }  // namespace
 
 Status ValidateWorkloadOptions(const WorkloadOptions& options) {
@@ -76,15 +72,6 @@ Status ValidateWorkloadOptions(const WorkloadOptions& options) {
       options.buffer_budget_fraction > 1.0) {
     return Status::InvalidArgument(
         "buffer_budget_fraction must be in (0, 1]");
-  }
-  if (options.enable_sharing && options.share_buffer_pages == 0) {
-    return Status::InvalidArgument(
-        "sharing requires a nonzero share_buffer_pages stream budget");
-  }
-  if (options.txn != nullptr && options.enable_sharing) {
-    return Status::InvalidArgument(
-        "cross-query sharing streams one producer's instances to all "
-        "members and cannot serve snapshots pinned to different versions");
   }
   if (options.max_writers == 0) {
     return Status::InvalidArgument(
@@ -232,174 +219,6 @@ std::size_t WorkloadExecutor::FootprintFor(const Job& job) const {
   return std::min(static_bound, std::max<std::size_t>(3, derived));
 }
 
-Status WorkloadExecutor::PlanShareGroups() {
-  groups_.clear();
-  if (!options_.enable_sharing || options_.stats == nullptr) {
-    return Status::OK();
-  }
-  // Sharing plans the whole group up front, so only the closed-system
-  // part of the workload (present at the start) participates. Multi-path
-  // queries are excluded: a member holds its stream slot for exactly one
-  // path, and holding it across unrelated paths would stall the group.
-  PrefixTrie trie;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const Job& job = jobs_[i];
-    if (job.query.paths.size() != 1 || job.arrival != 0) continue;
-    trie.AddPath(i, job.query.paths[0]);
-  }
-  std::vector<SharedPrefix> candidates = trie.ExtractGroups();
-  for (SharedPrefix& candidate : candidates) {
-    std::vector<LocationPath> fulls;
-    fulls.reserve(candidate.members.size());
-    for (const std::size_t m : candidate.members) {
-      fulls.push_back(jobs_[m].query.paths[0]);
-    }
-    const SharedPrefixEstimate estimate = EstimateSharedPrefix(
-        *options_.stats, candidate.prefix, fulls,
-        db_->options().disk_model, db_->costs());
-    if (!estimate.beneficial) {
-      ++sched_.Counter("share.groups_declined");
-      continue;
-    }
-
-    ShareGroup group;
-    group.prefix = std::move(candidate.prefix);
-    group.members = std::move(candidate.members);
-    group.remaining = group.members.size();
-
-    // The producer evaluates the prefix once with XSchedule — the
-    // operator built for exactly this streaming role; its options derive
-    // from the first member's, so workload-wide tuning (queue_k) carries
-    // over.
-    PlanOptions producer_options = jobs_[group.members.front()].plan_options;
-    producer_options.kind = PlanKind::kXSchedule;
-    producer_options.profile = false;
-    NAVPATH_ASSIGN_OR_RETURN(
-        PathPlan producer,
-        BuildPlan(db_, *doc_, group.prefix, {}, producer_options));
-    // The producer is its own buffer-interest owner, past every query id.
-    producer.shared()->owner_id =
-        static_cast<std::uint32_t>(jobs_.size() + 1 + groups_.size());
-    producer.shared()->cooperative = true;
-    group.producer = std::move(producer);
-
-    group.footprint = EstimateFootprint(producer_options);
-    if (options_.footprint_from_stats) {
-      const PathEstimate prefix_estimate =
-          EstimatePath(*options_.stats, group.prefix);
-      if (prefix_estimate.clusters_touched > 0.0) {
-        const std::size_t derived =
-            static_cast<std::size_t>(
-                std::ceil(prefix_estimate.clusters_touched)) +
-            2;
-        group.footprint =
-            std::min(group.footprint, std::max<std::size_t>(3, derived));
-      }
-    }
-
-    FanOutOptions fanout_options;
-    fanout_options.max_buffered = std::max<std::size_t>(
-        1, options_.share_buffer_pages *
-               (db_->options().page_size / kInstanceBytes));
-    group.fanout = std::make_unique<FanOut>(db_, group.producer.root(),
-                                            group.producer.shared(),
-                                            fanout_options);
-    group.reserved_pages = options_.share_buffer_pages;
-    db_->buffer()->ReserveAux(group.reserved_pages);
-
-    for (const std::size_t m : group.members) {
-      Job& member = jobs_[m];
-      member.share_group = groups_.size();
-      member.share_slot = group.fanout->AddConsumer();
-      member.footprint = kConsumerFootprint;
-      sched_.GetHistogram("share.prefix_hit_depth")
-          .Record(group.prefix.steps.size());
-    }
-    ++sched_.Counter("share.groups_adopted");
-    sched_.Counter("share.members_shared") += group.members.size();
-    groups_.push_back(std::move(group));
-  }
-  return Status::OK();
-}
-
-Status WorkloadExecutor::StartSharedPath(Job* job) {
-  ShareGroup& group = groups_[job->share_group];
-  auto shared = std::make_unique<PlanSharedState>(db_);
-  shared->owner_id = job->owner_id;
-  shared->cooperative = true;
-  std::vector<std::unique_ptr<PathOperator>> ops;
-  ops.push_back(std::make_unique<FanOutReader>(
-      group.fanout.get(), job->share_slot, shared.get()));
-  PathOperator* tip = ops.back().get();
-  // Residual steps extend the streamed prefix instances; UnnestMap is the
-  // right extension operator here — unlike XStep it has no exhaustion
-  // latch, so it re-pulls the stream after a producer yield, and it
-  // navigates synchronously against pages the group largely keeps warm.
-  const LocationPath& full = job->query.paths[job->path_index];
-  for (std::size_t i = group.prefix.steps.size(); i < full.steps.size();
-       ++i) {
-    ops.push_back(std::make_unique<UnnestMap>(
-        db_, shared.get(), tip, static_cast<int>(i) + 1, full.steps[i]));
-    tip = ops.back().get();
-  }
-  job->plan = PathPlan::Assemble(std::move(shared), std::move(ops), tip);
-  job->seen.clear();
-  job->produced_in_path = 0;
-  job->window_pulls0 = job->result.pulls;
-  job->window_yields0 = 0;
-  job->window_blocks0 = 0;
-  if (options_.explain) {
-    job->path_metrics_start = db_->metrics()->Snapshot();
-    job->path_t0 = db_->clock()->now();
-    job->path_io0 = db_->clock()->io_wait_time();
-    job->path_count_before = job->result.count;
-  }
-  return job->plan.root()->Open();
-}
-
-void WorkloadExecutor::LeaveShareGroup(Job* job) {
-  ShareGroup& group = groups_[job->share_group];
-  job->share_group = kNoGroup;
-  NAVPATH_DCHECK(group.remaining > 0);
-  if (--group.remaining > 0) return;
-  // Last member out: fold the stream's statistics into the run metrics
-  // and release everything the group held. The FanOut goes before the
-  // producer plan it references.
-  const FanOut& fanout = *group.fanout;
-  sched_.Counter("share.producer_pulls") += fanout.producer_pulls();
-  sched_.Counter("share.consumer_pulls") += fanout.consumer_pulls();
-  sched_.Counter("share.instances_streamed") += fanout.instances_streamed();
-  sched_.Counter("share.dedup_hits") += fanout.dedup_hits();
-  sched_.Counter("share.spills") += fanout.spills();
-  group.fanout.reset();
-  group.producer = PathPlan();
-  db_->buffer()->ReleaseAux(group.reserved_pages);
-  group.reserved_pages = 0;
-  if (group.charged) {
-    group.charged = false;
-    footprint_used_ -= group.footprint;
-  }
-}
-
-Status WorkloadExecutor::FallBackToPrivate(Job* job) {
-  ++sched_.Counter("share.private_fallbacks");
-  // Closing the consumer plan releases its stream slot.
-  NAVPATH_RETURN_NOT_OK(job->plan.root()->Close());
-  LeaveShareGroup(job);
-  const std::size_t private_footprint = FootprintFor(*job);
-  footprint_used_ = footprint_used_ - job->footprint + private_footprint;
-  job->footprint = private_footprint;
-  // Restart the path privately. Everything already emitted stays in the
-  // result-level dedup set, so re-derived instances are dropped and the
-  // query's output is exactly-once.
-  auto seen = std::move(job->seen);
-  const std::uint64_t produced = job->produced_in_path;
-  NAVPATH_RETURN_NOT_OK(StartNextPath(job));
-  job->seen = std::move(seen);
-  job->produced_in_path = produced;
-  return Status::OK();
-}
-
 Status WorkloadExecutor::StartNextPath(Job* job) {
   if (job->is_write) {
     // Activation of a write transaction: open the writer against the
@@ -424,19 +243,6 @@ Status WorkloadExecutor::StartNextPath(Job* job) {
   if (job->snapshot != nullptr) {
     job->plan_options.translator = job->snapshot.get();
     job->plan_options.snapshot_summary = job->snapshot->summary();
-  }
-  if (job->share_group != kNoGroup && job->path_index == 0) {
-    ShareGroup& group = groups_[job->share_group];
-    if (!group.fanout->detached(job->share_slot)) {
-      return StartSharedPath(job);
-    }
-    // Detached before it ever started (admission lag outran the stream
-    // budget): abandon the slot and run privately from the start. The
-    // caller charges the (updated) footprint after this returns.
-    NAVPATH_RETURN_NOT_OK(group.fanout->CloseFor(job->share_slot));
-    ++sched_.Counter("share.private_fallbacks");
-    LeaveShareGroup(job);
-    job->footprint = FootprintFor(*job);
   }
   const LocationPath& path = job->query.paths[job->path_index];
   // A snapshot-pinned query plans over its version's document (root and
@@ -512,7 +318,7 @@ std::size_t WorkloadExecutor::WriterLimit() const {
                 static_cast<double>(writer_commit_attempts_);
   const WriterAdmission est = EstimateWriterAdmission(
       options_.max_writers, p, writer_cost_ewma_,
-      static_cast<double>(options_.writer_retry_backoff),
+      static_cast<double>(kWriterRetryBackoff),
       options_.writer_max_retries);
   return est.prefer_optimistic ? options_.max_writers : 1;
 }
@@ -767,7 +573,6 @@ void WorkloadExecutor::FinishJob(std::size_t active_pos) {
   job.snapshot.reset();
   job.writer.reset();
   if (job.is_write) --writers_active_;
-  if (job.share_group != kNoGroup) LeaveShareGroup(&job);
   job.done = true;
   ++completed_;
   footprint_used_ -= job.footprint;
@@ -844,7 +649,7 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
         const unsigned shift = static_cast<unsigned>(
             std::min<std::uint64_t>(job.result.aborts - 1, 6));
         db_->clock()->WaitUntil(db_->clock()->now() +
-                                (options_.writer_retry_backoff << shift));
+                                (kWriterRetryBackoff << shift));
         job.writer = options_.txn->BeginWrite();
         job.result.snapshot_seq = job.writer->base_seq();
         job.ops_done = 0;
@@ -896,11 +701,6 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
         cheaper < std::max<std::size_t>(1, run_active_.size() / 4) ||
         DeadlineUrgent(job);
   }
-  if (job.share_group != kNoGroup) {
-    // Measurement-side: stream-buffer occupancy seen by shared pulls.
-    sched_.GetHistogram("share.buffered_instances")
-        .Record(groups_[job.share_group].fanout->buffered());
-  }
 
   Result<bool> pulled = job.plan.root()->Pull(&step_inst_);
   if (!pulled.ok()) {
@@ -933,15 +733,6 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
       job.result.nodes.push_back(
           LogicalNode{step_inst_.right.node, 0, step_inst_.right.order});
     }
-    return kNoJob;
-  }
-
-  // Exhaustion — unless the stream detached this member mid-flight
-  // (spill-to-recompute): then the member has NOT seen the whole
-  // stream and must re-derive its path privately.
-  if (job.share_group != kNoGroup &&
-      groups_[job.share_group].fanout->detached(job.share_slot)) {
-    NAVPATH_RETURN_NOT_OK(FallBackToPrivate(&job));
     return kNoJob;
   }
 
@@ -1005,7 +796,6 @@ Result<WorkloadResult> WorkloadExecutor::Run() {
   }
   stepping_ = false;
   NAVPATH_RETURN_NOT_OK(BeginRun());
-  NAVPATH_RETURN_NOT_OK(PlanShareGroups());
 
   // FIFO admission in Add() order: activate arrived jobs while the gate
   // admits the head.
@@ -1050,22 +840,11 @@ void WorkloadExecutor::Activate(std::size_t index) {
     job.result.finished_at = db_->clock()->now();
     job.plan = PathPlan();
     job.snapshot.reset();
-    if (job.share_group != kNoGroup) LeaveShareGroup(&job);
     job.done = true;
     ++completed_;
     return;
   }
-  // StartNextPath may have fallen back to private (pre-start detach), so
-  // the charges derive from the job's current state. A shared member's
-  // first admission also charges its group's producer footprint.
   footprint_used_ += job.footprint;
-  if (job.share_group != kNoGroup) {
-    ShareGroup& group = groups_[job.share_group];
-    if (!group.charged) {
-      group.charged = true;
-      footprint_used_ += group.footprint;
-    }
-  }
   // Keep the active set ascending by job id: the rotation picks
   // (kRoundRobin, hybrid I/O set) rely on that order for fairness.
   run_active_.insert(
@@ -1074,11 +853,6 @@ void WorkloadExecutor::Activate(std::size_t index) {
 }
 
 Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
-  if (options_.enable_sharing) {
-    return Status::InvalidArgument(
-        "cross-query sharing plans the whole workload up front and is "
-        "not available under external admission");
-  }
   stepping_ = true;
   n_total_ = expected_jobs;
   const Status begun = BeginRun();
@@ -1162,14 +936,8 @@ bool WorkloadExecutor::CanAdmit(std::size_t index) const {
   const Job& job = jobs_[index];
   const bool have_slot = options_.max_concurrent == 0 ||
                          run_active_.size() < options_.max_concurrent;
-  // A shared member's first admission also charges its group's producer
-  // footprint (once per group; no group exists under stepping).
-  std::size_t charge = job.footprint;
-  if (job.share_group != kNoGroup && !groups_[job.share_group].charged) {
-    charge += groups_[job.share_group].footprint;
-  }
   const bool fits =
-      run_active_.empty() || footprint_used_ + charge <= budget_;
+      run_active_.empty() || footprint_used_ + job.footprint <= budget_;
   // Writer admission (head-of-line): a queued writer waits until the
   // active-writer count drops under the limit the cost model picks —
   // max_writers while optimistic retries price below serialized queueing

@@ -36,13 +36,11 @@
 #include <string>
 #include <vector>
 
-#include "algebra/fanout.h"
 #include "common/flat_set.h"
 #include "compiler/cost_model.h"
 #include "compiler/executor.h"
 #include "compiler/plan.h"
 #include "observe/metrics_registry.h"
-#include "share/prefix_trie.h"
 #include "store/update.h"
 #include "txn/txn.h"
 #include "xpath/location_path.h"
@@ -99,23 +97,6 @@ struct WorkloadOptions {
   /// Produce an EXPLAIN ANALYZE report per query (forces plan profiling).
   bool explain = false;
 
-  /// Cross-query prefix sharing (src/share): detect shared predicate-free
-  /// path prefixes across the closed-system part of the workload (needs
-  /// `stats`), evaluate each adopted prefix ONCE with an XSchedule
-  /// producer, and stream the partial instances to the member queries,
-  /// which extend them with their residual steps. A prefix is adopted
-  /// only when EstimateSharedPrefix says the producer plus pooled
-  /// residuals undercut the members' private plans; declined groups run
-  /// exactly as without sharing (byte-identical scheduling). Opt-in.
-  bool enable_sharing = false;
-
-  /// Buffer pages reserved per adopted sharing group for its stream
-  /// buffer (accounting via BufferManager::ReserveAux; translated into an
-  /// instance budget for the FanOut). Exceeding the budget detaches the
-  /// most-lagging member, which falls back to a private plan
-  /// (spill-to-recompute).
-  std::size_t share_buffer_pages = 64;
-
   /// Drive-side request priority (ReadPriority::kHigh): tag the I/O of
   /// the cheapest-remaining-cost quartile of the active set so its few
   /// pages jump the elevator sweep instead of queueing behind long
@@ -136,9 +117,7 @@ struct WorkloadOptions {
   /// version, no matter what commits mid-flight), and AddWrite() admits
   /// write transactions that copy-on-write their touched pages and
   /// publish at commit. Null — the default — reproduces pre-MVCC
-  /// execution byte for byte. Must outlive the executor. Incompatible
-  /// with enable_sharing (a shared producer stream cannot serve members
-  /// pinned to different versions).
+  /// execution byte for byte. Must outlive the executor.
   TxnManager* txn = nullptr;
 
   /// Upper bound on concurrently active write transactions (requires
@@ -158,11 +137,6 @@ struct WorkloadOptions {
   /// trigger with max_writers > 1 (a serialized writer has nothing to
   /// conflict with inside one executor).
   std::size_t writer_max_retries = 8;
-
-  /// Base backoff before an aborted writer's first retry; doubles per
-  /// retry (capped at 64x). Simulated time, charged via the clock, so
-  /// backed-off writers yield the window to their conflictors.
-  SimTime writer_retry_backoff = 100 * kSimMicrosecond;
 
   /// Group commit: WriteOps applied per scheduling pull of a writer. 1 —
   /// the default — keeps the historical one-op-per-pull interleaving;
@@ -271,15 +245,8 @@ struct WorkloadResult {
   /// hybrid decisions) and "sched.picks.io_rr" / "sched.picks.cpu_sjf"
   /// (which half of the hybrid served each decision), plus the
   /// "sched.pool_depth" histogram sampling the drive's pending pool at
-  /// every decision. With sharing enabled, also the share.* metrics:
-  /// counters "share.groups_adopted" / "share.groups_declined" /
-  /// "share.members_shared" / "share.producer_pulls" /
-  /// "share.consumer_pulls" / "share.instances_streamed" /
-  /// "share.dedup_hits" / "share.spills" / "share.private_fallbacks",
-  /// the "share.prefix_hit_depth" histogram (shared steps per member)
-  /// and the "share.buffered_instances" histogram (stream-buffer
-  /// occupancy sampled at every shared pull). Recording is
-  /// measurement-side only — it never touches the simulated clock.
+  /// every decision. Recording is measurement-side only — it never
+  /// touches the simulated clock.
   RegistrySnapshot scheduler;
 
   double total_seconds() const { return SimClock::ToSeconds(total_time); }
@@ -355,9 +322,7 @@ class WorkloadExecutor {
   /// intends to feed in: scheduling rules that depend on the total count
   /// (the hybrid window-widening point) use it, so a driver that adds
   /// jobs lazily at arrival time still reproduces Run()'s decisions. Pass
-  /// 0 when unknown (the live job count is used instead). Cross-query
-  /// sharing is a whole-workload plan and is not available under external
-  /// admission (InvalidArgument).
+  /// 0 when unknown (the live job count is used instead).
   Status BeginStepping(std::size_t expected_jobs = 0);
 
   /// Returned by StepOnce when no job completed on that decision.
@@ -394,8 +359,7 @@ class WorkloadExecutor {
   std::size_t footprint_budget() const { return budget_; }
   /// Whether Run()'s admission gate would admit `index` right now: a free
   /// slot, either an empty active set or room in the buffer budget for
-  /// the job's footprint (plus its sharing group's producer footprint on
-  /// the group's first admission), and a free writer slot for a writer.
+  /// the job's footprint, and a free writer slot for a writer.
   bool CanAdmit(std::size_t index) const;
   /// The cost model's up-front estimate for the whole job (sum over its
   /// paths; 0 without stats). The DRR admission quantum currency.
@@ -437,13 +401,6 @@ class WorkloadExecutor {
     /// Max estimated clusters touched by any operand path (0 = no stats).
     double clusters_touched = 0.0;
 
-    // Sharing state (WorkloadOptions.enable_sharing). A job in a group
-    // consumes the group's shared stream for its first path; kNoGroup
-    // means private execution (never grouped, group declined, or the job
-    // was detached and fell back).
-    std::size_t share_group = static_cast<std::size_t>(-1);
-    std::size_t share_slot = 0;
-
     // Run state.
     std::size_t path_index = 0;
     PathPlan plan;
@@ -467,26 +424,6 @@ class WorkloadExecutor {
     WorkloadQueryResult result;
   };
 
-  /// One adopted sharing group: the producer plan evaluating the common
-  /// prefix, the FanOut streaming its instances, and bookkeeping for
-  /// admission/buffer accounting. Lives for the whole Run().
-  struct ShareGroup {
-    LocationPath prefix;
-    std::vector<std::size_t> members;  // jobs_ indices, ascending
-    PathPlan producer;
-    std::unique_ptr<FanOut> fanout;
-    /// Producer-side admission footprint, charged once when the first
-    /// member is admitted and released when the group drains.
-    std::size_t footprint = 0;
-    bool charged = false;
-    /// Members still attached to the stream (not finished / fallen back).
-    std::size_t remaining = 0;
-    /// Stream-buffer pages reserved against the buffer manager.
-    std::size_t reserved_pages = 0;
-  };
-
-  static constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
-
   /// Computes the cost-model estimates (per-path costs, cardinalities,
   /// clusters) for the job's current plan options. Shared by Add and
   /// RetierJob.
@@ -498,23 +435,22 @@ class WorkloadExecutor {
   Status BeginRun();
 
   /// Activates job `index`: opens its first plan and charges its
-  /// footprint (and, for a sharing group's first member, the group's
-  /// producer footprint), then joins the active set. A plan that fails to
-  /// open fails the job alone: it is finished on the spot with the error
-  /// in its result. The one activation path of Run() and ActivateJob.
+  /// footprint, then joins the active set. A plan that fails to open
+  /// fails the job alone: it is finished on the spot with the error in
+  /// its result. The one activation path of Run() and ActivateJob.
   void Activate(std::size_t index);
 
   /// One scheduling decision over run_active_: pick, pull, account.
-  /// Handles yields, results, path transitions, sharing detach/fallback,
-  /// and completion (including footprint release). A pull that surfaces
-  /// an error fails that job alone: the error lands in the job's result
-  /// status and the loop keeps serving its neighbors. Returns the jobs_
-  /// index of the job that finished on this decision, kNoJob otherwise.
+  /// Handles yields, results, path transitions, and completion (including
+  /// footprint release). A pull that surfaces an error fails that job
+  /// alone: the error lands in the job's result status and the loop keeps
+  /// serving its neighbors. Returns the jobs_ index of the job that
+  /// finished on this decision, kNoJob otherwise.
   Result<std::size_t> PullOnce();
 
   /// Completion bookkeeping shared by the success and failure exits of
-  /// PullOnce: stamps finished_at, frees plan + footprint, leaves any
-  /// share group, and removes the job from the active set.
+  /// PullOnce: stamps finished_at, frees plan + footprint, and removes
+  /// the job from the active set.
   void FinishJob(std::size_t active_pos);
 
   /// Builds the final WorkloadResult from the measurement window (shared
@@ -525,30 +461,6 @@ class WorkloadExecutor {
   /// tightened by the cost model's clusters_touched estimate when
   /// document statistics are available.
   std::size_t FootprintFor(const Job& job) const;
-
-  /// Sharing front end, run once per Run(): inserts the eligible queries
-  /// (single absolute path, arrival 0) into a PrefixTrie, prices every
-  /// extracted group with EstimateSharedPrefix, and builds producer plan
-  /// + FanOut for each adopted group. Makes no simulated-clock charges,
-  /// so a run where every group is declined schedules byte-identically
-  /// to one with sharing disabled.
-  Status PlanShareGroups();
-
-  /// Builds and opens the consumer plan for a shared member's first
-  /// path: FanOutReader over the group's stream, extended by UnnestMap
-  /// operators for the residual steps.
-  Status StartSharedPath(Job* job);
-
-  /// Detaches `job` from its group (finished or spilled); the last one
-  /// out finalizes the group: transfers the FanOut's stream statistics
-  /// into the share.* counters, releases the reserved buffer pages and
-  /// the producer footprint, and destroys the producer plan.
-  void LeaveShareGroup(Job* job);
-
-  /// Spill-to-recompute: close `job`'s consumer plan, leave the group,
-  /// and restart the path privately, preserving the result-level dedup
-  /// set so instances already emitted are not double-counted.
-  Status FallBackToPrivate(Job* job);
 
   /// Builds and opens the plan for the job's next path.
   Status StartNextPath(Job* job);
@@ -613,7 +525,6 @@ class WorkloadExecutor {
   const ImportedDocument* doc_;
   WorkloadOptions options_;
   std::vector<Job> jobs_;
-  std::vector<ShareGroup> groups_;
   /// Run/stepping state: the active set (jobs_ indices), the decision
   /// stamp, the yield streak, and the measurement-window bases.
   std::vector<std::size_t> run_active_;
@@ -629,9 +540,7 @@ class WorkloadExecutor {
   SimTime window_t0_ = 0;
   SimTime window_cpu0_ = 0;
   PathInstance step_inst_;
-  /// Aggregate admission footprint of the active set (plus charged
-  /// producer footprints); a member so FallBackToPrivate can re-charge a
-  /// spilled job's private footprint mid-run.
+  /// Aggregate admission footprint of the active set.
   std::size_t footprint_used_ = 0;
   /// Stable-id rotation cursors (jobs_ index of the last pick; SIZE_MAX
   /// before the first): one for kRoundRobin, one for kHybrid's I/O set.

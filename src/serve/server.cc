@@ -13,12 +13,14 @@ namespace {
 
 constexpr std::size_t kNoSub = static_cast<std::size_t>(-1);
 
-/// Recovery hysteresis margins: the EWMA must drop under this fraction of
-/// the SLO and the buffer footprint under this fraction of the budget
-/// before an evaluation counts as healthy — recovering at exactly the
-/// entry threshold would oscillate.
-constexpr double kSloRecoverFraction = 0.8;
+/// Buffer-pool pressure: the active set's admission footprint at or above
+/// this fraction of the budget counts as hot. Escalation needs a backlog
+/// as well; recovery needs the pool to cool below it again.
 constexpr double kBufferHotFraction = 0.9;
+/// In the shed state, a tenant whose queue occupancy is at or above this
+/// fraction of its capacity sheds new arrivals early, preserving headroom
+/// for tenants that are not flooding the system.
+constexpr double kShedOccupancy = 0.5;
 
 }  // namespace
 
@@ -49,12 +51,6 @@ Status ValidateServeOptions(const ServeOptions& options) {
                                      tenant.name + "'");
     }
   }
-  if (!(options.ewma_alpha > 0.0) || options.ewma_alpha > 1.0) {
-    return Status::InvalidArgument("ewma_alpha must be in (0, 1]");
-  }
-  if (!(options.shed_occupancy > 0.0) || options.shed_occupancy > 1.0) {
-    return Status::InvalidArgument("shed_occupancy must be in (0, 1]");
-  }
   if (options.degrade_queue_depth == 0) {
     return Status::InvalidArgument("degrade_queue_depth must be positive");
   }
@@ -67,20 +63,6 @@ Status ValidateServeOptions(const ServeOptions& options) {
   }
   if (!(options.drr_quantum >= 0.0)) {
     return Status::InvalidArgument("drr_quantum must be nonnegative");
-  }
-  // The txn+sharing combination gets its own message ahead of the
-  // generic sharing rejection: a tenant config that sets both must learn
-  // the combination itself is invalid (at every entry point, not just
-  // ValidateWorkloadOptions), not merely that serving lacks sharing.
-  if (options.workload.txn != nullptr && options.workload.enable_sharing) {
-    return Status::InvalidArgument(
-        "transactional serving (WorkloadOptions.txn) cannot be combined "
-        "with cross-query sharing: one producer stream cannot serve "
-        "tenants pinned to different snapshot versions");
-  }
-  if (options.workload.enable_sharing) {
-    return Status::InvalidArgument(
-        "cross-query sharing is not available under the serving layer");
   }
   return ValidateWorkloadOptions(options.workload);
 }
@@ -159,7 +141,7 @@ Status Server::ProcessArrivals() {
     // flooding tenant cannot consume the whole system's headroom while
     // the controller is already rejecting work.
     const std::size_t early_cap = static_cast<std::size_t>(std::ceil(
-        options_.shed_occupancy * static_cast<double>(spec.queue_capacity)));
+        kShedOccupancy * static_cast<double>(spec.queue_capacity)));
     const bool full = queue.size() >= spec.queue_capacity;
     const bool early = state_ == OverloadState::kShed &&
                        queue.size() >= early_cap;
@@ -348,19 +330,14 @@ void Server::UpdateController() {
   const bool buffer_hot =
       static_cast<double>(executor_.footprint_used()) >=
       kBufferHotFraction * static_cast<double>(executor_.footprint_budget());
-  const bool slo_breach =
-      options_.turnaround_slo > 0 &&
-      turnaround_ewma_ > static_cast<double>(options_.turnaround_slo);
-
   // Escalation is immediate: queue depth alone forces shed; degrade also
-  // triggers on a breached turnaround SLO or a hot buffer pool once a
-  // backlog exists (either signal with an empty queue is just the active
-  // set working, not overload).
+  // triggers on a hot buffer pool once the backlog reaches half the
+  // degrade depth (a hot pool with an empty queue is just the active set
+  // working, not overload).
   OverloadState target = state_;
   if (queued_total_ >= options_.shed_queue_depth) {
     target = OverloadState::kShed;
   } else if (queued_total_ >= options_.degrade_queue_depth ||
-             (slo_breach && queued_total_ >= 2) ||
              (buffer_hot &&
               queued_total_ * 2 >= options_.degrade_queue_depth)) {
     target = OverloadState::kDegrade;
@@ -380,11 +357,7 @@ void Server::UpdateController() {
   // degrade, degrade to normal, each requiring recover_hold consecutive
   // healthy evaluations. Any pressure resets the streak.
   if (state_ == OverloadState::kNormal) return;
-  const bool healthy =
-      queued_total_ <= options_.recover_below && !buffer_hot &&
-      (options_.turnaround_slo == 0 ||
-       turnaround_ewma_ < kSloRecoverFraction *
-                              static_cast<double>(options_.turnaround_slo));
+  const bool healthy = queued_total_ <= options_.recover_below && !buffer_hot;
   if (!healthy) {
     healthy_streak_ = 0;
     return;
@@ -402,15 +375,6 @@ void Server::OnJobFinished(std::size_t job) {
   const TenantSpec& spec = options_.tenants[subs_[sub].tenant];
   const WorkloadQueryResult& result = executor_.JobResult(job);
   const SimTime turnaround = result.finished_at - result.arrival;
-  // First completion seeds the EWMA; blending from zero would read as a
-  // phantom period of instant service.
-  if (serve_.Counter("serve.completed") == 0) {
-    turnaround_ewma_ = static_cast<double>(turnaround);
-  } else {
-    turnaround_ewma_ =
-        options_.ewma_alpha * static_cast<double>(turnaround) +
-        (1.0 - options_.ewma_alpha) * turnaround_ewma_;
-  }
   ++serve_.Counter("serve.completed");
   ++serve_.Counter("serve.tenant." + spec.name + ".completed");
   serve_.GetHistogram("serve.turnaround")
@@ -440,7 +404,6 @@ Result<ServeResult> Server::Run() {
   next_submit_ = 0;
   next_fifo_ = 0;
   state_ = OverloadState::kNormal;
-  turnaround_ewma_ = 0.0;
   healthy_streak_ = 0;
   serve_.Reset();
 
@@ -507,7 +470,6 @@ Result<ServeResult> Server::Run() {
   result.admission_order = std::move(admission_order_);
   result.shed = std::move(shed_);
   result.workload = std::move(workload);
-  serve_.Gauge("serve.turnaround_ewma") = turnaround_ewma_;
   result.metrics = serve_.Snapshot();
   result.final_state = state_;
   subs_.clear();

@@ -59,9 +59,9 @@ struct TenantSpec {
 };
 
 /// Overload controller state. Transitions are driven by live signals
-/// (aggregate queue depth, turnaround EWMA, buffer-pool pressure) and are
-/// strictly ordered: normal -> degrade -> shed, with hysteresis on the
-/// way back down.
+/// (aggregate queue depth, buffer-pool pressure) and are strictly
+/// ordered: normal -> degrade -> shed, with hysteresis on the way back
+/// down.
 enum class OverloadState { kNormal, kDegrade, kShed };
 
 const char* OverloadStateName(OverloadState state);
@@ -70,10 +70,9 @@ struct ServeOptions {
   std::vector<TenantSpec> tenants;
 
   /// Executor configuration (policy, budget fraction, stats, priority_io,
-  /// explain, ...). Validated on entry via ValidateWorkloadOptions.
-  /// enable_sharing is unsupported under external admission. A Server
-  /// steps one executor over one Database, so a sharded store cannot be
-  /// served (drive it through ShardedWorkloadExecutor).
+  /// explain, ...). Validated on entry via ValidateWorkloadOptions. A
+  /// Server steps one executor over one Database, so a sharded store
+  /// cannot be served (drive it through ShardedWorkloadExecutor).
   WorkloadOptions workload;
 
   // --- Overload controller thresholds ---------------------------------
@@ -83,20 +82,11 @@ struct ServeOptions {
   /// Aggregate queued queries at or above this enter the shed state.
   /// Must be >= degrade_queue_depth.
   std::size_t shed_queue_depth = 16;
-  /// Turnaround SLO (simulated ns; 0 disables the signal): an EWMA of
-  /// completed turnarounds above this counts as pressure.
-  SimTime turnaround_slo = 0;
-  /// EWMA smoothing factor in (0, 1].
-  double ewma_alpha = 0.25;
-  /// In the shed state, a tenant whose queue occupancy is at or above
-  /// this fraction of its capacity sheds new arrivals early, preserving
-  /// headroom for tenants that are not flooding the system.
-  double shed_occupancy = 0.5;
   /// Recovery hysteresis: the controller steps DOWN one state only after
   /// `recover_hold` consecutive healthy evaluations (aggregate queue at
-  /// or below `recover_below`, EWMA under 80% of the SLO, buffer
-  /// footprint under 90% of budget). Any unhealthy evaluation resets the
-  /// streak — one good completion never flips the system back.
+  /// or below `recover_below`, buffer footprint under 90% of budget).
+  /// Any unhealthy evaluation resets the streak — one good completion
+  /// never flips the system back.
   std::size_t recover_below = 1;
   std::size_t recover_hold = 4;
   /// DRR refill per round, in estimated-cost units (0 = auto: the mean
@@ -248,7 +238,6 @@ class Server {
   std::size_t next_fifo_ = 0;           // FIFO cursor over executor jobs
 
   OverloadState state_ = OverloadState::kNormal;
-  double turnaround_ewma_ = 0.0;        // simulated ns
   std::size_t healthy_streak_ = 0;
 
   std::vector<std::size_t> admission_order_;

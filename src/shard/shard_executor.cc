@@ -96,11 +96,6 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
         "across shard-local version chains are not implemented — run "
         "transactional workloads unsharded");
   }
-  if (options_.enable_sharing) {
-    return Status::InvalidArgument(
-        "cross-query sharing plans prefix groups whole-workload against "
-        "one store and cannot span shard-partitioned sub-workloads");
-  }
   const std::size_t shard_count = store_->shard_count();
 
   // One plain WorkloadExecutor per participating shard; sub-queries are

@@ -87,8 +87,7 @@ class ShardedWorkloadExecutor {
   /// Runs every participating shard's executor and merges. Hard failures
   /// (validation, a shard run failing as a whole) fail the call;
   /// per-query errors stay per-query, as in WorkloadExecutor. Options
-  /// with `txn` (sharded MVCC is not implemented) or `enable_sharing`
-  /// (prefix groups cannot span shards) are InvalidArgument.
+  /// with `txn` (sharded MVCC is not implemented) are InvalidArgument.
   Result<ShardWorkloadResult> Run();
 
   /// Test hook: like WorkloadOptions::on_pull with the shard id

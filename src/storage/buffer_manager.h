@@ -185,21 +185,6 @@ class BufferManager {
   /// Drops every unpinned page (used to cold-start each measured query).
   Status InvalidateAll();
 
-  // --- Auxiliary memory reservations ------------------------------------
-  //
-  // Components that hold page-sized memory outside the frame table (e.g.
-  // the workload executor's shared-prefix stream buffers) register it
-  // here, in page equivalents, so admission controllers can subtract it
-  // from the pool they hand out. Accounting only: reservations do not
-  // remove frames or change eviction.
-
-  void ReserveAux(std::size_t pages) { aux_reserved_ += pages; }
-  void ReleaseAux(std::size_t pages) {
-    NAVPATH_DCHECK(aux_reserved_ >= pages);
-    aux_reserved_ -= std::min(pages, aux_reserved_);
-  }
-  std::size_t aux_reserved_pages() const { return aux_reserved_; }
-
   // Internal accessors used by PageGuard.
   void Unpin(std::size_t frame_idx);
   PageId FramePage(std::size_t frame_idx) const {
@@ -283,7 +268,6 @@ class BufferManager {
   // In-flight prefetches, each with the owners interested in the page
   // (small vectors: a handful of concurrent queries at most).
   std::unordered_map<PageId, std::vector<std::uint32_t>> in_flight_;
-  std::size_t aux_reserved_ = 0;  // page-equivalents held outside frames
   std::function<void(PageId)> unpin_listener_;
   std::uint64_t use_counter_ = 0;
   std::uint64_t installs_ = 0;

@@ -525,20 +525,6 @@ TEST(ShardValidationTest, RejectsShardsCombinedWithTransactions) {
       << run.status().ToString();
 }
 
-TEST(ShardValidationTest, RejectsShardsCombinedWithSharing) {
-  auto store = BuildSharded(0.01, 1);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  WorkloadOptions options;
-  options.enable_sharing = true;
-  ShardedWorkloadExecutor executor(store->get(), options);
-  ASSERT_TRUE(executor.Add("/site//keyword",
-                           PaperPlan(PlanKind::kXSchedule)).ok());
-  auto run = executor.Run();
-  ASSERT_TRUE(run.status().IsInvalidArgument()) << run.status().ToString();
-  EXPECT_NE(run.status().ToString().find("sharing"), std::string::npos)
-      << run.status().ToString();
-}
-
 TEST(ShardedWorkloadTest, RejectsOutOfDomainQueriesAtMultiShard) {
   auto store = BuildSharded(0.02, 2);
   ASSERT_TRUE(store.ok()) << store.status().ToString();

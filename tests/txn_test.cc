@@ -328,14 +328,6 @@ TEST(TxnTest, AddWriteValidation) {
   WorkloadExecutor executor(&f.db, f.doc, options);
   EXPECT_TRUE(executor.AddWrite({}, 0).IsInvalidArgument());  // empty ops
 
-  WorkloadOptions sharing = options;
-  sharing.enable_sharing = true;
-  const Status sharing_status = ValidateWorkloadOptions(sharing);
-  EXPECT_TRUE(sharing_status.IsInvalidArgument());
-  // The rejection must explain itself, not just fail.
-  EXPECT_NE(sharing_status.ToString().find("sharing"), std::string::npos)
-      << sharing_status.ToString();
-
   WorkloadOptions no_writers = options;
   no_writers.max_writers = 0;
   EXPECT_TRUE(ValidateWorkloadOptions(no_writers).IsInvalidArgument());
