@@ -76,7 +76,6 @@ ServeOptions ServeConfig(const DocumentStats* stats, SimTime gold_slack) {
   options.workload.max_concurrent = 4;
   options.degrade_queue_depth = 4;
   options.shed_queue_depth = 10;
-  options.recover_below = 1;
   options.recover_hold = 3;
   return options;
 }

@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace navpath {
@@ -38,6 +39,40 @@ Metrics Metrics::Delta(const Metrics& start) const {
   d.s_set_probes = s_set_probes - start.s_set_probes;
   d.fallback_activations = fallback_activations - start.fallback_activations;
   return d;
+}
+
+void AccumulateMetrics(Metrics* into, const Metrics& add) {
+  into->disk_reads += add.disk_reads;
+  into->disk_seq_reads += add.disk_seq_reads;
+  into->disk_writes += add.disk_writes;
+  into->disk_seek_pages += add.disk_seek_pages;
+  into->async_requests += add.async_requests;
+  into->async_reorderings += add.async_reorderings;
+  into->requests_merged += add.requests_merged;
+  into->elevator_batches += add.elevator_batches;
+  into->elevator_depth_sum += add.elevator_depth_sum;
+  into->elevator_depth_max =
+      std::max(into->elevator_depth_max, add.elevator_depth_max);
+  into->priority_jumps += add.priority_jumps;
+  into->buffer_hits += add.buffer_hits;
+  into->buffer_misses += add.buffer_misses;
+  into->buffer_evictions += add.buffer_evictions;
+  into->swizzle_ops += add.swizzle_ops;
+  into->unswizzle_ops += add.unswizzle_ops;
+  into->faults_injected += add.faults_injected;
+  into->fault_retries += add.fault_retries;
+  into->corruptions_detected += add.corruptions_detected;
+  into->fault_fallbacks += add.fault_fallbacks;
+  into->clusters_visited += add.clusters_visited;
+  into->intra_cluster_hops += add.intra_cluster_hops;
+  into->inter_cluster_hops += add.inter_cluster_hops;
+  into->node_tests += add.node_tests;
+  into->instances_created += add.instances_created;
+  into->instances_full += add.instances_full;
+  into->speculative_instances += add.speculative_instances;
+  into->r_set_probes += add.r_set_probes;
+  into->s_set_probes += add.s_set_probes;
+  into->fallback_activations += add.fallback_activations;
 }
 
 std::string Metrics::ToString() const {

@@ -81,6 +81,10 @@ struct Metrics {
   std::string ToString() const;
 };
 
+/// Sums `add` into `into` field-wise (elevator_depth_max as max): the
+/// aggregate I/O picture across parallel drives.
+void AccumulateMetrics(Metrics* into, const Metrics& add);
+
 }  // namespace navpath
 
 #endif  // NAVPATH_COMMON_METRICS_H_

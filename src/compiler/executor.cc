@@ -40,7 +40,7 @@ Status DrainPlan(Database* db, PathPlan* plan, bool collect_nodes,
   // An early stop (existence queries) abandons the plan's speculative
   // prefetches mid-flight; drain them so the database stays reusable and
   // the device-busy tail is accounted for (same contract as
-  // WorkloadExecutor::CollectResult).
+  // WorkloadExecutor::EndStepping).
   if (stopped_early) {
     while (db->buffer()->HasPrefetchInFlight()) {
       (void)db->buffer()->WaitAnyPrefetch();
@@ -153,18 +153,10 @@ Result<std::vector<LogicalNode>> EvaluateWithPredicates(
     NAVPATH_ASSIGN_OR_RETURN(
         PathPlan plan,
         BuildPlan(db, doc, segment, contexts, plan_options));
-    NAVPATH_RETURN_NOT_OK(plan.root()->Open());
     std::vector<LogicalNode> nodes;
-    FlatSet<std::uint64_t> seen;
-    PathInstance inst;
-    for (;;) {
-      NAVPATH_ASSIGN_OR_RETURN(const bool more, plan.root()->Pull(&inst));
-      if (!more) break;
-      db->clock()->ChargeCpu(db->costs().set_op);
-      if (!seen.insert(inst.right.node.Pack())) continue;
-      nodes.push_back(LogicalNode{inst.right.node, 0, inst.right.order});
-    }
-    NAVPATH_RETURN_NOT_OK(plan.root()->Close());
+    std::uint64_t count = 0;
+    NAVPATH_RETURN_NOT_OK(DrainPlan(db, &plan, /*collect_nodes=*/true,
+                                    &count, &nodes));
 
     if (segment_has_predicates) {
       const LocationStep& predicated = path.steps[end - 1];
@@ -261,6 +253,18 @@ PathExplain BuildPathExplain(Database* db, const LocationPath& path,
   return explain;
 }
 
+void SortDocumentOrder(Database* db, std::vector<LogicalNode>* nodes) {
+  if (nodes->size() < 2) return;
+  const double n = static_cast<double>(nodes->size());
+  db->clock()->ChargeCpu(static_cast<SimTime>(
+      n * std::max(1.0, std::log2(n)) *
+      static_cast<double>(db->costs().sort_op)));
+  std::sort(nodes->begin(), nodes->end(),
+            [](const LogicalNode& a, const LogicalNode& b) {
+              return a.order < b.order;
+            });
+}
+
 namespace {
 
 Result<QueryRunResult> ExecuteQueryImpl(Database* db,
@@ -287,12 +291,7 @@ Result<QueryRunResult> ExecuteQueryImpl(Database* db,
   PlanOptions plan_options = options.plan;
   if (options.explain) plan_options.profile = true;
 
-  const PathSummary* summary =
-      plan_options.use_summary
-          ? (plan_options.translator != nullptr
-                 ? plan_options.snapshot_summary
-                 : db->summary())
-          : nullptr;
+  const PathSummary* summary = PlanSummary(db, plan_options);
   const bool exists_mode = query.mode == PathQuery::Mode::kExists;
 
   QueryRunResult result;
@@ -373,18 +372,7 @@ Result<QueryRunResult> ExecuteQueryImpl(Database* db,
     }
   }
 
-  if (collect && result.nodes.size() > 1) {
-    // Document-order sort (Sec. 5.5); order keys travel with instances so
-    // no I/O is needed.
-    const double n = static_cast<double>(result.nodes.size());
-    db->clock()->ChargeCpu(static_cast<SimTime>(
-        n * std::max(1.0, std::log2(n)) *
-        static_cast<double>(db->costs().sort_op)));
-    std::sort(result.nodes.begin(), result.nodes.end(),
-              [](const LogicalNode& a, const LogicalNode& b) {
-                return a.order < b.order;
-              });
-  }
+  SortDocumentOrder(db, &result.nodes);
 
   result.total_time = db->clock()->now() - window_t0;
   result.cpu_time = db->clock()->cpu_time() - window_cpu0;

@@ -75,6 +75,11 @@ PathExplain BuildPathExplain(Database* db, const LocationPath& path,
                              SimTime io_wait_time, const Metrics& window,
                              const PathSummary* summary = nullptr);
 
+/// Document-order sort (Sec. 5.5) of collected result nodes: charges
+/// n·max(1, log2 n)·sort_op, then sorts by order key. Order keys travel
+/// with instances, so no I/O is needed. Fewer than two nodes cost nothing.
+void SortDocumentOrder(Database* db, std::vector<LogicalNode>* nodes);
+
 /// Runs one location path and returns its (distinct) result nodes/count.
 Result<QueryRunResult> ExecutePath(Database* db, const ImportedDocument& doc,
                                    const LocationPath& path,

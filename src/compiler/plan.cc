@@ -9,6 +9,13 @@
 
 namespace navpath {
 
+const PathSummary* PlanSummary(const Database* db,
+                               const PlanOptions& options) {
+  if (!options.use_summary) return nullptr;
+  return options.translator != nullptr ? options.snapshot_summary
+                                       : db->summary();
+}
+
 Result<PathPlan> BuildPlan(Database* db, const ImportedDocument& doc,
                            const LocationPath& path,
                            std::vector<LogicalNode> contexts,
@@ -41,11 +48,7 @@ Result<PathPlan> BuildPlan(Database* db, const ImportedDocument& doc,
   // Path-summary consultation: a provably empty path needs no operators
   // beyond an empty ContextScan (zero cluster accesses); a supported
   // XScan path confines the sweep to the touched-extent union.
-  const PathSummary* summary =
-      options.use_summary
-          ? (options.translator != nullptr ? options.snapshot_summary
-                                           : db->summary())
-          : nullptr;
+  const PathSummary* summary = PlanSummary(db, options);
   std::vector<SummaryExtent> scan_extents;
   if (summary != nullptr && PathSummary::Supports(path)) {
     const SummaryMatch match = summary->Match(path);

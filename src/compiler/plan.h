@@ -96,6 +96,11 @@ class PathPlan {
   bool summary_pruned_ = false;
 };
 
+/// The path summary a plan built with `options` consults: none without
+/// use_summary, the snapshot's own under a translator, else the
+/// database's (null when it has none).
+const PathSummary* PlanSummary(const Database* db, const PlanOptions& options);
+
 /// Builds a plan for `path` over `doc`. `contexts` seeds relative paths;
 /// absolute paths use the document root (contexts may then be empty).
 Result<PathPlan> BuildPlan(Database* db, const ImportedDocument& doc,

@@ -1,7 +1,6 @@
 #include "compiler/shared_scan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "algebra/xstep.h"
@@ -21,23 +20,9 @@ struct PathLane {
 
 }  // namespace
 
-Result<SharedScanResult> ExecuteQuerySharedScan(
-    Database* db, const ImportedDocument& doc, const PathQuery& query,
-    bool cold_start) {
-  SharedScanOptions options;
-  options.cold_start = cold_start;
-  return ExecuteQuerySharedScan(db, doc, query, options);
-}
-
-Result<SharedScanResult> ExecuteQuerySharedScan(
-    Database* db, const ImportedDocument& doc, const PathQuery& query,
-    const SharedScanOptions& options) {
-  const bool cold_start = options.cold_start;
-  if (options.s_budget != 0) {
-    return Status::InvalidArgument(
-        "shared scan cannot honor an s_budget: fallback mode would make "
-        "one lane navigate across borders mid-scan; use ExecuteQuery");
-  }
+Result<SharedScanResult> ExecuteQuerySharedScan(Database* db,
+                                                const ImportedDocument& doc,
+                                                const PathQuery& query) {
   if (query.paths.empty()) {
     return Status::InvalidArgument("query without paths");
   }
@@ -51,9 +36,7 @@ Result<SharedScanResult> ExecuteQuerySharedScan(
           "shared scan does not evaluate predicates; use ExecuteQuery");
     }
   }
-  if (cold_start) {
-    NAVPATH_RETURN_NOT_OK(db->ResetMeasurement());
-  }
+  NAVPATH_RETURN_NOT_OK(db->ResetMeasurement());
 
   PlanSharedState shared(db);
   std::vector<PathLane> lanes(query.paths.size());
@@ -141,17 +124,7 @@ Result<SharedScanResult> ExecuteQuerySharedScan(
     result.combined.count += c;
   }
 
-  if (query.mode == PathQuery::Mode::kNodes &&
-      result.combined.nodes.size() > 1) {
-    const double n = static_cast<double>(result.combined.nodes.size());
-    db->clock()->ChargeCpu(static_cast<SimTime>(
-        n * std::max(1.0, std::log2(n)) *
-        static_cast<double>(db->costs().sort_op)));
-    std::sort(result.combined.nodes.begin(), result.combined.nodes.end(),
-              [](const LogicalNode& a, const LogicalNode& b) {
-                return a.order < b.order;
-              });
-  }
+  SortDocumentOrder(db, &result.combined.nodes);
   result.combined.total_time = db->clock()->now();
   result.combined.cpu_time = db->clock()->cpu_time();
   result.combined.metrics = *db->metrics();

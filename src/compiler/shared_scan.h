@@ -58,26 +58,14 @@ struct SharedScanResult {
   std::vector<std::uint64_t> path_counts;   // one entry per query path
 };
 
-struct SharedScanOptions {
-  /// Reset buffer/clock/metrics before the run.
-  bool cold_start = true;
-  /// Memory budget for each lane's speculative structure S. Shared scan
-  /// cannot honor one: fallback mode (Sec. 5.4.6) would make one lane
-  /// navigate across borders while the others still speculate against
-  /// the pinned cluster. Any nonzero value is rejected with
-  /// InvalidArgument — use ExecuteQuery for budgeted evaluation.
-  std::size_t s_budget = 0;
-};
-
-/// Evaluates all paths of `query` in one sequential scan.
-Result<SharedScanResult> ExecuteQuerySharedScan(
-    Database* db, const ImportedDocument& doc, const PathQuery& query,
-    const SharedScanOptions& options);
-
-/// Back-compat convenience overload (default options but cold_start).
-Result<SharedScanResult> ExecuteQuerySharedScan(
-    Database* db, const ImportedDocument& doc, const PathQuery& query,
-    bool cold_start = true);
+/// Evaluates all paths of `query` in one sequential scan, from a cold
+/// start (buffer, clock and metrics reset). Each lane's speculative
+/// structure S is unbounded: fallback mode (Sec. 5.4.6) would make one
+/// lane navigate across borders while the others still speculate against
+/// the pinned cluster, so budgeted evaluation goes through ExecuteQuery.
+Result<SharedScanResult> ExecuteQuerySharedScan(Database* db,
+                                                const ImportedDocument& doc,
+                                                const PathQuery& query);
 
 }  // namespace navpath
 

@@ -59,6 +59,12 @@ constexpr double kDeadlineHeadroom = 2.0;
 /// plus slack for the chain page a gapped insert may redistribute into.
 constexpr std::size_t kWriterFootprint = 4;
 
+/// Fraction of the buffer pool the admission controller hands out to the
+/// active queries' aggregate prefetch/speculative footprint. The head of
+/// the admission queue is always admitted, even if its footprint alone
+/// exceeds the budget (a lone query must run).
+constexpr double kBufferBudgetFraction = 0.75;
+
 /// Base backoff before an aborted writer's first retry; doubles per retry
 /// (capped at 64x). Simulated time, charged via the clock, so backed-off
 /// writers yield the window to their conflictors.
@@ -67,12 +73,6 @@ constexpr SimTime kWriterRetryBackoff = 100 * kSimMicrosecond;
 }  // namespace
 
 Status ValidateWorkloadOptions(const WorkloadOptions& options) {
-  // NaN fails the > comparison, so it lands here too.
-  if (!(options.buffer_budget_fraction > 0.0) ||
-      options.buffer_budget_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "buffer_budget_fraction must be in (0, 1]");
-  }
   if (options.max_writers == 0) {
     return Status::InvalidArgument(
         "max_writers must be at least 1 (0 would never admit a writer)");
@@ -223,7 +223,7 @@ Status WorkloadExecutor::StartNextPath(Job* job) {
   if (job->is_write) {
     // Activation of a write transaction: open the writer against the
     // current version. The ops themselves are applied writer_batch per
-    // pull (see PullOnce), so writes interleave with reads at pull
+    // pull (see StepOnce), so writes interleave with reads at pull
     // granularity.
     job->writer = options_.txn->BeginWrite();
     job->result.snapshot_seq = job->writer->base_seq();
@@ -528,12 +528,11 @@ std::size_t WorkloadExecutor::PickNext(
   NAVPATH_UNREACHABLE();
 }
 
-Status WorkloadExecutor::BeginRun() {
+Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
   NAVPATH_RETURN_NOT_OK(ValidateWorkloadOptions(options_));
-  if (!stepping_) n_total_ = jobs_.size();
-  if (options_.cold_start) {
-    NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
-  }
+  NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
+  stepping_ = true;
+  n_total_ = expected_jobs;
   sched_.Reset();
   rr_cursor_ = static_cast<std::size_t>(-1);
   hybrid_io_cursor_ = static_cast<std::size_t>(-1);
@@ -546,18 +545,10 @@ Status WorkloadExecutor::BeginRun() {
   writer_commit_attempts_ = 0;
   writer_conflict_aborts_ = 0;
   writer_cost_ewma_ = 0.0;
-
-  // Everything below reports deltas over this window, so repeated runs on
-  // a shared Database measure only themselves. After a cold start the
-  // window base is zero and the deltas equal the absolute readings.
-  window_start_ = db_->metrics()->Snapshot();
-  window_t0_ = db_->clock()->now();
-  window_cpu0_ = db_->clock()->cpu_time();
-
   budget_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              static_cast<double>(db_->buffer()->capacity()) *
-             options_.buffer_budget_fraction));
+             kBufferBudgetFraction));
   return Status::OK();
 }
 
@@ -580,8 +571,13 @@ void WorkloadExecutor::FinishJob(std::size_t active_pos) {
                     static_cast<std::ptrdiff_t>(active_pos));
 }
 
-Result<std::size_t> WorkloadExecutor::PullOnce() {
-  NAVPATH_DCHECK(!run_active_.empty());
+Result<std::size_t> WorkloadExecutor::StepOnce() {
+  if (!stepping_) {
+    return Status::InvalidArgument("not in stepping mode");
+  }
+  if (run_active_.empty()) {
+    return Status::InvalidArgument("nothing active to pull");
+  }
   const std::size_t pick = PickNext(run_active_, run_decisions_);
   const std::size_t job_index = run_active_[pick];
   Job& job = jobs_[job_index];
@@ -754,23 +750,23 @@ Result<std::size_t> WorkloadExecutor::PullOnce() {
     return kNoJob;
   }
 
-  // Query finished: order its results, free its plan and footprint,
-  // and let the admission controller top the active set back up.
-  if (job.result.nodes.size() > 1) {
-    const double n = static_cast<double>(job.result.nodes.size());
-    db_->clock()->ChargeCpu(static_cast<SimTime>(
-        n * std::max(1.0, std::log2(n)) *
-        static_cast<double>(db_->costs().sort_op)));
-    std::sort(job.result.nodes.begin(), job.result.nodes.end(),
-              [](const LogicalNode& a, const LogicalNode& b) {
-                return a.order < b.order;
-              });
+  // Query finished: exists() answers the OR over its operand paths (every
+  // path still ran to exhaustion, so costs match a count()); order the
+  // results, free the plan and footprint, and let the driver top the
+  // active set back up.
+  if (job.query.mode == PathQuery::Mode::kExists) {
+    job.result.count = job.result.count > 0 ? 1 : 0;
   }
+  SortDocumentOrder(db_, &job.result.nodes);
   FinishJob(pick);
   return job_index;
 }
 
-WorkloadResult WorkloadExecutor::CollectResult() {
+Result<WorkloadResult> WorkloadExecutor::EndStepping() {
+  if (!stepping_) {
+    return Status::InvalidArgument("not in stepping mode");
+  }
+  stepping_ = false;
   // Drain speculative reads no query consumed (cross-query completion
   // stealing can leave a closed plan's prefetches in flight), so the
   // database is reusable and the device-busy tail is accounted for.
@@ -783,9 +779,11 @@ WorkloadResult WorkloadExecutor::CollectResult() {
     result.queries.push_back(std::move(job.result));
   }
   jobs_.clear();
-  result.total_time = db_->clock()->now() - window_t0_;
-  result.cpu_time = db_->clock()->cpu_time() - window_cpu0_;
-  result.metrics = db_->metrics()->Delta(window_start_);
+  // BeginStepping's cold start zeroed the clock and the metrics, so the
+  // readings are the run's own.
+  result.total_time = db_->clock()->now();
+  result.cpu_time = db_->clock()->cpu_time();
+  result.metrics = *db_->metrics();
   result.scheduler = sched_.Snapshot();
   return result;
 }
@@ -794,42 +792,58 @@ Result<WorkloadResult> WorkloadExecutor::Run() {
   if (jobs_.empty()) {
     return Status::InvalidArgument("empty workload");
   }
-  stepping_ = false;
-  NAVPATH_RETURN_NOT_OK(BeginRun());
+  NAVPATH_RETURN_NOT_OK(BeginStepping(size()));
 
   // FIFO admission in Add() order: activate arrived jobs while the gate
   // admits the head.
   std::size_t next = 0;
-  const auto admit = [&] {
-    while (next < jobs_.size() &&
-           jobs_[next].arrival <= db_->clock()->now() && CanAdmit(next)) {
-      Activate(next++);
+  const auto admit = [&]() -> Status {
+    while (next < size() && jobs_[next].arrival <= db_->clock()->now() &&
+           CanAdmit(next)) {
+      NAVPATH_RETURN_NOT_OK(ActivateJob(next++));
     }
+    return Status::OK();
   };
-  admit();
-  while (!run_active_.empty() || next < jobs_.size()) {
-    if (run_active_.empty()) {
+  NAVPATH_RETURN_NOT_OK(admit());
+  while (active_count() > 0 || next < size()) {
+    if (active_count() == 0) {
       // Open system, idle gap: nothing to run until the next arrival.
       db_->clock()->WaitUntil(jobs_[next].arrival);
-      admit();
+      NAVPATH_RETURN_NOT_OK(admit());
       continue;
     }
     // Open-system arrivals join the active set mid-run; the gate keeps
     // closed workloads (every arrival == 0) on the exact admission
     // sequence they had before arrivals existed.
-    if (next < jobs_.size() && jobs_[next].arrival != 0 &&
+    if (next < size() && jobs_[next].arrival != 0 &&
         jobs_[next].arrival <= db_->clock()->now()) {
-      admit();
+      NAVPATH_RETURN_NOT_OK(admit());
     }
-    NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, PullOnce());
-    if (done != kNoJob) admit();
+    NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, StepOnce());
+    if (done != kNoJob) NAVPATH_RETURN_NOT_OK(admit());
   }
-
-  return CollectResult();
+  return EndStepping();
 }
 
-void WorkloadExecutor::Activate(std::size_t index) {
+Status WorkloadExecutor::ActivateJob(std::size_t index) {
+  if (!stepping_) {
+    return Status::InvalidArgument("not in stepping mode");
+  }
+  if (index >= jobs_.size()) {
+    return Status::InvalidArgument("no such job");
+  }
   Job& job = jobs_[index];
+  if (job.activated || job.done) {
+    return Status::InvalidArgument("job already activated");
+  }
+  if (job.arrival > db_->clock()->now()) {
+    return Status::InvalidArgument("job has not arrived yet");
+  }
+  if (job.is_write && writers_active_ >= WriterLimit()) {
+    return Status::InvalidArgument(
+        "writer concurrency limit reached (admission runs writers "
+        "serialized or optimistically up to max_writers)");
+  }
   job.activated = true;
   const Status started = StartNextPath(&job);
   job.result.admitted_at = db_->clock()->now();
@@ -842,7 +856,7 @@ void WorkloadExecutor::Activate(std::size_t index) {
     job.snapshot.reset();
     job.done = true;
     ++completed_;
-    return;
+    return Status::OK();
   }
   footprint_used_ += job.footprint;
   // Keep the active set ascending by job id: the rotation picks
@@ -850,36 +864,6 @@ void WorkloadExecutor::Activate(std::size_t index) {
   run_active_.insert(
       std::lower_bound(run_active_.begin(), run_active_.end(), index),
       index);
-}
-
-Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
-  stepping_ = true;
-  n_total_ = expected_jobs;
-  const Status begun = BeginRun();
-  if (!begun.ok()) stepping_ = false;
-  return begun;
-}
-
-Status WorkloadExecutor::ActivateJob(std::size_t index) {
-  if (!stepping_) {
-    return Status::InvalidArgument("not in stepping mode");
-  }
-  if (index >= jobs_.size()) {
-    return Status::InvalidArgument("no such job");
-  }
-  const Job& job = jobs_[index];
-  if (job.activated || job.done) {
-    return Status::InvalidArgument("job already activated");
-  }
-  if (job.arrival > db_->clock()->now()) {
-    return Status::InvalidArgument("job has not arrived yet");
-  }
-  if (job.is_write && writers_active_ >= WriterLimit()) {
-    return Status::InvalidArgument(
-        "writer concurrency limit reached (admission runs writers "
-        "serialized or optimistically up to max_writers)");
-  }
-  Activate(index);
   return Status::OK();
 }
 
@@ -913,24 +897,6 @@ Status WorkloadExecutor::RetierJob(std::size_t index,
   return Status::OK();
 }
 
-Result<std::size_t> WorkloadExecutor::StepOnce() {
-  if (!stepping_) {
-    return Status::InvalidArgument("not in stepping mode");
-  }
-  if (run_active_.empty()) {
-    return Status::InvalidArgument("nothing active to pull");
-  }
-  return PullOnce();
-}
-
-Result<WorkloadResult> WorkloadExecutor::EndStepping() {
-  if (!stepping_) {
-    return Status::InvalidArgument("not in stepping mode");
-  }
-  stepping_ = false;
-  return CollectResult();
-}
-
 bool WorkloadExecutor::CanAdmit(std::size_t index) const {
   NAVPATH_DCHECK(index < jobs_.size());
   const Job& job = jobs_[index];
@@ -951,11 +917,6 @@ double WorkloadExecutor::EstimatedCost(std::size_t index) const {
   double total = 0.0;
   for (const double cost : jobs_[index].path_costs) total += cost;
   return total;
-}
-
-SimTime WorkloadExecutor::JobArrival(std::size_t index) const {
-  NAVPATH_DCHECK(index < jobs_.size());
-  return jobs_[index].arrival;
 }
 
 const WorkloadQueryResult& WorkloadExecutor::JobResult(

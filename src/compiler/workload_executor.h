@@ -59,20 +59,13 @@ struct WorkloadOptions {
   WorkloadPolicy policy = WorkloadPolicy::kRoundRobin;
 
   /// Maximum number of concurrently active queries; 0 means "as many as
-  /// the buffer budget admits". 1 yields back-to-back execution.
+  /// the buffer budget admits" (three quarters of the pool for the active
+  /// queries' aggregate prefetch footprint; the head of the admission
+  /// queue is always admitted). 1 yields back-to-back execution.
   std::size_t max_concurrent = 0;
-
-  /// Fraction of the buffer pool the admission controller hands out to
-  /// the active queries' aggregate prefetch/speculative footprint. The
-  /// head of the admission queue is always admitted, even if its
-  /// footprint alone exceeds the budget (a lone query must run).
-  double buffer_budget_fraction = 0.75;
 
   /// Collect result nodes (document order) for node-mode queries.
   bool collect_nodes = false;
-
-  /// Reset buffer/clock/metrics before the run (cold start).
-  bool cold_start = true;
 
   /// Document statistics for kShortestRemainingCost and for cost-derived
   /// admission footprints; without them the policy degrades to
@@ -171,13 +164,14 @@ struct WriteOp {
 
 /// Entry validation for WorkloadOptions: a serving front-end feeds these
 /// from per-tenant configuration, so malformed budgets must surface as
-/// InvalidArgument instead of tripping asserts mid-run. Checked by Run()
-/// and BeginStepping().
+/// InvalidArgument instead of tripping asserts mid-run. Checked by
+/// BeginStepping(), and so by Run().
 Status ValidateWorkloadOptions(const WorkloadOptions& options);
 
 /// Outcome of one query of the workload.
 struct WorkloadQueryResult {
-  /// Distinct result nodes (summed over count() operands).
+  /// Distinct result nodes (summed over count() operands); 0 or 1 for
+  /// exists(), the OR over its operand paths.
   std::uint64_t count = 0;
   /// Node mode with collect_nodes: distinct nodes in document order.
   std::vector<LogicalNode> nodes;
@@ -229,14 +223,12 @@ struct WorkloadResult {
   /// Per-query outcomes, in Add() order.
   std::vector<WorkloadQueryResult> queries;
 
-  /// Simulated makespan of the run window and its CPU portion: deltas
-  /// from the start of Run() to its end, so repeated runs on a shared
-  /// Database report independent numbers (cold starts make the window
-  /// identical to absolute readings).
+  /// Simulated makespan of the run and its CPU portion, from the cold
+  /// start in BeginStepping() to EndStepping().
   SimTime total_time = 0;
   SimTime cpu_time = 0;
-  /// Database metrics delta over the run window (includes
-  /// requests_merged and the elevator depth counters).
+  /// Database metrics over the same span (includes requests_merged and
+  /// the elevator depth counters).
   Metrics metrics;
 
   /// Scheduler-side observability for the run: counters
@@ -299,30 +291,29 @@ class WorkloadExecutor {
   std::size_t size() const { return jobs_.size(); }
 
   /// Runs every admitted query to completion and reports per-query and
-  /// aggregate outcomes. Jobs are admitted in Add() order as budget and
-  /// slots free up (a FIFO loop over CanAdmit and the activation
-  /// ActivateJob performs); active jobs are interleaved by the policy. The
-  /// executor can be reused: Run() clears the job list afterwards.
+  /// aggregate outcomes: a FIFO driver over the stepping calls below
+  /// (BeginStepping(size()), then CanAdmit/ActivateJob in Add() order as
+  /// budget and slots free up, StepOnce until nothing is active or
+  /// queued, EndStepping). The executor can be reused: Run() clears the
+  /// job list afterwards.
   Result<WorkloadResult> Run();
 
-  // --- Stepping interface (serving-layer driver) -----------------------
+  // --- Stepping interface -----------------------------------------------
   //
-  // Run() owns its admission policy (FIFO in Add() order). A serving
-  // front-end (src/serve) instead drives the engine one scheduling
-  // decision at a time and decides itself which job to activate when —
-  // per-tenant queues, weighted fair sharing, overload degradation. Run()
-  // is itself a driver over the same activation and pull code, so a
-  // stepping driver that mirrors its admission policy reproduces its
-  // schedule byte for byte.
+  // Every driver runs the engine through these calls, one scheduling
+  // decision at a time, and decides itself which job to activate when:
+  // Run() admits FIFO in Add() order; a serving front-end (src/serve)
+  // adds per-tenant queues, weighted fair sharing and overload
+  // degradation. A driver that admits like Run() reproduces its schedule
+  // byte for byte.
 
-  /// Enters stepping mode: validates options, performs the cold start and
-  /// measurement-window setup Run() would, and leaves admission to the
-  /// caller. Jobs may still be Add()ed while stepping (nondecreasing
-  /// arrivals). `expected_jobs` declares the workload size the driver
-  /// intends to feed in: scheduling rules that depend on the total count
-  /// (the hybrid window-widening point) use it, so a driver that adds
-  /// jobs lazily at arrival time still reproduces Run()'s decisions. Pass
-  /// 0 when unknown (the live job count is used instead).
+  /// Enters stepping mode: validates options, cold-starts the database
+  /// (buffer, clock, metrics), and leaves admission to the caller. Jobs may still be Add()ed while stepping
+  /// (nondecreasing arrivals). `expected_jobs` declares the workload size
+  /// the driver intends to feed in: scheduling rules that depend on the
+  /// total count (the hybrid window-widening point) use it, so a driver
+  /// that adds jobs lazily at arrival time still reproduces Run()'s
+  /// decisions. Pass 0 when unknown (the live job count is used instead).
   Status BeginStepping(std::size_t expected_jobs = 0);
 
   /// Returned by StepOnce when no job completed on that decision.
@@ -342,29 +333,31 @@ class WorkloadExecutor {
   Status RetierJob(std::size_t index, const PlanOptions& plan);
 
   /// Executes one scheduling decision over the activated jobs: picks per
-  /// policy, pulls once, and handles yields/completions exactly as
-  /// Run()'s loop does. Returns the jobs_ index of the job that completed
-  /// (or individually failed) on this decision, kNoJob otherwise.
-  /// InvalidArgument when nothing is active.
+  /// policy, pulls once, and accounts. Handles yields, results, path
+  /// transitions, and completion (including footprint release). A pull
+  /// that surfaces an error fails that job alone: the error lands in the
+  /// job's result status and the driver keeps serving its neighbors.
+  /// Returns the jobs_ index of the job that completed (or individually
+  /// failed) on this decision, kNoJob otherwise. InvalidArgument when
+  /// nothing is active.
   Result<std::size_t> StepOnce();
 
   /// Leaves stepping mode: drains orphaned prefetches and reports the run
-  /// exactly as Run() does (per-query results in Add() order, window
-  /// deltas, scheduler snapshot). Clears the job list.
+  /// (per-query results in Add() order, makespan, metrics, scheduler
+  /// snapshot). Clears the job list.
   Result<WorkloadResult> EndStepping();
 
   // Driver-side introspection (valid while stepping).
   std::size_t active_count() const { return run_active_.size(); }
   std::size_t footprint_used() const { return footprint_used_; }
   std::size_t footprint_budget() const { return budget_; }
-  /// Whether Run()'s admission gate would admit `index` right now: a free
+  /// Whether the admission gate would admit `index` right now: a free
   /// slot, either an empty active set or room in the buffer budget for
   /// the job's footprint, and a free writer slot for a writer.
   bool CanAdmit(std::size_t index) const;
   /// The cost model's up-front estimate for the whole job (sum over its
   /// paths; 0 without stats). The DRR admission quantum currency.
   double EstimatedCost(std::size_t index) const;
-  SimTime JobArrival(std::size_t index) const;
   const WorkloadQueryResult& JobResult(std::size_t index) const;
 
  private:
@@ -379,8 +372,7 @@ class WorkloadExecutor {
     SimTime deadline = 0;
     /// Buffer pages the job's prefetch state may occupy (admission).
     std::size_t footprint = 0;
-    /// Lifecycle: set by Activate (under Run() and stepping drivers
-    /// alike) and by completion.
+    /// Lifecycle: set by ActivateJob and by completion.
     bool activated = false;
     bool done = false;
 
@@ -429,33 +421,10 @@ class WorkloadExecutor {
   /// RetierJob.
   void ComputeEstimates(Job* job) const;
 
-  /// Shared setup of Run() and BeginStepping(): option validation, cold
-  /// start, measurement-window snapshots, the admission budget, and
-  /// scheduler-state reset.
-  Status BeginRun();
-
-  /// Activates job `index`: opens its first plan and charges its
-  /// footprint, then joins the active set. A plan that fails to open
-  /// fails the job alone: it is finished on the spot with the error in
-  /// its result. The one activation path of Run() and ActivateJob.
-  void Activate(std::size_t index);
-
-  /// One scheduling decision over run_active_: pick, pull, account.
-  /// Handles yields, results, path transitions, and completion (including
-  /// footprint release). A pull that surfaces an error fails that job
-  /// alone: the error lands in the job's result status and the loop keeps
-  /// serving its neighbors. Returns the jobs_ index of the job that
-  /// finished on this decision, kNoJob otherwise.
-  Result<std::size_t> PullOnce();
-
   /// Completion bookkeeping shared by the success and failure exits of
-  /// PullOnce: stamps finished_at, frees plan + footprint, and removes
+  /// StepOnce: stamps finished_at, frees plan + footprint, and removes
   /// the job from the active set.
   void FinishJob(std::size_t active_pos);
-
-  /// Builds the final WorkloadResult from the measurement window (shared
-  /// by Run and EndStepping).
-  WorkloadResult CollectResult();
 
   /// Admission footprint of `job`: the static prefetch-state bound,
   /// tightened by the cost model's clusters_touched estimate when
@@ -526,19 +495,16 @@ class WorkloadExecutor {
   WorkloadOptions options_;
   std::vector<Job> jobs_;
   /// Run/stepping state: the active set (jobs_ indices), the decision
-  /// stamp, the yield streak, and the measurement-window bases.
+  /// stamp, and the yield streak.
   std::vector<std::size_t> run_active_;
   std::uint64_t run_decisions_ = 0;
   std::size_t consecutive_yields_ = 0;
   std::size_t budget_ = 0;
   bool stepping_ = false;
   /// Workload size the count-relative scheduling rules divide by: the
-  /// Add()ed job count under Run(), the driver-declared expected total
-  /// under stepping (where jobs may not all exist yet).
+  /// driver-declared expected total (jobs may not all exist yet; Run()
+  /// declares its job count).
   std::size_t n_total_ = 0;
-  Metrics window_start_;
-  SimTime window_t0_ = 0;
-  SimTime window_cpu0_ = 0;
   PathInstance step_inst_;
   /// Aggregate admission footprint of the active set.
   std::size_t footprint_used_ = 0;
@@ -546,7 +512,7 @@ class WorkloadExecutor {
   /// before the first): one for kRoundRobin, one for kHybrid's I/O set.
   std::size_t rr_cursor_ = static_cast<std::size_t>(-1);
   std::size_t hybrid_io_cursor_ = static_cast<std::size_t>(-1);
-  /// Jobs finished in the current Run() (widens kHybrid's window).
+  /// Jobs finished in the current run (widens kHybrid's window).
   std::size_t completed_ = 0;
   /// Write transactions currently active (WorkloadOptions.txn). The
   /// admission gate holds this at WriterLimit(): width max_writers while
@@ -561,8 +527,8 @@ class WorkloadExecutor {
   std::uint64_t writer_commit_attempts_ = 0;
   std::uint64_t writer_conflict_aborts_ = 0;
   double writer_cost_ewma_ = 0.0;
-  /// Scheduler observability for the current Run() (reset at its start);
-  /// snapshotted into WorkloadResult::scheduler.
+  /// Scheduler observability for the current run (reset by
+  /// BeginStepping); snapshotted into WorkloadResult::scheduler.
   MetricsRegistry sched_;
 };
 

@@ -21,6 +21,8 @@ constexpr double kBufferHotFraction = 0.9;
 /// fraction of its capacity sheds new arrivals early, preserving headroom
 /// for tenants that are not flooding the system.
 constexpr double kShedOccupancy = 0.5;
+/// Recovery needs the aggregate queue at or below this many queries.
+constexpr std::size_t kRecoverQueueDepth = 1;
 
 }  // namespace
 
@@ -60,9 +62,6 @@ Status ValidateServeOptions(const ServeOptions& options) {
   }
   if (options.recover_hold == 0) {
     return Status::InvalidArgument("recover_hold must be positive");
-  }
-  if (!(options.drr_quantum >= 0.0)) {
-    return Status::InvalidArgument("drr_quantum must be nonnegative");
   }
   return ValidateWorkloadOptions(options.workload);
 }
@@ -244,17 +243,16 @@ Status Server::AdmitDrr() {
   // cost through per round. The pass loop ends when a full pass admits
   // nothing (budget exhausted or heads blocked by CanAdmit) — except
   // while the executor is idle, when it must first admit something.
-  double quantum = options_.drr_quantum;
-  if (quantum <= 0.0) {
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const std::deque<std::size_t>& queue : queues_) {
-      if (queue.empty()) continue;
-      sum += std::max(1.0, executor_.EstimatedCost(job_of_[queue.front()]));
-      ++n;
-    }
-    quantum = n == 0 ? 1.0 : sum / static_cast<double>(n);
+  // The refill per round is the mean estimated cost of the tenants'
+  // queue heads at the start of the pass.
+  double sum = 0.0;
+  std::size_t n = 0;
+  for (const std::deque<std::size_t>& queue : queues_) {
+    if (queue.empty()) continue;
+    sum += std::max(1.0, executor_.EstimatedCost(job_of_[queue.front()]));
+    ++n;
   }
+  const double quantum = n == 0 ? 1.0 : sum / static_cast<double>(n);
   bool admitted_any = false;
   for (;;) {
     bool progress = false;
@@ -357,7 +355,7 @@ void Server::UpdateController() {
   // degrade, degrade to normal, each requiring recover_hold consecutive
   // healthy evaluations. Any pressure resets the streak.
   if (state_ == OverloadState::kNormal) return;
-  const bool healthy = queued_total_ <= options_.recover_below && !buffer_hot;
+  const bool healthy = queued_total_ <= kRecoverQueueDepth && !buffer_hot;
   if (!healthy) {
     healthy_streak_ = 0;
     return;

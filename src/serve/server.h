@@ -83,16 +83,11 @@ struct ServeOptions {
   /// Must be >= degrade_queue_depth.
   std::size_t shed_queue_depth = 16;
   /// Recovery hysteresis: the controller steps DOWN one state only after
-  /// `recover_hold` consecutive healthy evaluations (aggregate queue at
-  /// or below `recover_below`, buffer footprint under 90% of budget).
+  /// `recover_hold` consecutive healthy evaluations (at most one query
+  /// queued across all tenants, buffer footprint under 90% of budget).
   /// Any unhealthy evaluation resets the streak — one good completion
   /// never flips the system back.
-  std::size_t recover_below = 1;
   std::size_t recover_hold = 4;
-  /// DRR refill per round, in estimated-cost units (0 = auto: the mean
-  /// estimated cost of the tenants' queue heads at the start of each
-  /// admission pass).
-  double drr_quantum = 0.0;
 };
 
 /// Entry validation for the serving configuration (tenant set, queue

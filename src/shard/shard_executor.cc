@@ -6,40 +6,6 @@
 
 namespace navpath {
 
-void AccumulateMetrics(Metrics* into, const Metrics& add) {
-  into->disk_reads += add.disk_reads;
-  into->disk_seq_reads += add.disk_seq_reads;
-  into->disk_writes += add.disk_writes;
-  into->disk_seek_pages += add.disk_seek_pages;
-  into->async_requests += add.async_requests;
-  into->async_reorderings += add.async_reorderings;
-  into->requests_merged += add.requests_merged;
-  into->elevator_batches += add.elevator_batches;
-  into->elevator_depth_sum += add.elevator_depth_sum;
-  into->elevator_depth_max =
-      std::max(into->elevator_depth_max, add.elevator_depth_max);
-  into->priority_jumps += add.priority_jumps;
-  into->buffer_hits += add.buffer_hits;
-  into->buffer_misses += add.buffer_misses;
-  into->buffer_evictions += add.buffer_evictions;
-  into->swizzle_ops += add.swizzle_ops;
-  into->unswizzle_ops += add.unswizzle_ops;
-  into->faults_injected += add.faults_injected;
-  into->fault_retries += add.fault_retries;
-  into->corruptions_detected += add.corruptions_detected;
-  into->fault_fallbacks += add.fault_fallbacks;
-  into->clusters_visited += add.clusters_visited;
-  into->intra_cluster_hops += add.intra_cluster_hops;
-  into->inter_cluster_hops += add.inter_cluster_hops;
-  into->node_tests += add.node_tests;
-  into->instances_created += add.instances_created;
-  into->instances_full += add.instances_full;
-  into->speculative_instances += add.speculative_instances;
-  into->r_set_probes += add.r_set_probes;
-  into->s_set_probes += add.s_set_probes;
-  into->fallback_activations += add.fallback_activations;
-}
-
 namespace {
 
 /// Sorts by the original document's order keys and drops duplicates (the
@@ -185,11 +151,12 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
         part.nodes.clear();
       }
     }
-    // The workload layer reports raw distinct-node counts for every mode
-    // (a WorkloadExecutor does not clamp exists() to 0/1), and the only
+    // exists() is the OR of the shards' 0/1 answers. Otherwise the only
     // node two shards can both count is the replicated root, so the merge
-    // is the same arithmetic everywhere: sum minus the known overcount.
-    merged.count = sum - q.route.root_dup;
+    // is the sum minus the known overcount.
+    merged.count = q.route.per_shard[0].mode == PathQuery::Mode::kExists
+                       ? (sum > 0 ? 1 : 0)
+                       : sum - q.route.root_dup;
     if (slots[qi].size() > 1 && !merged.nodes.empty()) {
       merge_duplicates += MergeDocumentOrder(&merged.nodes);
     } else {
@@ -223,45 +190,6 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
   }
   out.scheduler = registry.Snapshot();
   return out;
-}
-
-Result<QueryRunResult> ShardedExecuteQuery(ShardedStore* store,
-                                           const std::string& query,
-                                           const ExecuteOptions& options) {
-  NAVPATH_CHECK(store != nullptr);
-  const ShardRouter router(store);
-  NAVPATH_ASSIGN_OR_RETURN(QueryRoute route, router.Route(query));
-  if (route.unrouted && store->shard_count() > 1) {
-    return Status::InvalidArgument(
-        "query is outside the shard router's domain (" + route.reason +
-        "); the home-shard fallback only holds the full document at K=1");
-  }
-
-  QueryRunResult merged;
-  std::uint64_t sum = 0;
-  for (const std::size_t k : route.participants) {
-    NAVPATH_ASSIGN_OR_RETURN(
-        QueryRunResult part,
-        ExecuteQuery(store->db(k), store->doc(k), route.per_shard[k],
-                     options));
-    sum += part.count;
-    merged.total_time = std::max(merged.total_time, part.total_time);
-    merged.cpu_time += part.cpu_time;
-    AccumulateMetrics(&merged.metrics, part.metrics);
-    merged.nodes.insert(merged.nodes.end(),
-                        std::make_move_iterator(part.nodes.begin()),
-                        std::make_move_iterator(part.nodes.end()));
-  }
-  const PathQuery::Mode mode = route.per_shard[0].mode;
-  if (mode == PathQuery::Mode::kExists) {
-    merged.count = sum > 0 ? 1 : 0;
-  } else {
-    merged.count = sum - route.root_dup;
-  }
-  if (route.width() > 1 && !merged.nodes.empty()) {
-    MergeDocumentOrder(&merged.nodes);
-  }
-  return merged;
 }
 
 }  // namespace navpath

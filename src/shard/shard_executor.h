@@ -21,7 +21,8 @@
 // by the partitioned import, so the cross-shard merge is an order-key
 // merge; the only node two shards can both report is the replicated root
 // element, deduplicated by key (node mode) or subtracted via the route's
-// root_dup (count mode). exists() merges as OR.
+// root_dup (count mode). exists() merges as OR of the per-shard 0/1
+// answers.
 //
 // At K = 1 every query — in-domain or not — routes to the single home
 // shard in Add() order, so the run is byte-identical to a plain
@@ -78,9 +79,10 @@ class ShardedWorkloadExecutor {
                           const WorkloadOptions& options);
 
   /// Routes `query` and stages its per-shard sub-queries. A query
-  /// outside the router's domain falls back to the home shard at K=1 and
-  /// is rejected with InvalidArgument at K>1 (the home shard only holds
-  /// the full document unsharded).
+  /// outside the router's domain (PathSummary::Supports: a relative path,
+  /// a predicate, an upward or sideways axis) falls back to the home
+  /// shard at K=1 and is rejected with InvalidArgument at K>1 (the home
+  /// shard only holds the full document unsharded).
   Status Add(const std::string& query, const PlanOptions& plan,
              SimTime arrival = 0, SimTime deadline = 0);
 
@@ -110,20 +112,6 @@ class ShardedWorkloadExecutor {
   WorkloadOptions options_;
   std::vector<PendingQuery> pending_;
 };
-
-/// Single-query sharded execution (the compiler-layer ExecuteQuery lifted
-/// over shards): routes `query`, runs ExecuteQuery on every participating
-/// shard with `options`, and merges count/nodes/metrics as above, with
-/// total_time the max over participants. Supports predicated queries —
-/// routing only needs the predicate-free skeleton. Out-of-domain queries
-/// run on the home shard at K=1 and fail with InvalidArgument at K>1.
-Result<QueryRunResult> ShardedExecuteQuery(ShardedStore* store,
-                                           const std::string& query,
-                                           const ExecuteOptions& options);
-
-/// Sums `add` into `into` field-wise (elevator_depth_max as max): the
-/// aggregate I/O picture across parallel drives.
-void AccumulateMetrics(Metrics* into, const Metrics& add);
 
 }  // namespace navpath
 

@@ -1,113 +1,28 @@
 #include "shard/shard_router.h"
 
-#include <algorithm>
-
 #include "xpath/parser.h"
 
 namespace navpath {
 
 namespace {
 
-bool DownwardAxis(Axis axis) {
-  switch (axis) {
-    case Axis::kSelf:
-    case Axis::kChild:
-    case Axis::kDescendant:
-    case Axis::kDescendantOrSelf:
-    case Axis::kAttribute:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool TestMatchesRoot(const NodeTest& test, const std::string& root_tag) {
-  return test.kind != NodeTest::Kind::kName || test.name == root_tag;
-}
-
-/// Checks a predicate sub-path (recursively): it must be relative and
-/// purely downward, so its evaluation stays inside the candidate's
-/// shard-local subtree.
-const char* CheckPredicatePath(const LocationPath& path) {
-  if (path.absolute) {
-    return "absolute predicate path restarts at the partitioned root";
-  }
-  for (const LocationStep& step : path.steps) {
-    if (!DownwardAxis(step.axis)) {
-      return "predicate navigates a non-downward axis";
-    }
-    for (const Predicate& nested : step.predicates) {
-      if (const char* reason = CheckPredicatePath(*nested.path)) {
-        return reason;
-      }
-    }
-  }
-  return nullptr;
-}
-
-struct PathAnalysis {
-  bool in_domain = true;
-  bool root_in_result = false;
-  const char* reason = "";
-};
-
-/// Static analysis of one operand path: domain membership plus whether
-/// the replicated root element can appear in the result. The frontier
+/// Whether the replicated root element can appear in the result of
+/// `path`, a path inside the summary's exactness domain. The frontier
 /// starts at the root (absolute paths evaluate from the root element,
 /// matching the parser's first-step projection and the oracle); with
 /// downward-only axes the root survives a step only through
 /// self/descendant-or-self whose test matches it, and once dropped it
 /// never re-enters.
-PathAnalysis AnalyzePath(const LocationPath& path,
-                         const std::string& root_tag) {
-  PathAnalysis analysis;
-  if (!path.absolute) {
-    analysis.in_domain = false;
-    analysis.reason = "relative path needs caller-supplied context nodes";
-    return analysis;
-  }
+bool SelectsRoot(const LocationPath& path, const std::string& root_tag) {
   bool root_in_frontier = true;
   for (const LocationStep& step : path.steps) {
-    if (!DownwardAxis(step.axis)) {
-      analysis.in_domain = false;
-      analysis.reason = "upward or sideways axis can cross shards";
-      return analysis;
-    }
-    for (const Predicate& pred : step.predicates) {
-      if (const char* reason = CheckPredicatePath(*pred.path)) {
-        analysis.in_domain = false;
-        analysis.reason = reason;
-        return analysis;
-      }
-    }
-    const bool selects_root =
+    root_in_frontier =
         root_in_frontier &&
         (step.axis == Axis::kSelf || step.axis == Axis::kDescendantOrSelf) &&
-        TestMatchesRoot(step.test, root_tag);
-    if (selects_root && !step.predicates.empty()) {
-      analysis.in_domain = false;
-      analysis.reason =
-          "predicate over the replicated root element needs the whole "
-          "document";
-      return analysis;
-    }
-    root_in_frontier = selects_root;
+        (step.test.kind != NodeTest::Kind::kName ||
+         step.test.name == root_tag);
   }
-  analysis.root_in_result = root_in_frontier;
-  return analysis;
-}
-
-LocationPath StripPredicates(const LocationPath& path) {
-  LocationPath skeleton;
-  skeleton.absolute = path.absolute;
-  skeleton.steps.reserve(path.steps.size());
-  for (const LocationStep& step : path.steps) {
-    LocationStep bare;
-    bare.axis = step.axis;
-    bare.test = step.test;
-    skeleton.steps.push_back(std::move(bare));
-  }
-  return skeleton;
+  return root_in_frontier;
 }
 
 }  // namespace
@@ -130,26 +45,22 @@ Result<QueryRoute> ShardRouter::Route(const std::string& query) const {
     parsed.push_back(std::move(q));
   }
 
-  auto fall_back_home = [&](const char* reason) {
-    route.unrouted = true;
-    route.reason = reason;
-    route.root_dup = 0;
-    route.root_in_result = false;
-    route.participants.assign(1, store_->home_shard());
-    for (std::size_t k = 0; k < shard_count; ++k) {
-      route.per_shard[k].paths.clear();
-    }
-    route.per_shard[store_->home_shard()] =
-        std::move(parsed[store_->home_shard()]);
-  };
-
   std::vector<bool> participates(shard_count, false);
   const std::size_t operand_count = parsed[0].paths.size();
   for (std::size_t op = 0; op < operand_count; ++op) {
-    const PathAnalysis analysis =
-        AnalyzePath(parsed[0].paths[op], store_->root_tag());
-    if (!analysis.in_domain) {
-      fall_back_home(analysis.reason);
+    const LocationPath& path = parsed[0].paths[op];
+    if (!PathSummary::Supports(path)) {
+      route.unrouted = true;
+      route.reason =
+          "relative path, predicate, or upward/sideways axis: outside the "
+          "path summary's exactness domain";
+      route.root_dup = 0;
+      route.participants.assign(1, store_->home_shard());
+      for (std::size_t k = 0; k < shard_count; ++k) {
+        route.per_shard[k].paths.clear();
+      }
+      route.per_shard[store_->home_shard()] =
+          std::move(parsed[store_->home_shard()]);
       return route;
     }
     // Summary-pruned participant set: only shards whose partition can
@@ -158,17 +69,12 @@ Result<QueryRoute> ShardRouter::Route(const std::string& query) const {
     // empty plan), mirroring the unsharded executor's behavior.
     std::vector<std::size_t> shards;
     for (std::size_t k = 0; k < shard_count; ++k) {
-      const LocationPath skeleton = StripPredicates(parsed[k].paths[op]);
-      const SummaryMatch match = store_->summary(k)->Match(skeleton);
-      if (!match.applicable) {
-        fall_back_home("path outside the summary's exactness domain");
-        return route;
+      if (!store_->summary(k)->Match(parsed[k].paths[op]).empty) {
+        shards.push_back(k);
       }
-      if (!match.empty) shards.push_back(k);
     }
     if (shards.empty()) shards.push_back(store_->home_shard());
-    if (analysis.root_in_result) {
-      route.root_in_result = true;
+    if (SelectsRoot(path, store_->root_tag())) {
       route.root_dup += shards.size() - 1;
     }
     for (const std::size_t k : shards) {

@@ -1,29 +1,27 @@
 // Compile-time query routing over a path-partitioned store.
 //
 // The router decides, per location path, which shards must run it. Its
-// domain is the summary's exactness domain lifted to queries: absolute
-// paths over downward axes (self, child, descendant, descendant-or-self,
-// attribute), with predicates allowed as long as their relative sub-paths
-// are downward too — a predicate then only ever navigates inside one
-// shard's subtree, because partitioning is by depth-1 subtree and every
-// non-root node's whole subtree is co-located.
+// domain is the path summary's exactness domain (PathSummary::Supports):
+// absolute, predicate-free paths over downward axes (self, child,
+// descendant, descendant-or-self, attribute). Such a path only ever
+// navigates inside one shard's subtree, because partitioning is by
+// depth-1 subtree and every non-root node's whole subtree is co-located.
 //
 // Routing is summary-driven: an operand participates on exactly the
-// shards whose per-shard path summary proves the (predicate-free skeleton
-// of the) path non-empty. A `/site/regions//item` therefore routes to the
-// single shard owning `regions`; a `//keyword` fans out to every shard
-// whose partition contains keywords; a path no shard can satisfy runs on
-// the home shard (whose summary collapses it to an empty plan, exactly as
-// the unsharded executor would).
+// shards whose per-shard path summary proves the path non-empty. A
+// `/site/regions//item` therefore routes to the single shard owning
+// `regions`; a `//keyword` fans out to every shard whose partition
+// contains keywords; a path no shard can satisfy runs on the home shard
+// (whose summary collapses it to an empty plan, exactly as the unsharded
+// executor would).
 //
 // The one replicated node is the root element, present on every shard
 // under its original order key. The router tracks the root through the
 // step frontier: a query whose result can contain the root reports the
-// overcount (`root_dup`) so merges can correct counts, and a predicate
-// over a root-selecting step is out-of-domain (its evaluation would need
-// the whole document on one shard). Out-of-domain queries are flagged
-// `unrouted` and mapped to the home shard — correct only at K=1, where
-// the home shard holds the full document; callers reject them at K>1.
+// overcount (`root_dup`) so merges can correct counts. Out-of-domain
+// queries are flagged `unrouted` and mapped to the home shard — correct
+// only at K=1, where the home shard holds the full document; callers
+// reject them at K>1.
 #ifndef NAVPATH_SHARD_SHARD_ROUTER_H_
 #define NAVPATH_SHARD_SHARD_ROUTER_H_
 
@@ -48,8 +46,6 @@ struct QueryRoute {
   /// that select the root element, (participants - 1) each. Node-mode
   /// merges equivalently drop duplicate order keys.
   std::uint64_t root_dup = 0;
-  /// Some operand's result set contains the (replicated) root element.
-  bool root_in_result = false;
   /// The query is outside the router's domain; the whole query was
   /// assigned to the home shard, which is only correct at K=1.
   bool unrouted = false;

@@ -103,17 +103,6 @@ class SimulatedDisk {
     return pending_.size() + completed_.size();
   }
 
-  /// Number of not-yet-served reads currently queued at high priority.
-  /// A serving layer reads this as a live backlog signal for its
-  /// deadline class (alongside queue depth and turnaround EWMA).
-  std::size_t pending_high_requests() const {
-    std::size_t n = 0;
-    for (const PendingRequest& req : pending_) {
-      if (req.priority == ReadPriority::kHigh) ++n;
-    }
-    return n;
-  }
-
   /// One finished asynchronous read. `io` is OK when the payload was
   /// delivered into the caller's buffer; an injected transient fault
   /// completes the request with IOError and no data (the page can be
@@ -219,7 +208,6 @@ class SimulatedDisk {
   PageId head_ = kInvalidPageId;
   SimTime drive_free_at_ = 0;
   SimTime busy_time_ = 0;
-  std::uint64_t served_order_ = 0;  // requests served so far (for metrics)
 
   std::vector<PageId>* trace_ = nullptr;
 #if NAVPATH_OBSERVE_ENABLED

@@ -29,17 +29,6 @@ bool Snapshot::IsShadow(PageId page) const {
   return mgr_->IsShadowPage(page);
 }
 
-Result<PageGuard> Snapshot::FixMutable(PageId id) {
-  (void)id;
-  return Status::InvalidArgument(
-      "snapshot is read-only; begin a writer transaction to mutate");
-}
-
-Result<PageId> Snapshot::AppendLogicalPage() {
-  return Status::InvalidArgument(
-      "snapshot is read-only; begin a writer transaction to mutate");
-}
-
 // ---------------------------------------------------------------------------
 // WriterTxn
 

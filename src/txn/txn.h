@@ -71,11 +71,11 @@ struct DocumentVersion {
 };
 
 /// A reader's pin on one published version. Implements PageTranslator for
-/// the algebra/navigation layers and (read-only) WritePageIO so that a
-/// mistaken write through a snapshot fails with InvalidArgument instead
-/// of corrupting shared state. Destroying the snapshot releases the pin
-/// and may trigger reclamation of drained versions.
-class Snapshot final : public PageTranslator, public WritePageIO {
+/// the algebra/navigation layers and nothing else: it is not a
+/// WritePageIO, so handing a snapshot to a DocumentUpdater does not
+/// compile. Destroying the snapshot releases the pin and may trigger
+/// reclamation of drained versions.
+class Snapshot final : public PageTranslator {
  public:
   ~Snapshot() override;
   Snapshot(const Snapshot&) = delete;
@@ -92,11 +92,6 @@ class Snapshot final : public PageTranslator, public WritePageIO {
   PageId ToPhysical(PageId logical) const override;
   PageId ToLogical(PageId physical) const override;
   bool IsShadow(PageId page) const override;
-
-  // WritePageIO — read-only: every mutation attempt is rejected.
-  Result<PageGuard> FixMutable(PageId id) override;
-  Result<PageId> AppendLogicalPage() override;
-  const PageTranslator* translator() const override { return this; }
 
  private:
   friend class TxnManager;

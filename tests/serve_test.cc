@@ -143,7 +143,6 @@ TEST(ServeTest, OverloadShedsDegradesAndRecovers) {
   options.tenants[1].queue_capacity = 2;  // bronze overflows first
   options.degrade_queue_depth = 3;
   options.shed_queue_depth = 6;
-  options.recover_below = 1;
   options.recover_hold = 2;
   Server server(fx->db(), fx->doc(), options);
 
@@ -215,42 +214,36 @@ TEST(ServeTest, OverloadBurstWithSubUnitShareStillAdmits) {
   // Regression: a simultaneous burst that trips the overload controller
   // before anything is admitted used to abort the serving loop when the
   // first DRR pass banked deficit without covering any head — a tenant
-  // weight under 1 (validation only requires > 0), or an explicit
-  // drr_quantum below every head's estimated cost, with the executor
+  // weight under 1 (validation only requires > 0) with the executor
   // still idle. Admission must make progress instead.
   auto fixture = XMarkFixture::Create(0.005);
   ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
   XMarkFixture* fx = fixture->get();
 
-  auto run_burst = [&](double weight, double drr_quantum) {
-    ServeOptions options;
-    options.tenants.resize(1);
-    options.tenants[0].name = "only";
-    options.tenants[0].queue_capacity = 16;
-    options.tenants[0].weight = weight;
-    options.workload.policy = WorkloadPolicy::kHybrid;
-    options.workload.stats = &fx->stats();
-    options.drr_quantum = drr_quantum;
-    Server server(fx->db(), fx->doc(), options);
-    // Ten arrivals in one batch: past degrade_queue_depth (8), inside
-    // the queue bound (16), so everything must eventually run.
-    for (std::size_t i = 0; i < 10; ++i) {
-      ASSERT_TRUE(server
-                      .Submit(0, kServeQueries[i % 3],
-                              PaperPlan(PlanKind::kXSchedule), 0)
-                      .ok());
-    }
-    auto served = server.Run();
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    EXPECT_TRUE(served->shed.empty());
-    EXPECT_EQ(served->metrics.CounterOr("serve.admitted"), 10u);
-    for (const ServeOutcome& out : served->outcomes) {
-      EXPECT_FALSE(out.shed);
-      EXPECT_TRUE(out.status.ok()) << out.status.ToString();
-    }
-  };
-  run_burst(0.5, 0.0);  // sub-unit weight, auto quantum
-  run_burst(1.0, 0.5);  // explicit quantum below every head cost
+  ServeOptions options;
+  options.tenants.resize(1);
+  options.tenants[0].name = "only";
+  options.tenants[0].queue_capacity = 16;
+  options.tenants[0].weight = 0.5;
+  options.workload.policy = WorkloadPolicy::kHybrid;
+  options.workload.stats = &fx->stats();
+  Server server(fx->db(), fx->doc(), options);
+  // Ten arrivals in one batch: past degrade_queue_depth (8), inside the
+  // queue bound (16), so everything must eventually run.
+  for (std::size_t i = 0; i < 10; ++i) {
+    ASSERT_TRUE(server
+                    .Submit(0, kServeQueries[i % 3],
+                            PaperPlan(PlanKind::kXSchedule), 0)
+                    .ok());
+  }
+  auto served = server.Run();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(served->shed.empty());
+  EXPECT_EQ(served->metrics.CounterOr("serve.admitted"), 10u);
+  for (const ServeOutcome& out : served->outcomes) {
+    EXPECT_FALSE(out.shed);
+    EXPECT_TRUE(out.status.ok()) << out.status.ToString();
+  }
 }
 
 TEST(ServeTest, BufferPressureAloneEntersDegrade) {
@@ -418,10 +411,6 @@ TEST(ServeTest, ValidationRejectsMalformedConfiguration) {
   inverted.degrade_queue_depth = 8;
   expect_invalid(inverted, "shed depth below degrade depth");
 
-  ServeOptions bad_budget = base;
-  bad_budget.workload.buffer_budget_fraction = -0.5;
-  expect_invalid(bad_budget, "negative buffer budget");
-
   // Submission-side validation.
   Server server(fx->db(), fx->doc(), base);
   EXPECT_TRUE(server
@@ -460,7 +449,6 @@ TEST(ServeTest, OverloadNeverDegradesAWriteTransaction) {
   options.workload.max_writers = 2;
   options.degrade_queue_depth = 3;
   options.shed_queue_depth = 40;  // degrade, never shed
-  options.recover_below = 1;
   options.recover_hold = 2;
   options.tenants[0].queue_capacity = 32;
   options.tenants[1].queue_capacity = 32;

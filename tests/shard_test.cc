@@ -14,6 +14,7 @@
 
 #include "benchlib/harness.h"
 #include "compiler/workload_executor.h"
+#include "serve/server.h"
 #include "shard/shard_executor.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_store.h"
@@ -160,7 +161,6 @@ TEST(ShardRouterTest, SingleOwnerPathRoutesToOwningShard) {
   ASSERT_TRUE(owner.has_value());
   EXPECT_EQ(route->participants[0], *owner);
   EXPECT_EQ(route->root_dup, 0u);
-  EXPECT_FALSE(route->root_in_result);
 }
 
 TEST(ShardRouterTest, DescendantQueryFansOut) {
@@ -188,7 +188,6 @@ TEST(ShardRouterTest, RootQueryReportsReplicationOvercount) {
   ASSERT_TRUE(route.ok()) << route.status().ToString();
   EXPECT_FALSE(route->unrouted);
   EXPECT_EQ(route->width(), 4u);
-  EXPECT_TRUE(route->root_in_result);
   EXPECT_EQ(route->root_dup, 3u);
 }
 
@@ -208,59 +207,6 @@ TEST(ShardRouterTest, OutOfDomainQueriesFallBackToHome) {
     EXPECT_FALSE(route->reason.empty()) << query;
     ASSERT_EQ(route->width(), 1u) << query;
     EXPECT_EQ(route->participants[0], (*store)->home_shard()) << query;
-  }
-}
-
-// --- Single-query oracle identity -----------------------------------------
-
-// Every query must produce byte-identical results (count and document
-// order) to the unsharded executor, at every shard count.
-TEST(ShardExecuteQueryTest, MatchesUnshardedOracleAcrossShardCounts) {
-  auto fixture = XMarkFixture::Create(0.02);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-
-  const std::vector<std::string> queries = {
-      kQ6Prime,
-      kQ7,
-      kQ15,
-      "/site/regions//item",
-      "/site/people/person/email",
-      "/site//keyword",
-      "/site",
-      "//site",
-      "count(/site)",
-      "exists(/site/catgraph/edge)",
-      "exists(/site/regions/nosuchtag)",
-      "//item[mailbox/mail]",
-      "/site/people/person[profile]",
-      "//item[mailbox/mail]/@id",
-  };
-
-  std::vector<QueryRunResult> oracle;
-  for (const std::string& q : queries) {
-    auto result = (*fixture)->Run(q, PaperPlan(PlanKind::kXSchedule));
-    ASSERT_TRUE(result.ok()) << q << ": " << result.status().ToString();
-    oracle.push_back(*std::move(result));
-  }
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{4}}) {
-    auto store = BuildSharded(0.02, shards);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      ExecuteOptions exec;
-      exec.plan = PaperPlan(PlanKind::kXSchedule);
-      exec.collect_nodes = true;
-      exec.cold_start = true;
-      auto sharded = ShardedExecuteQuery(store->get(), queries[i], exec);
-      ASSERT_TRUE(sharded.ok())
-          << "K=" << shards << " " << queries[i] << ": "
-          << sharded.status().ToString();
-      EXPECT_EQ(sharded->count, oracle[i].count)
-          << "K=" << shards << " " << queries[i];
-      EXPECT_EQ(OrdersOf(sharded->nodes), OrdersOf(oracle[i].nodes))
-          << "K=" << shards << " " << queries[i];
-    }
   }
 }
 
@@ -305,6 +251,123 @@ Result<ShardTrace> RunSharded(ShardedStore* store, WorkloadOptions options) {
   }
   NAVPATH_ASSIGN_OR_RETURN(trace.result, executor.Run());
   return trace;
+}
+
+// Every predicate-free query must produce the unsharded single-query
+// executor's answer (count and document order) through the sharded
+// workload driver, at every shard count: fan-outs, the replicated root
+// (reached by "/site", "count(/site)" and the descendant step "//site")
+// and exists() probes.
+TEST(ShardedWorkloadTest, MatchesExecuteQueryAcrossShardCounts) {
+  auto fixture = XMarkFixture::Create(0.02);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+
+  const std::vector<std::string> queries = {
+      kQ6Prime,
+      kQ7,
+      kQ15,
+      "/site/regions//item",
+      "/site/people/person/email",
+      "/site//keyword",
+      "/site",
+      "//site",
+      "count(/site)",
+      "exists(/site/catgraph/edge)",
+      "exists(/site/regions/nosuchtag)",
+  };
+
+  std::vector<QueryRunResult> oracle;
+  for (const std::string& q : queries) {
+    auto result = (*fixture)->Run(q, PaperPlan(PlanKind::kXSchedule));
+    ASSERT_TRUE(result.ok()) << q << ": " << result.status().ToString();
+    oracle.push_back(*std::move(result));
+  }
+
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}}) {
+    auto store = BuildSharded(0.02, shards);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    WorkloadOptions options;
+    options.collect_nodes = true;
+    ShardedWorkloadExecutor executor(store->get(), options);
+    for (const std::string& q : queries) {
+      ASSERT_TRUE(executor.Add(q, PaperPlan(PlanKind::kXSchedule)).ok())
+          << "K=" << shards << " " << q;
+    }
+    auto run = executor.Run();
+    ASSERT_TRUE(run.ok()) << "K=" << shards << ": "
+                          << run.status().ToString();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const WorkloadQueryResult& sharded = run->queries[i];
+      EXPECT_TRUE(sharded.status.ok())
+          << "K=" << shards << " " << queries[i] << ": "
+          << sharded.status.ToString();
+      EXPECT_EQ(sharded.count, oracle[i].count)
+          << "K=" << shards << " " << queries[i];
+      EXPECT_EQ(OrdersOf(sharded.nodes), OrdersOf(oracle[i].nodes))
+          << "K=" << shards << " " << queries[i];
+    }
+  }
+}
+
+// exists() answers 0 or 1 — the OR over its operand paths — through every
+// driver: ExecuteQuery, WorkloadExecutor::Run, the serving layer and the
+// sharded workload driver at K=2.
+TEST(CrossDriverTest, ExistsAnswersMatchExecuteQuery) {
+  const std::vector<std::string> queries = {
+      "exists(/site//bold)",
+      "exists(/site/regions/nosuchtag)+exists(/site//keyword)",
+      "exists(/site/regions/nosuchtag)",
+  };
+  auto fixture = XMarkFixture::Create(0.02);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  XMarkFixture* fx = fixture->get();
+  const PlanOptions plan = PaperPlan(PlanKind::kXSchedule);
+
+  std::vector<std::uint64_t> expected;
+  for (const std::string& q : queries) {
+    auto solo = fx->Run(q, plan);
+    ASSERT_TRUE(solo.ok()) << q << ": " << solo.status().ToString();
+    expected.push_back(solo->count);
+  }
+  EXPECT_EQ(expected, (std::vector<std::uint64_t>{1, 1, 0}));
+
+  WorkloadOptions options;
+  options.stats = &fx->stats();
+  WorkloadExecutor executor(fx->db(), fx->doc(), options);
+  for (const std::string& q : queries) {
+    ASSERT_TRUE(executor.Add(q, plan).ok()) << q;
+  }
+  auto run = executor.Run();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+  ServeOptions serve;
+  serve.tenants.resize(1);
+  serve.tenants[0].name = "only";
+  serve.workload.stats = &fx->stats();
+  Server server(fx->db(), fx->doc(), serve);
+  for (const std::string& q : queries) {
+    ASSERT_TRUE(server.Submit(0, q, plan, 0).ok()) << q;
+  }
+  auto served = server.Run();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+  auto store = BuildSharded(0.02, 2);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ShardedWorkloadExecutor sharded(store->get(), WorkloadOptions{});
+  for (const std::string& q : queries) {
+    ASSERT_TRUE(sharded.Add(q, plan).ok()) << q;
+  }
+  auto sharded_run = sharded.Run();
+  ASSERT_TRUE(sharded_run.ok()) << sharded_run.status().ToString();
+
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(run->queries[i].count, expected[i]) << "Run: " << queries[i];
+    EXPECT_EQ(served->outcomes[i].count, expected[i])
+        << "Server: " << queries[i];
+    EXPECT_EQ(sharded_run->queries[i].count, expected[i])
+        << "K=2: " << queries[i];
+  }
 }
 
 // The K=1 identity the subsystem is gated on: one shard, same options =>
@@ -529,13 +592,21 @@ TEST(ShardedWorkloadTest, RejectsOutOfDomainQueriesAtMultiShard) {
   auto store = BuildSharded(0.02, 2);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   WorkloadOptions options;
+  options.collect_nodes = true;
   ShardedWorkloadExecutor executor(store->get(), options);
-  const Status status =
-      executor.Add("/site/regions/..", PaperPlan(PlanKind::kXSchedule));
-  ASSERT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  for (const char* query : {
+           "/site/regions/..",            // upward axis
+           "//item[mailbox/mail]",        // predicate
+           "/site[regions]",              // predicate over the root
+       }) {
+    const Status status =
+        executor.Add(query, PaperPlan(PlanKind::kXSchedule));
+    EXPECT_TRUE(status.IsInvalidArgument()) << query << ": "
+                                            << status.ToString();
+  }
 
-  // The same query is fine at K=1 (the home shard holds everything) and
-  // matches the unsharded oracle.
+  // The upward query is fine at K=1 (the home shard holds everything)
+  // and matches the unsharded oracle.
   auto fixture = XMarkFixture::Create(0.02);
   ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
   auto oracle = (*fixture)->Run("/site/regions/..",
@@ -544,14 +615,13 @@ TEST(ShardedWorkloadTest, RejectsOutOfDomainQueriesAtMultiShard) {
 
   auto one = BuildSharded(0.02, 1);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
-  ExecuteOptions exec;
-  exec.plan = PaperPlan(PlanKind::kXSchedule);
-  exec.collect_nodes = true;
-  exec.cold_start = true;
-  auto sharded = ShardedExecuteQuery(one->get(), "/site/regions/..", exec);
+  ShardedWorkloadExecutor single(one->get(), options);
+  ASSERT_TRUE(
+      single.Add("/site/regions/..", PaperPlan(PlanKind::kXSchedule)).ok());
+  auto sharded = single.Run();
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-  EXPECT_EQ(sharded->count, oracle->count);
-  EXPECT_EQ(OrdersOf(sharded->nodes), OrdersOf(oracle->nodes));
+  EXPECT_EQ(sharded->queries[0].count, oracle->count);
+  EXPECT_EQ(OrdersOf(sharded->queries[0].nodes), OrdersOf(oracle->nodes));
 }
 
 }  // namespace

@@ -132,32 +132,6 @@ TEST(SharedScanTest, RejectsRelativePaths) {
   EXPECT_FALSE(ExecuteQuerySharedScan(&db, *doc, *query).ok());
 }
 
-TEST(SharedScanTest, RejectsSBudget) {
-  // Fallback mode is incompatible with shared scanning (one lane would
-  // navigate across borders mid-scan while the others still speculate),
-  // so a nonzero s_budget must be rejected up front, not silently
-  // ignored.
-  Database db(SmallDb());
-  RandomTreeOptions tree_options;
-  tree_options.node_count = 50;
-  const DomTree tree = MakeRandomTree(tree_options, 504, db.tags());
-  SubtreeClusteringPolicy policy(448);
-  auto doc = db.Import(tree, &policy);
-  ASSERT_TRUE(doc.ok());
-  auto query = ParseQuery("count(//t0)+count(//t1)", db.tags());
-  ASSERT_TRUE(query.ok());
-
-  SharedScanOptions budgeted;
-  budgeted.s_budget = 128;
-  EXPECT_TRUE(ExecuteQuerySharedScan(&db, *doc, *query, budgeted)
-                  .status()
-                  .IsInvalidArgument());
-
-  // The options overload with the default (unlimited) budget still runs.
-  SharedScanOptions unlimited;
-  EXPECT_TRUE(ExecuteQuerySharedScan(&db, *doc, *query, unlimited).ok());
-}
-
 TEST(SharedScanTest, FeedOperatorRefusesReopenWithQueuedInstances) {
   // Regression: Open() used to clear the queue, silently dropping
   // instances a driver had already pushed (and charged the simulated

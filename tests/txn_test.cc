@@ -1,6 +1,6 @@
 // MVCC transaction subsystem tests: copy-on-write snapshot isolation,
 // writer-sees-own-writes, first-committer-wins conflicts (Aborted),
-// read-only snapshot rejection (InvalidArgument), version reclamation
+// read-only snapshots (by type), version reclamation
 // (including the never-free-a-pinned-frame rule), persistence of the
 // versioned root, mixed read/write workloads through the executor, and a
 // seeded randomized reader/writer interleaving stress.
@@ -11,13 +11,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.h"
 #include "compiler/workload_executor.h"
 #include "store/export.h"
 #include "store/persistence.h"
-#include "store/verify.h"
 #include "tests/test_util.h"
 #include "txn/txn.h"
 #include "xml/parser.h"
@@ -126,28 +126,10 @@ TEST(TxnTest, WriterSeesOwnWritesAndAbortDiscardsThem) {
   EXPECT_EQ(f.ExportCurrent(), v0);
 }
 
-TEST(TxnTest, ReadOnlySnapshotRejectsWritesWithoutCrashing) {
-  TxnFixture f("<r><a/></r>");
-  auto snap = f.mgr->OpenSnapshot();
-
-  // Any mutation routed through a snapshot's (read-only) page I/O must
-  // surface InvalidArgument — never a CHECK, never shared-state damage.
-  ImportedDocument copy = snap->doc();
-  DocumentUpdater updater(&f.db, &copy, snap.get());
-  auto inserted = updater.InsertElement(copy.root, kInvalidNodeID,
-                                        f.db.tags()->Intern("w"), "");
-  ASSERT_FALSE(inserted.ok());
-  EXPECT_TRUE(inserted.status().IsInvalidArgument())
-      << inserted.status().ToString();
-
-  auto appended = snap->AppendLogicalPage();
-  ASSERT_FALSE(appended.ok());
-  EXPECT_TRUE(appended.status().IsInvalidArgument());
-
-  // The store is untouched.
-  auto report = VerifyStore(&f.db, f.doc);
-  EXPECT_TRUE(report.ok()) << report.status().ToString();
-}
+// A snapshot is read-only by type: it is no WritePageIO, so it cannot be
+// handed to a DocumentUpdater.
+static_assert(!std::is_convertible_v<Snapshot*, WritePageIO*>,
+              "a read-only snapshot must not be usable as write page I/O");
 
 TEST(TxnTest, FirstCommitterWinsConflictAborts) {
   TxnFixture f("<r><a/></r>");

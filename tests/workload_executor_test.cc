@@ -491,17 +491,11 @@ TEST(WorkloadExecutorTest, RejectsMalformedOptionsAndDeadlines) {
   ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
 
   // Options are validated at the top of Run(), not asserted mid-flight.
-  WorkloadOptions bad_budget;
-  bad_budget.buffer_budget_fraction = 1.5;
-  WorkloadExecutor over((*fixture)->db(), (*fixture)->doc(), bad_budget);
-  ASSERT_TRUE(over.Add(kQueries[0], PaperPlan(PlanKind::kSimple)).ok());
-  EXPECT_TRUE(over.Run().status().IsInvalidArgument());
-
-  WorkloadOptions negative;
-  negative.buffer_budget_fraction = -0.25;
-  WorkloadExecutor under((*fixture)->db(), (*fixture)->doc(), negative);
-  ASSERT_TRUE(under.Add(kQueries[0], PaperPlan(PlanKind::kSimple)).ok());
-  EXPECT_TRUE(under.Run().status().IsInvalidArgument());
+  WorkloadOptions no_writers;
+  no_writers.max_writers = 0;
+  WorkloadExecutor invalid((*fixture)->db(), (*fixture)->doc(), no_writers);
+  ASSERT_TRUE(invalid.Add(kQueries[0], PaperPlan(PlanKind::kSimple)).ok());
+  EXPECT_TRUE(invalid.Run().status().IsInvalidArgument());
 
   // A deadline at or before the arrival can never be met and is rejected
   // at Add() time.
