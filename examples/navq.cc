@@ -14,7 +14,6 @@
 #include <string>
 
 #include "benchlib/harness.h"
-#include "compiler/shared_scan.h"
 #include "store/export.h"
 #include "store/persistence.h"
 #include "store/verify.h"

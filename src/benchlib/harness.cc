@@ -99,7 +99,6 @@ Result<QueryRunResult> XMarkFixture::Run(const std::string& query,
   ExecuteOptions exec;
   exec.plan = plan;
   exec.collect_nodes = parsed.mode == PathQuery::Mode::kNodes;
-  exec.cold_start = true;
   return ExecuteQuery(&db_, doc_, parsed, exec);
 }
 
@@ -110,7 +109,6 @@ Result<QueryRunResult> XMarkFixture::RunExplain(const std::string& query,
   ExecuteOptions exec;
   exec.plan = plan;
   exec.collect_nodes = parsed.mode == PathQuery::Mode::kNodes;
-  exec.cold_start = true;
   exec.explain = true;
   exec.stats = &stats_;
   return ExecuteQuery(&db_, doc_, parsed, exec);
@@ -288,18 +286,6 @@ Status WriteTraceCapture(Database* db, const std::string& name) {
   if (path.back() != '/') path += '/';
   path += name;
   return WriteTextFile(path, db->tracer()->ToJson());
-}
-
-void WriteHistogramJson(JsonWriter* json, const Histogram& histogram) {
-  json->BeginObject();
-  json->Key("count").Value(histogram.count());
-  json->Key("min").Value(histogram.min());
-  json->Key("max").Value(histogram.max());
-  json->Key("mean").Value(histogram.Mean());
-  json->Key("p50").Value(histogram.ValueAtQuantile(0.50));
-  json->Key("p95").Value(histogram.ValueAtQuantile(0.95));
-  json->Key("p99").Value(histogram.ValueAtQuantile(0.99));
-  json->EndObject();
 }
 
 Result<std::string> ReadTextFile(const std::string& path) {

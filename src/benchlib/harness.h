@@ -161,12 +161,6 @@ bool EnableTraceCapture(Database* db);
 /// "q7.trace.json"). No-op without an active capture.
 Status WriteTraceCapture(Database* db, const std::string& name);
 
-/// Appends a histogram summary as a JSON object value:
-/// {"count":..,"min":..,"max":..,"mean":..,"p50":..,"p95":..,"p99":..}.
-/// Values are raw recorded units (callers pick the unit; simulated
-/// nanoseconds for time histograms).
-void WriteHistogramJson(JsonWriter* json, const Histogram& histogram);
-
 }  // namespace navpath
 
 #endif  // NAVPATH_BENCHLIB_HARNESS_H_

@@ -71,8 +71,7 @@ struct Metrics {
   Metrics Snapshot() const { return *this; }
 
   /// Counter deltas since `start` (a Snapshot taken earlier): what happened
-  /// within the window alone. Benchmarks that reuse one Database across
-  /// sweep points report windows, not lifetime accumulations.
+  /// within the window alone (EXPLAIN ANALYZE's per-path numbers).
   /// elevator_depth_max is a high-water mark, not a counter, so the
   /// window's value is the current maximum.
   Metrics Delta(const Metrics& start) const;

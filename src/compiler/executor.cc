@@ -277,16 +277,7 @@ Result<QueryRunResult> ExecuteQueryImpl(Database* db,
   }
   const bool collect =
       options.collect_nodes && query.mode == PathQuery::Mode::kNodes;
-  if (options.cold_start) {
-    NAVPATH_RETURN_NOT_OK(db->ResetMeasurement());
-  }
-
-  // Everything below reports deltas over this window, so a warm run on a
-  // shared Database measures only itself. After a cold start the window
-  // base is zero and the deltas equal the absolute readings.
-  const Metrics window_start = db->metrics()->Snapshot();
-  const SimTime window_t0 = db->clock()->now();
-  const SimTime window_cpu0 = db->clock()->cpu_time();
+  NAVPATH_RETURN_NOT_OK(db->ResetMeasurement());
 
   PlanOptions plan_options = options.plan;
   if (options.explain) plan_options.profile = true;
@@ -374,9 +365,9 @@ Result<QueryRunResult> ExecuteQueryImpl(Database* db,
 
   SortDocumentOrder(db, &result.nodes);
 
-  result.total_time = db->clock()->now() - window_t0;
-  result.cpu_time = db->clock()->cpu_time() - window_cpu0;
-  result.metrics = db->metrics()->Delta(window_start);
+  result.total_time = db->clock()->now();
+  result.cpu_time = db->clock()->cpu_time();
+  result.metrics = *db->metrics();
   return result;
 }
 

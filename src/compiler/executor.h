@@ -19,10 +19,8 @@ struct QueryRunResult {
   /// Node mode only: distinct result nodes in document order.
   std::vector<LogicalNode> nodes;
 
-  // Simulated timing and metrics of this run's window: deltas from the
-  // start of ExecuteQuery to its end, so back-to-back runs on a shared
-  // Database report independent numbers. Cold starts reset the clock
-  // first, making the window identical to absolute readings.
+  // Simulated timing and metrics of the run. Every run cold-starts, so
+  // these are the clock's and the counters' readings at its end.
   SimTime total_time = 0;
   SimTime cpu_time = 0;
   Metrics metrics;
@@ -50,9 +48,6 @@ struct ExecuteOptions {
   /// the sort — the paper notes order is irrelevant under aggregation
   /// (Sec. 5.5).
   bool collect_nodes = false;
-  /// Reset buffer/clock/metrics before running (cold start, the paper's
-  /// measurement discipline from Sec. 6.1).
-  bool cold_start = true;
   /// Produce an EXPLAIN ANALYZE report (forces PlanOptions.profile). Paths
   /// with predicates are executed but not reported in detail.
   bool explain = false;
@@ -79,6 +74,9 @@ PathExplain BuildPathExplain(Database* db, const LocationPath& path,
 /// n·max(1, log2 n)·sort_op, then sorts by order key. Order keys travel
 /// with instances, so no I/O is needed. Fewer than two nodes cost nothing.
 void SortDocumentOrder(Database* db, std::vector<LogicalNode>* nodes);
+
+// Both entry points start cold: buffer, clock and metrics are reset first
+// (the paper's measurement discipline, Sec. 6.1).
 
 /// Runs one location path and returns its (distinct) result nodes/count.
 Result<QueryRunResult> ExecutePath(Database* db, const ImportedDocument& doc,

@@ -101,12 +101,10 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
   // just how the simulation grinds through them.
   for (std::size_t k = 0; k < shard_count; ++k) {
     if (execs[k] == nullptr) continue;
-    const SimTime busy_before = store_->db(k)->disk()->busy_time();
     NAVPATH_ASSIGN_OR_RETURN(out.shards[k], execs[k]->Run());
-    const SimTime busy_after = store_->db(k)->disk()->busy_time();
-    // A cold start resets the drive's busy accumulator with its timeline.
-    busy[k] = busy_after >= busy_before ? busy_after - busy_before
-                                        : busy_after;
+    // Run() cold-starts, which resets the drive's busy accumulator with
+    // its timeline, so the reading covers this run alone.
+    busy[k] = store_->db(k)->disk()->busy_time();
     out.total_time = std::max(out.total_time, out.shards[k].total_time);
     out.cpu_time += out.shards[k].cpu_time;
     AccumulateMetrics(&out.metrics, out.shards[k].metrics);
@@ -175,18 +173,15 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
   }
 
   for (std::size_t k = 0; k < shard_count; ++k) {
-    const std::string prefix = "disk.shard." + std::to_string(k) + ".";
-    registry.Gauge(prefix + "utilization") =
-        out.total_time > 0 ? static_cast<double>(busy[k]) /
-                                 static_cast<double>(out.total_time)
-                           : 0.0;
-    registry.Gauge(prefix + "busy_seconds") = SimClock::ToSeconds(busy[k]);
-    registry.Gauge(prefix + "reads") =
-        static_cast<double>(out.shards[k].metrics.disk_reads);
     out.utilization[k] =
         out.total_time > 0 ? static_cast<double>(busy[k]) /
                                  static_cast<double>(out.total_time)
                            : 0.0;
+    const std::string prefix = "disk.shard." + std::to_string(k) + ".";
+    registry.Gauge(prefix + "utilization") = out.utilization[k];
+    registry.Gauge(prefix + "busy_seconds") = SimClock::ToSeconds(busy[k]);
+    registry.Gauge(prefix + "reads") =
+        static_cast<double>(out.shards[k].metrics.disk_reads);
   }
   out.scheduler = registry.Snapshot();
   return out;

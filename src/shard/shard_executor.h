@@ -14,7 +14,7 @@
 // host-side loop running the shard executors one after another is
 // measurement scaffolding, not simulated time), per-query completion is
 // the max over that query's participants, and per-shard disk utilization
-// is the drive's busy time over the global makespan.
+// is the drive's busy time during the run over the global makespan.
 //
 // Result semantics: per-shard node vectors arrive sorted by the original
 // document's gapped order keys, which are globally unique and preserved

@@ -60,13 +60,6 @@ inline std::optional<Axis> AxisFromName(std::string_view name) {
   return std::nullopt;
 }
 
-/// True for axes whose result sets can grow with subtree size (used by the
-/// planner's selectivity estimates).
-inline bool IsRecursiveAxis(Axis axis) {
-  return axis == Axis::kDescendant || axis == Axis::kDescendantOrSelf ||
-         axis == Axis::kAncestor || axis == Axis::kAncestorOrSelf;
-}
-
 }  // namespace navpath
 
 #endif  // NAVPATH_STORE_AXIS_H_

@@ -3,49 +3,9 @@
 #include <vector>
 
 #include "store/cluster_view.h"
+#include "xml/serializer.h"
 
 namespace navpath {
-
-void AppendEscapedXmlText(std::string_view text, bool escape,
-                          std::string* out) {
-  if (!escape) {
-    out->append(text);
-    return;
-  }
-  for (const char c : text) {
-    switch (c) {
-      case '&':
-        out->append("&amp;");
-        break;
-      case '<':
-        out->append("&lt;");
-        break;
-      case '>':
-        out->append("&gt;");
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-}
-
-void AppendEscapedXmlAttribute(std::string_view value, std::string* out) {
-  for (const char c : value) {
-    switch (c) {
-      case '&':
-        out->append("&amp;");
-        break;
-      case '<':
-        out->append("&lt;");
-        break;
-      case '"':
-        out->append("&quot;");
-        break;
-      default:
-        out->push_back(c);
-    }
-  }
-}
 
 void AppendAttributes(const ClusterView& view, TagRegistry* tags,
                       SlotId element, std::string* out) {
@@ -71,7 +31,7 @@ class Exporter {
       : db_(db), options_(options) {}
 
   Result<std::string> Run(NodeID root) {
-    NAVPATH_RETURN_NOT_OK(OpenElement(root, 0));
+    NAVPATH_RETURN_NOT_OK(OpenElement(root));
     while (!stack_.empty()) {
       NAVPATH_RETURN_NOT_OK(Advance());
     }
@@ -80,59 +40,44 @@ class Exporter {
 
  private:
   struct Level {
-    NodeID element;          // the open element
     std::string tag_name;    // cached: closing tag after children
     bool closes_tag = true;  // detour levels only continue a chain
-    bool has_children = false;
-    int depth = 0;
     // Enumeration position within the current cluster's chain.
     PageId chain_page = kInvalidPageId;
     SlotId chain_slot = kInvalidSlot;    // next record to inspect
     SlotId chain_origin = kInvalidSlot;  // stop marker within chain_page
   };
 
-  void Indent(int depth) {
-    if (options_.indent) out_.append(static_cast<std::size_t>(depth) * 2, ' ');
-  }
-
-  Status OpenElement(NodeID id, int depth) {
+  Status OpenElement(NodeID id) {
     NAVPATH_ASSIGN_OR_RETURN(
         PageGuard guard,
         db_->buffer()->FixSwizzle(
             TranslateToPhysical(options_.translator, id.page)));
     const ClusterView view = db_->MakeView(guard, id.page);
     Level level;
-    level.element = id;
     level.tag_name = db_->tags()->Name(view.TagOf(id.slot));
-    level.depth = depth;
     level.chain_page = id.page;
     level.chain_slot = view.FirstChildOf(id.slot);
     level.chain_origin = id.slot;
     const std::string_view text = view.TextOf(id.slot);
-    Indent(depth);
     out_.push_back('<');
     out_.append(level.tag_name);
     AppendAttributes(view, db_->tags(), id.slot, &out_);
     if (text.empty() && level.chain_slot == kInvalidSlot) {
       out_.append("/>");
-      if (options_.indent) out_.push_back('\n');
       return Status::OK();  // nothing to push
     }
     out_.push_back('>');
-    level.has_children = level.chain_slot != kInvalidSlot;
-    if (options_.indent && level.has_children) out_.push_back('\n');
-    AppendEscapedXmlText(text, options_.escape_text, &out_);
+    AppendEscapedXmlText(text, &out_);
     stack_.push_back(std::move(level));
     return Status::OK();
   }
 
   void CloseElement(const Level& level) {
     if (!level.closes_tag) return;
-    if (options_.indent && level.has_children) Indent(level.depth);
     out_.append("</");
     out_.append(level.tag_name);
     out_.push_back('>');
-    if (options_.indent) out_.push_back('\n');
   }
 
   /// Processes one chain element of the top level (or closes it).
@@ -155,9 +100,8 @@ class Exporter {
       case RecordKind::kCore: {
         top.chain_slot = view.NextSiblingOf(slot);
         const NodeID child{top.chain_page, slot};
-        const int depth = top.depth + 1;
         guard.Release();
-        return OpenElement(child, depth);
+        return OpenElement(child);
       }
       case RecordKind::kBorderDown: {
         // Continue this level's chain inside the partner fragment.
@@ -175,10 +119,8 @@ class Exporter {
         detour.chain_page = partner.page;
         detour.chain_slot = pview.FirstChildOf(partner.slot);
         detour.chain_origin = partner.slot;
-        detour.has_children = true;
         detour.closes_tag = false;  // continues the element's child list
         detour.tag_name.clear();
-        detour.depth = top.depth;
         stack_.push_back(std::move(detour));
         return Status::OK();
       }

@@ -18,8 +18,6 @@
 namespace navpath {
 
 struct ExportOptions {
-  bool indent = false;
-  bool escape_text = true;
   /// MVCC page translation (a Snapshot or WriterTxn); nullptr exports the
   /// current page images. Lets tests serialize exactly what one snapshot
   /// sees, independent of later commits.
@@ -29,14 +27,6 @@ struct ExportOptions {
 /// Serializes the subtree rooted at `node` from the paged store.
 Result<std::string> ExportSubtree(Database* db, NodeID node,
                                   const ExportOptions& options = {});
-
-/// Appends `text` to `out`, escaping &, <, > when `escape` is set
-/// (shared by the navigational and scan-based exporters).
-void AppendEscapedXmlText(std::string_view text, bool escape,
-                          std::string* out);
-
-/// Appends an attribute value, escaping &, <, ".
-void AppendEscapedXmlAttribute(std::string_view value, std::string* out);
 
 /// Appends ` name="value"` pairs for an element's attribute chain.
 class ClusterView;  // fwd

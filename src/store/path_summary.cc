@@ -187,8 +187,10 @@ void AddPageToExtents(std::vector<SummaryExtent>* extents, PageId p) {
 
 }  // namespace
 
-std::unique_ptr<PathSummary> PathSummary::CloneWithInserts(
-    const std::vector<SummaryInsert>& inserts) const {
+std::unique_ptr<PathSummary> PathSummary::CloneWithDeltas(
+    const std::vector<SummaryInsert>& inserts,
+    const std::vector<SummaryDelete>& deletes,
+    const std::vector<SummaryPageRemap>& remaps) const {
   std::unique_ptr<PathSummary> out(new PathSummary());
   out->nodes_ = nodes_;
   out->total_instances_ = total_instances_;
@@ -225,15 +227,6 @@ std::unique_ptr<PathSummary> PathSummary::CloneWithInserts(
       AddPageToExtents(&out->nodes_[sid].extents, p);
     }
   }
-  return out;
-}
-
-std::unique_ptr<PathSummary> PathSummary::CloneWithDeltas(
-    const std::vector<SummaryInsert>& inserts,
-    const std::vector<SummaryDelete>& deletes,
-    const std::vector<SummaryPageRemap>& remaps) const {
-  std::unique_ptr<PathSummary> out = CloneWithInserts(inserts);
-  if (out == nullptr) return nullptr;
   for (const SummaryDelete& del : deletes) {
     if (del.tags.size() < 2 ||
         del.tags.front() != out->nodes_[out->root()].tag) {

@@ -165,23 +165,17 @@ class PathSummary {
 
   static std::uint64_t ExtentPages(const std::vector<SummaryExtent>& extents);
 
-  /// Incremental maintenance: a copy of this summary with `inserts`
-  /// applied — each insert bumps the exact count of its path node
-  /// (creating summary nodes for previously unseen paths) and widens the
-  /// node's extents by the landing pages. Extent growth is conservative
-  /// (a page is added, never removed), so restricted sweeps stay correct.
-  /// Returns nullptr when an insert's tag path does not start at this
-  /// summary's root — the caller falls back to dropping the synopsis.
-  std::unique_ptr<PathSummary> CloneWithInserts(
-      const std::vector<SummaryInsert>& inserts) const;
-
-  /// Full delta maintenance: inserts, then deletes, then page remaps.
-  /// Deletes decrement the exact count of their path node (extents stay —
-  /// conservative); remaps add the destination page to every node whose
-  /// extents cover the source page (EvacuateSubtree moves a whole run, so
-  /// any path that could live on `from` may now live on `to`). Returns
-  /// nullptr when a delta falls outside this summary (unknown path, count
-  /// underflow, root mismatch) — the caller degrades to summary-free.
+  /// Incremental maintenance: a copy of this summary with `inserts`,
+  /// then `deletes`, then `remaps` applied. Each insert bumps the exact
+  /// count of its path node (creating summary nodes for previously unseen
+  /// paths) and widens the node's extents by the landing pages. Deletes
+  /// decrement the exact count of their path node. Extents only grow (a
+  /// page is added, never removed), so restricted sweeps stay correct.
+  /// Remaps add the destination page to every node whose extents cover
+  /// the source page (EvacuateSubtree moves a whole run, so any path that
+  /// could live on `from` may now live on `to`). Returns nullptr when a
+  /// delta falls outside this summary (unknown path, count underflow,
+  /// root mismatch) — the caller degrades to summary-free.
   std::unique_ptr<PathSummary> CloneWithDeltas(
       const std::vector<SummaryInsert>& inserts,
       const std::vector<SummaryDelete>& deletes,

@@ -5,6 +5,7 @@
 
 #include "store/cluster_view.h"
 #include "store/export.h"
+#include "xml/serializer.h"
 
 namespace navpath {
 namespace {
@@ -99,7 +100,7 @@ class ScanExporter {
       return;
     }
     out->AppendChar('>');
-    AppendEscapedXmlText(text, /*escape=*/true, &out->texts.back());
+    AppendEscapedXmlText(text, &out->texts.back());
     SerializeChain(view, first_child, element, out);
     out->Append("</");
     out->Append(name);

@@ -1,13 +1,8 @@
 #include "xml/serializer.h"
 
 namespace navpath {
-namespace {
 
-void AppendEscaped(std::string_view text, bool escape, std::string* out) {
-  if (!escape) {
-    out->append(text);
-    return;
-  }
+void AppendEscapedXmlText(std::string_view text, std::string* out) {
   for (const char c : text) {
     switch (c) {
       case '&':
@@ -25,7 +20,7 @@ void AppendEscaped(std::string_view text, bool escape, std::string* out) {
   }
 }
 
-void AppendAttributeValue(std::string_view value, std::string* out) {
+void AppendEscapedXmlAttribute(std::string_view value, std::string* out) {
   for (const char c : value) {
     switch (c) {
       case '&':
@@ -43,12 +38,11 @@ void AppendAttributeValue(std::string_view value, std::string* out) {
   }
 }
 
-void SerializeNode(const DomTree& tree, DomNodeId id,
-                   const SerializeOptions& options, int depth,
-                   std::string* out) {
+namespace {
+
+void SerializeNode(const DomTree& tree, DomNodeId id, std::string* out) {
   const DomNode& n = tree.node(id);
   const std::string& name = tree.TagName(id);
-  if (options.indent) out->append(static_cast<std::size_t>(depth) * 2, ' ');
   out->push_back('<');
   out->append(name);
   for (DomNodeId a = n.first_attr; a != kNilDomNode;
@@ -56,43 +50,30 @@ void SerializeNode(const DomTree& tree, DomNodeId id,
     out->push_back(' ');
     out->append(tree.TagName(a));
     out->append("=\"");
-    AppendAttributeValue(tree.node(a).text, out);
+    AppendEscapedXmlAttribute(tree.node(a).text, out);
     out->push_back('"');
   }
   if (n.first_child == kNilDomNode && n.text.empty()) {
     out->append("/>");
-    if (options.indent) out->push_back('\n');
     return;
   }
   out->push_back('>');
-  const bool has_children = n.first_child != kNilDomNode;
-  if (options.indent && has_children) out->push_back('\n');
-  AppendEscaped(n.text, options.escape_text, out);
+  AppendEscapedXmlText(n.text, out);
   for (DomNodeId c = n.first_child; c != kNilDomNode;
        c = tree.node(c).next_sibling) {
-    SerializeNode(tree, c, options, depth + 1, out);
-  }
-  if (options.indent && has_children) {
-    out->append(static_cast<std::size_t>(depth) * 2, ' ');
+    SerializeNode(tree, c, out);
   }
   out->append("</");
   out->append(name);
   out->push_back('>');
-  if (options.indent) out->push_back('\n');
 }
 
 }  // namespace
 
-std::string SerializeSubtree(const DomTree& tree, DomNodeId root,
-                             const SerializeOptions& options) {
+std::string SerializeXml(const DomTree& tree) {
   std::string out;
-  if (root != kNilDomNode) SerializeNode(tree, root, options, 0, &out);
+  if (tree.root() != kNilDomNode) SerializeNode(tree, tree.root(), &out);
   return out;
-}
-
-std::string SerializeXml(const DomTree& tree,
-                         const SerializeOptions& options) {
-  return SerializeSubtree(tree, tree.root(), options);
 }
 
 }  // namespace navpath

@@ -3,21 +3,22 @@
 #define NAVPATH_XML_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
 #include "xml/dom.h"
 
 namespace navpath {
 
-struct SerializeOptions {
-  bool indent = false;       // pretty-print with 2-space indentation
-  bool escape_text = true;   // escape &, <, > in character content
-};
+/// Serializes `tree` to XML text, with no indentation and escaped
+/// character content.
+std::string SerializeXml(const DomTree& tree);
 
-/// Serializes `tree` (or the subtree rooted at `root`) to XML text.
-std::string SerializeXml(const DomTree& tree,
-                         const SerializeOptions& options = {});
-std::string SerializeSubtree(const DomTree& tree, DomNodeId root,
-                             const SerializeOptions& options = {});
+/// Appends character content to `out`, escaping &, < and > (shared with
+/// the store's navigational and scan-based exporters).
+void AppendEscapedXmlText(std::string_view text, std::string* out);
+
+/// Appends an attribute value to `out`, escaping &, < and ".
+void AppendEscapedXmlAttribute(std::string_view value, std::string* out);
 
 }  // namespace navpath
 

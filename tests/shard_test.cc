@@ -518,6 +518,42 @@ TEST(ShardedWorkloadTest, ExposesShardObservability) {
   EXPECT_TRUE(some_busy);
 }
 
+// Per-shard utilization is the drive's busy time during the run over the
+// makespan. The run's cold start zeroes the busy time, so the reading
+// after Run() is the run's own. Repeating the query mix over a small pool
+// keeps every drive busier than the import did: a reading that took the
+// import's busy time off the run's would come out too low.
+TEST(ShardedWorkloadTest, UtilizationIsRunBusyTimeOverMakespan) {
+  FixtureOptions fixture_options;
+  fixture_options.db.buffer_pages = 16;
+  for (const std::size_t shards : {1u, 2u}) {
+    auto store = BuildSharded(0.02, shards, fixture_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    std::vector<SimTime> import_busy;
+    for (std::size_t k = 0; k < shards; ++k) {
+      import_busy.push_back((*store)->db(k)->disk()->busy_time());
+    }
+    ShardedWorkloadExecutor executor(store->get(), WorkloadOptions{});
+    for (int round = 0; round < 4; ++round) {
+      for (const char* q : kShardQueries) {
+        ASSERT_TRUE(executor.Add(q, PaperPlan(PlanKind::kXScan)).ok()) << q;
+      }
+    }
+    auto run = executor.Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->utilization.size(), shards);
+    ASSERT_GT(run->total_time, 0u);
+    for (std::size_t k = 0; k < shards; ++k) {
+      const SimTime busy = (*store)->db(k)->disk()->busy_time();
+      ASSERT_GT(busy, import_busy[k]) << "K=" << shards << " shard " << k;
+      EXPECT_DOUBLE_EQ(run->utilization[k],
+                       static_cast<double>(busy) /
+                           static_cast<double>(run->total_time))
+          << "K=" << shards << " shard " << k;
+    }
+  }
+}
+
 // --- Fault seeding --------------------------------------------------------
 
 TEST(ShardedWorkloadTest, FaultStreamsAreDeterministicPerShard) {
