@@ -72,7 +72,6 @@ ServeOptions ServeConfig(const DocumentStats* stats, SimTime gold_slack) {
   options.workload.stats = stats;
   // Longitudinal trajectory: DRR charging from DocumentStats estimates.
   options.workload.summary = false;
-  options.workload.priority_io = true;
   options.workload.max_concurrent = 4;
   options.degrade_queue_depth = 4;
   options.shed_queue_depth = 10;
@@ -202,8 +201,6 @@ int main() {
     json.Key("shed").Value(static_cast<std::uint64_t>(total_shed));
     json.Key("degraded").Value(static_cast<std::uint64_t>(total_degraded));
     json.Key("makespan_seconds").Value(served->workload.total_seconds());
-    json.Key("priority_jumps")
-        .Value(served->workload.metrics.priority_jumps);
     json.Key("tenants").BeginArray();
     for (std::size_t t = 0; t < 2; ++t) {
       const TenantStats& stats = per_tenant[t];

@@ -64,7 +64,11 @@ int Shell(const std::string& path) {
   DocumentStats stats;
   {
     auto text = ExportDocument(db, doc);
-    text.status().AbortIfNotOk();
+    if (!text.ok()) {
+      std::fprintf(stderr, "statistics failed: %s\n",
+                   text.status().ToString().c_str());
+      return 1;
+    }
     // A document nested deeper than kMaxXmlDepth does not re-parse.
     auto tree = ParseXml(*text, db->tags());
     if (!tree.ok()) {

@@ -168,12 +168,6 @@ struct PlanSharedState {
   /// clusters before blocking on their own prefetches.
   bool cooperative = false;
 
-  /// Set by the WorkloadExecutor when this plan's query sits in the
-  /// cheapest-remaining-cost quartile of the active set: its prefetches
-  /// are submitted at high drive priority, so its few pages jump the
-  /// elevator sweep instead of queueing behind long queries' scans.
-  bool io_priority = false;
-
   /// Granted by the WorkloadExecutor per pull: instead of blocking on its
   /// own prefetches, the I/O operator polls for due completions and, if
   /// none arrived yet, reports exhaustion with `yielded` set. The

@@ -35,9 +35,7 @@ Status XSchedule::Enqueue(const PathInstance& inst) {
       const BufferManager::PrefetchOutcome outcome,
       db_->buffer()->Prefetch(
           TranslateToPhysical(shared_->cluster.translator(), cluster),
-          shared_->owner_id,
-          shared_->io_priority ? ReadPriority::kHigh
-                               : ReadPriority::kNormal));
+          shared_->owner_id));
   if (outcome == BufferManager::PrefetchOutcome::kResident) {
     MarkReady(cluster);
   }

@@ -27,8 +27,10 @@ struct Metrics {
   std::uint64_t elevator_batches = 0;   // async service decisions taken
   std::uint64_t elevator_depth_sum = 0; // pending pool size, summed
   std::uint64_t elevator_depth_max = 0; // deepest pool observed
-  std::uint64_t priority_jumps = 0;     // high-priority reads served past
-                                        // visible normal-priority requests
+  // Always 0; nothing increments it. Kept because navbench reports it as
+  // the per-layer metric storage.priority_jumps and the recorded
+  // ToString() digests hash its line: dropping it changes the benchmark.
+  std::uint64_t priority_jumps = 0;
 
   // Buffer level.
   std::uint64_t buffer_hits = 0;

@@ -679,25 +679,6 @@ Result<std::size_t> WorkloadExecutor::StepOnce() {
   shared->yield_on_block = run_active_.size() > 1 &&
                            consecutive_yields_ < run_active_.size();
 
-  if (options_.priority_io && options_.stats != nullptr) {
-    // Drive-side priority class: the cheapest-remaining quartile of
-    // the active set submits its reads at high priority, so its few
-    // remaining pages jump the elevator sweep instead of queueing
-    // behind the long queries' scans. Ranked per pull from live
-    // estimates; ties break to the lower job id. A job whose deadline
-    // slack ran out joins the class regardless of rank.
-    const double mine = RemainingCost(job);
-    std::size_t cheaper = 0;
-    for (const std::size_t idx : run_active_) {
-      if (idx == job_index) continue;
-      const double cost = RemainingCost(jobs_[idx]);
-      if (cost < mine || (cost == mine && idx < job_index)) ++cheaper;
-    }
-    shared->io_priority =
-        cheaper < std::max<std::size_t>(1, run_active_.size() / 4) ||
-        DeadlineUrgent(job);
-  }
-
   Result<bool> pulled = job.plan.root()->Pull(&step_inst_);
   if (!pulled.ok()) {
     // Per-query fault isolation: a pull that surfaces an error (e.g.

@@ -90,13 +90,6 @@ struct WorkloadOptions {
   /// Produce an EXPLAIN ANALYZE report per query (forces plan profiling).
   bool explain = false;
 
-  /// Drive-side request priority (ReadPriority::kHigh): tag the I/O of
-  /// the cheapest-remaining-cost quartile of the active set so its few
-  /// pages jump the elevator sweep instead of queueing behind long
-  /// queries' scans. Needs `stats`; counted by disk.priority_jumps.
-  /// Opt-in.
-  bool priority_io = false;
-
   /// Test/diagnostic hook: invoked before every scheduling decision's
   /// pull with the Add()-order index of the chosen job and the size of
   /// the active set at that moment. Null (the default) costs nothing;
@@ -261,11 +254,11 @@ class WorkloadExecutor {
   /// the simulated time the query enters the system (open-system
   /// workloads); arrivals must be nondecreasing in Add() order, and a
   /// query is not admitted before its arrival. `deadline` (absolute
-  /// simulated time; 0 = none) marks the query's turnaround target: with
-  /// WorkloadOptions.priority_io, a job whose remaining slack is tight
-  /// submits its reads at high drive priority and is always placed inside
-  /// the hybrid scheduling window. A nonzero deadline at or before the
-  /// arrival is rejected as InvalidArgument.
+  /// simulated time; 0 = none) marks the query's turnaround target: a job
+  /// whose remaining slack is tight is always placed inside the kHybrid
+  /// scheduling window. That is the deadline's only effect; the other
+  /// policies never read it. A nonzero deadline at or before the arrival
+  /// is rejected as InvalidArgument.
   Status Add(const PathQuery& query, const PlanOptions& plan,
              std::vector<LogicalNode> contexts = {}, SimTime arrival = 0,
              SimTime deadline = 0);
@@ -367,8 +360,8 @@ class WorkloadExecutor {
     std::vector<LogicalNode> contexts;
     std::uint32_t owner_id = 0;
     SimTime arrival = 0;
-    /// Absolute turnaround deadline (0 = none): maps onto drive read
-    /// priority and hybrid-window placement, never onto correctness.
+    /// Absolute turnaround deadline (0 = none): maps onto kHybrid
+    /// window placement only, never onto correctness.
     SimTime deadline = 0;
     /// Buffer pages the job's prefetch state may occupy (admission).
     std::size_t footprint = 0;
@@ -486,8 +479,8 @@ class WorkloadExecutor {
                        std::uint64_t decisions);
 
   /// Deadline urgency: the job's remaining slack no longer covers its
-  /// estimated remaining cost (with headroom). Urgent jobs submit reads
-  /// at high drive priority and stay inside the hybrid window.
+  /// estimated remaining cost (with headroom). Urgent jobs stay inside
+  /// the kHybrid window whatever their cost rank.
   bool DeadlineUrgent(const Job& job) const;
 
   Database* db_;

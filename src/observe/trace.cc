@@ -82,10 +82,6 @@ void Tracer::Instant(TraceCategory category, std::uint32_t track,
   Record(category, 'i', track, name, at, 0, args);
 }
 
-void Tracer::SetTrackName(std::uint32_t track, std::string name) {
-  track_names_[track] = std::move(name);
-}
-
 void Tracer::Clear() {
   events_.clear();
   dropped_ = 0;

@@ -90,15 +90,11 @@ class Tracer {
                std::string_view name, SimTime at,
                std::initializer_list<TraceArg> args = {});
 
-  /// Names a track in the viewer (thread_name metadata). The well-known
-  /// tracks above are pre-named; use this for query lanes.
-  void SetTrackName(std::uint32_t track, std::string name);
-
   std::size_t event_count() const { return events_.size(); }
   std::uint64_t dropped_events() const { return dropped_; }
 
-  /// Drops all recorded events (track names are kept). Called when a
-  /// measurement window resets so trace timestamps match the fresh clock.
+  /// Drops all recorded events. Called when a measurement window resets
+  /// so trace timestamps match the fresh clock.
   void Clear();
 
   /// Serializes everything recorded so far as a Chrome trace_event JSON

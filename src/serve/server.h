@@ -2,12 +2,12 @@
 //
 // The paper prices every plan before it runs; a serving system uses those
 // same prices *at admission time*. This module is the admission front-end
-// the ROADMAP names around the open-system Poisson mode and the two-level
-// drive read-priority class: per-tenant bounded queues with weighted fair
-// sharing (deficit round-robin on estimated cost), per-query deadlines
-// that map onto drive read priority and hybrid-window placement, and an
-// overload controller with three explicit responses instead of unbounded
-// queueing:
+// the ROADMAP names around the open-system Poisson mode: per-tenant
+// bounded queues with weighted fair sharing (deficit round-robin on
+// estimated cost), per-query deadlines that keep an urgent query inside
+// the kHybrid scheduling window (their only effect; other policies ignore
+// them), and an overload controller with three explicit responses instead
+// of unbounded queueing:
 //
 //   degrade — re-plan queued queries onto a cheaper tier (Simple-method
 //             chain or reduced-window XSchedule, priced by the cost
@@ -53,8 +53,8 @@ struct TenantSpec {
   double weight = 1.0;
   /// Default relative deadline applied to this tenant's queries (0 =
   /// none): a query submitted without its own deadline gets
-  /// arrival + deadline_slack. Deadlines map onto drive read priority
-  /// and hybrid-window placement, never onto correctness.
+  /// arrival + deadline_slack. Deadlines map onto kHybrid window
+  /// placement only, never onto correctness.
   SimTime deadline_slack = 0;
 };
 
@@ -69,10 +69,12 @@ const char* OverloadStateName(OverloadState state);
 struct ServeOptions {
   std::vector<TenantSpec> tenants;
 
-  /// Executor configuration (policy, budget fraction, stats, priority_io,
-  /// explain, ...). Validated on entry via ValidateWorkloadOptions. A
-  /// Server steps one executor over one Database, so a sharded store
-  /// cannot be served (drive it through ShardedWorkloadExecutor).
+  /// Executor configuration (policy, stats, explain, ...). Validated on
+  /// entry via ValidateWorkloadOptions. A Server steps one executor over
+  /// one Database, so a sharded store cannot be served (drive it through
+  /// ShardedWorkloadExecutor). Tenant deadlines reach the executor only
+  /// as kHybrid window placement; under the other policies they do
+  /// nothing.
   WorkloadOptions workload;
 
   // --- Overload controller thresholds ---------------------------------

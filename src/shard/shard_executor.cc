@@ -36,8 +36,7 @@ ShardedWorkloadExecutor::ShardedWorkloadExecutor(
 }
 
 Status ShardedWorkloadExecutor::Add(const std::string& query,
-                                    const PlanOptions& plan, SimTime arrival,
-                                    SimTime deadline) {
+                                    const PlanOptions& plan) {
   NAVPATH_ASSIGN_OR_RETURN(QueryRoute route, router_.Route(query));
   if (route.unrouted && store_->shard_count() > 1) {
     return Status::InvalidArgument(
@@ -47,8 +46,6 @@ Status ShardedWorkloadExecutor::Add(const std::string& query,
   PendingQuery pending;
   pending.route = std::move(route);
   pending.plan = plan;
-  pending.arrival = arrival;
-  pending.deadline = deadline;
   pending_.push_back(std::move(pending));
   return Status::OK();
 }
@@ -85,8 +82,7 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
         execs[k] = std::make_unique<WorkloadExecutor>(
             store_->db(k), store_->doc(k), per_shard);
       }
-      NAVPATH_RETURN_NOT_OK(execs[k]->Add(q.route.per_shard[k], q.plan, {},
-                                          q.arrival, q.deadline));
+      NAVPATH_RETURN_NOT_OK(execs[k]->Add(q.route.per_shard[k], q.plan));
       slots[qi].emplace_back(k, jobs_in[k]++);
     }
   }
@@ -123,7 +119,6 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
   for (std::size_t qi = 0; qi < pending_.size(); ++qi) {
     const PendingQuery& q = pending_[qi];
     WorkloadQueryResult merged;
-    merged.arrival = q.arrival;
     std::uint64_t sum = 0;
     bool first = true;
     for (const auto& [k, slot] : slots[qi]) {

@@ -83,8 +83,7 @@ class ShardedWorkloadExecutor {
   /// a predicate, an upward or sideways axis) falls back to the home
   /// shard at K=1 and is rejected with InvalidArgument at K>1 (the home
   /// shard only holds the full document unsharded).
-  Status Add(const std::string& query, const PlanOptions& plan,
-             SimTime arrival = 0, SimTime deadline = 0);
+  Status Add(const std::string& query, const PlanOptions& plan);
 
   /// Runs every participating shard's executor and merges. Hard failures
   /// (validation, a shard run failing as a whole) fail the call;
@@ -103,8 +102,6 @@ class ShardedWorkloadExecutor {
   struct PendingQuery {
     QueryRoute route;
     PlanOptions plan;
-    SimTime arrival = 0;
-    SimTime deadline = 0;
   };
 
   ShardedStore* store_;

@@ -287,7 +287,7 @@ Status BufferManager::Discard(PageId id) {
 }
 
 Result<BufferManager::PrefetchOutcome> BufferManager::Prefetch(
-    PageId id, std::uint32_t owner, ReadPriority priority) {
+    PageId id, std::uint32_t owner) {
   const std::size_t resident = FrameOf(id);
   if (resident != kNoFrame) {
     // A concurrent query will come back for this page once its scheduler
@@ -305,11 +305,9 @@ Result<BufferManager::PrefetchOutcome> BufferManager::Prefetch(
       owners.push_back(owner);
       ++metrics_->requests_merged;
     }
-    // An urgent interest makes the whole merged request urgent.
-    if (priority == ReadPriority::kHigh) disk_->PromoteRead(id, priority);
     return PrefetchOutcome::kInFlight;
   }
-  NAVPATH_RETURN_NOT_OK(disk_->SubmitRead(id, priority));
+  NAVPATH_RETURN_NOT_OK(disk_->SubmitRead(id));
   in_flight_.emplace(id, std::vector<std::uint32_t>{owner});
   return PrefetchOutcome::kSubmitted;
 }

@@ -127,11 +127,7 @@ class BufferManager {
   /// request instead of double-submitting, and counts a request merge.
   /// Repeated prefetches by the same owner are neither merges nor
   /// resubmissions, so single-query plans report requests_merged == 0.
-  /// `priority` is the drive-side service class; a high-priority interest
-  /// in a page already in flight promotes the pending request.
-  Result<PrefetchOutcome> Prefetch(PageId id, std::uint32_t owner = 0,
-                                   ReadPriority priority =
-                                       ReadPriority::kNormal);
+  Result<PrefetchOutcome> Prefetch(PageId id, std::uint32_t owner = 0);
 
   bool IsResident(PageId id) const { return FrameOf(id) != kNoFrame; }
 

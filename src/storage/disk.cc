@@ -102,7 +102,7 @@ Status SimulatedDisk::WriteSync(PageId id, const std::byte* data,
   return Status::OK();
 }
 
-Status SimulatedDisk::SubmitRead(PageId id, ReadPriority priority) {
+Status SimulatedDisk::SubmitRead(PageId id) {
   if (id >= pages_.size()) {
     return Status::IOError("async read past end of segment: page " +
                            std::to_string(id));
@@ -111,9 +111,6 @@ Status SimulatedDisk::SubmitRead(PageId id, ReadPriority priority) {
     if (p.page == id) {
       // Coalesce with the queued request (which keeps its earlier submit
       // time, so the merge never delays the elevator's visibility of it).
-      // The merged request serves every interested party, so it inherits
-      // the most urgent of the two service classes.
-      if (priority == ReadPriority::kHigh) p.priority = ReadPriority::kHigh;
       ++metrics_->requests_merged;
       NAVPATH_TRACE(tracer_,
                     Instant(TraceCategory::kDisk, kTrackElevator,
@@ -121,21 +118,11 @@ Status SimulatedDisk::SubmitRead(PageId id, ReadPriority priority) {
       return Status::OK();
     }
   }
-  pending_.push_back(PendingRequest{id, clock_->now(), priority});
+  pending_.push_back(PendingRequest{id, clock_->now()});
   ++metrics_->async_requests;
   NAVPATH_TRACE(tracer_, Instant(TraceCategory::kDisk, kTrackElevator,
                                  "submit", clock_->now(), {{"page", id}}));
   return Status::OK();
-}
-
-void SimulatedDisk::PromoteRead(PageId id, ReadPriority priority) {
-  if (priority != ReadPriority::kHigh) return;
-  for (PendingRequest& p : pending_) {
-    if (p.page == id) {
-      p.priority = ReadPriority::kHigh;
-      return;
-    }
-  }
 }
 
 void SimulatedDisk::ServeOnePending() {
@@ -171,18 +158,10 @@ void SimulatedDisk::ServeOnePending() {
   // Only the `queue_window` earliest-submitted visible requests compete
   // (the command-queue depth of the hardware); pending_ is kept in
   // submission order, so the first qualifying entries form the window.
-  // A high-priority request in the window preempts the sweep: the C-SCAN
-  // pick is then restricted to the high-priority subset, so a short
-  // query's page is served next instead of waiting for the sweep to reach
-  // it behind a long query's reads. Within one service class the sweep
-  // order is unchanged.
   const PageId sweep_from = head_ == kInvalidPageId ? 0 : head_;
   const std::size_t none = pending_.size();
-  std::size_t best = none;        // C-SCAN pick over the whole window
+  std::size_t best = none;
   std::size_t lowest = none;
-  std::size_t best_high = none;   // same, restricted to high priority
-  std::size_t lowest_high = none;
-  bool any_high = false;
   std::size_t admitted = 0;
   for (std::size_t i = 0;
        i < pending_.size() && admitted < model_.queue_window; ++i) {
@@ -193,26 +172,8 @@ void SimulatedDisk::ServeOnePending() {
     if (p >= sweep_from && (best == none || p < pending_[best].page)) {
       best = i;
     }
-    if (pending_[i].priority == ReadPriority::kHigh) {
-      any_high = true;
-      if (lowest_high == none || p < pending_[lowest_high].page) {
-        lowest_high = i;
-      }
-      if (p >= sweep_from &&
-          (best_high == none || p < pending_[best_high].page)) {
-        best_high = i;
-      }
-    }
   }
   if (best == none) best = lowest;  // wrap the sweep
-  if (any_high) {
-    const std::size_t pick_high = best_high == none ? lowest_high : best_high;
-    // Only count a jump when the restriction actually changed the drive's
-    // decision (a high request the sweep would have served anyway is not
-    // a bypass).
-    if (pick_high != best) ++metrics_->priority_jumps;
-    best = pick_high;
-  }
   NAVPATH_DCHECK(best < pending_.size());
   if (best != earliest_idx) ++metrics_->async_reorderings;
 

@@ -34,13 +34,6 @@
 
 namespace navpath {
 
-/// Two-level service class for asynchronous reads. High-priority requests
-/// jump the elevator sweep: while any high-priority request is visible to
-/// the drive, the C-SCAN pick is restricted to the high-priority subset.
-/// Workload schedulers tag the reads of short/cheap queries high so their
-/// few pages are not queued behind a long query's deep scan.
-enum class ReadPriority { kNormal, kHigh };
-
 class SimulatedDisk {
  public:
   /// `clock` and `metrics` must outlive the disk.
@@ -87,16 +80,8 @@ class SimulatedDisk {
   /// request instead of occupying a second elevator slot: the pair costs
   /// one disk service and produces one completion (requests_merged counts
   /// the coalesced submissions). Concurrent queries interested in the same
-  /// page therefore share a single physical read. Merging keeps the
-  /// higher of the two priorities, so a high-priority interest upgrades a
-  /// queued normal request (never the reverse).
-  Status SubmitRead(PageId id, ReadPriority priority = ReadPriority::kNormal);
-
-  /// Raises the priority of an already-pending read of `id` (no-op when
-  /// the page is not pending, already served, or already high). Used when
-  /// a high-priority consumer registers interest in a request that was
-  /// submitted at normal priority.
-  void PromoteRead(PageId id, ReadPriority priority);
+  /// page therefore share a single physical read.
+  Status SubmitRead(PageId id);
 
   /// Number of submitted reads whose completion has not been consumed.
   std::size_t pending_requests() const {
@@ -174,7 +159,6 @@ class SimulatedDisk {
   struct PendingRequest {
     PageId page;
     SimTime submit_time;
-    ReadPriority priority = ReadPriority::kNormal;
   };
   struct CompletedRequest {
     PageId page;

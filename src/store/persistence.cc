@@ -217,6 +217,18 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
       !ReadU64(in, &doc.continuation_pairs) || !ReadU64(in, &doc.pages)) {
     return Status::Corruption("truncated catalog");
   }
+  // The catalog carries no checksum, so what it names must lie inside the
+  // file. A file without pages holds no document and is not checked.
+  if (page_count > 0) {
+    if (root_page >= page_count) {
+      return Status::Corruption("catalog root page " +
+                                std::to_string(root_page) +
+                                " past the last page");
+    }
+    if (doc.first_page > doc.last_page || doc.last_page >= page_count) {
+      return Status::Corruption("catalog page range past the last page");
+    }
+  }
 
   if (version >= 3) {
     // The summary is derived data: any damage here degrades to "no
@@ -315,6 +327,25 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
                                 " failed checksum verification");
     }
     loaded.db->disk()->LoadRawPage(buf.data());
+  }
+
+  if (page_count == 0) return loaded;
+  // The root must be a live core record on the page that holds the current
+  // version of the root cluster (the versioned root may have moved it).
+  PageId root_physical = root_page;
+  for (const auto& [logical, physical] : loaded.txn_state.mappings) {
+    if (logical == root_page) root_physical = physical;
+  }
+  std::memcpy(buf.data(), loaded.db->disk()->RawPage(root_physical),
+              page_size);
+  const TreePage root_view(buf.data(), page_size);
+  if (!root_view.Validate().ok() || root_slot >= root_view.slot_count() ||
+      !root_view.IsLive(static_cast<SlotId>(root_slot)) ||
+      root_view.KindOf(static_cast<SlotId>(root_slot)) != RecordKind::kCore) {
+    return Status::Corruption("catalog root slot " +
+                              std::to_string(root_slot) +
+                              " is not a live core record on page " +
+                              std::to_string(root_physical));
   }
   return loaded;
 }

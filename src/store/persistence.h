@@ -78,7 +78,9 @@ struct LoadedDatabase {
 
 /// Restores a database saved with SaveDatabase. `options` configures the
 /// simulation (buffer size, cost models); the page size is taken from the
-/// file and overrides options.page_size.
+/// file and overrides options.page_size. A file whose pages fail their
+/// checksums, or whose catalog names a root or page range outside its
+/// pages or a root slot that is not a live core record, is Corruption.
 Result<LoadedDatabase> LoadDatabase(const std::string& path,
                                     DatabaseOptions options = {});
 

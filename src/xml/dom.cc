@@ -78,10 +78,4 @@ std::size_t DomTree::CountTag(TagId tag) const {
   return count;
 }
 
-std::size_t DomTree::TotalTextBytes() const {
-  std::size_t bytes = 0;
-  for (const DomNode& n : nodes_) bytes += n.text.size();
-  return bytes;
-}
-
 }  // namespace navpath

@@ -197,9 +197,6 @@ class DomTree {
   /// Number of elements with tag `tag` (handy for generator tests).
   std::size_t CountTag(TagId tag) const;
 
-  /// Total bytes of character content (for sizing statistics).
-  std::size_t TotalTextBytes() const;
-
  private:
   TagRegistry* tags_;
   std::vector<DomNode> nodes_;

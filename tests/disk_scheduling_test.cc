@@ -3,11 +3,9 @@
 // request merging, and elevator pool depth accounting.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "benchlib/harness.h"
-#include "compiler/workload_executor.h"
 #include "storage/disk.h"
 
 namespace navpath {
@@ -170,106 +168,6 @@ TEST(DiskSchedulingTest, SoloQueryPlansReportNoMerges) {
     auto result = (*fixture)->Run("/site/regions//item", PaperPlan(kind));
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(result->metrics.requests_merged, 0u) << PlanKindName(kind);
-  }
-}
-
-TEST(DiskSchedulingTest, HighPriorityRequestJumpsTheSweep) {
-  Fixture f;
-  std::vector<std::byte> buf(kPage);
-  ASSERT_TRUE(f.disk.ReadSync(50, buf.data()).ok());  // head at 50
-  ASSERT_TRUE(f.disk.SubmitRead(60).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(70).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(90, ReadPriority::kHigh).ok());
-  // The farthest request is served first because it is the only
-  // high-priority one; the jump past nearer normal requests is counted.
-  const std::vector<PageId> order = f.DrainAll();
-  EXPECT_EQ(order.front(), 90u);
-  EXPECT_EQ(f.metrics.priority_jumps, 1u);
-}
-
-TEST(DiskSchedulingTest, PriorityClassKeepsElevatorOrderWithinClass) {
-  Fixture f;
-  std::vector<std::byte> buf(kPage);
-  ASSERT_TRUE(f.disk.ReadSync(50, buf.data()).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(55).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(70).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(80, ReadPriority::kHigh).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(60, ReadPriority::kHigh).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(90, ReadPriority::kHigh).ok());
-  // The high-priority class drains first, C-SCAN order within the class;
-  // the normal class follows, also in sweep order.
-  EXPECT_EQ(f.DrainAll(), (std::vector<PageId>{60, 80, 90, 55, 70}));
-}
-
-TEST(DiskSchedulingTest, DuplicateSubmissionUpgradesPriority) {
-  Fixture f;
-  std::vector<std::byte> buf(kPage);
-  ASSERT_TRUE(f.disk.ReadSync(50, buf.data()).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(90).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(60).ok());
-  // A high-priority submission of an already-pending page merges AND
-  // upgrades: page 90 now outranks the nearer normal request.
-  ASSERT_TRUE(f.disk.SubmitRead(90, ReadPriority::kHigh).ok());
-  EXPECT_EQ(f.metrics.requests_merged, 1u);
-  EXPECT_EQ(f.DrainAll(), (std::vector<PageId>{90, 60}));
-}
-
-TEST(DiskSchedulingTest, PromoteReadRaisesPendingRequest) {
-  Fixture f;
-  std::vector<std::byte> buf(kPage);
-  ASSERT_TRUE(f.disk.ReadSync(50, buf.data()).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(90).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(60).ok());
-  f.disk.PromoteRead(90, ReadPriority::kHigh);
-  f.disk.PromoteRead(777, ReadPriority::kHigh);  // not pending: no-op
-  EXPECT_EQ(f.DrainAll(), (std::vector<PageId>{90, 60}));
-  EXPECT_EQ(f.metrics.priority_jumps, 1u);
-}
-
-TEST(DiskSchedulingTest, WorkloadPriorityIoJumpsAndStaysExact) {
-  // The workload executor tags the cheapest-remaining quartile's reads
-  // as high priority. With four concurrent XSchedule queries the tagged
-  // reads must actually jump the sweep (counted by disk.priority_jumps),
-  // and prioritization may reorder service but never change results.
-  // The command queue admits the earliest-submitted requests first, so a
-  // shallow window drains one query's batch before the next one's
-  // arrives; a deeper window (NCQ-class hardware) is where the service
-  // classes actually mix.
-  FixtureOptions deep_queue;
-  deep_queue.db.disk_model.queue_window = 64;
-  auto fixture = XMarkFixture::Create(0.02, deep_queue);
-  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
-  const std::vector<std::string> queries = {
-      "/site/regions//item", "/site/people/person/email",
-      "/site//keyword", "/site/regions//name"};
-
-  auto run = [&](bool priority_io) -> Result<WorkloadResult> {
-    WorkloadOptions options;
-    // Round-robin keeps the short query interleaved with the scans (SJF
-    // variants drain its I/O before the long queries pool), so its
-    // high-priority reads actually coexist with normal ones at the drive.
-    options.policy = WorkloadPolicy::kRoundRobin;
-    options.collect_nodes = true;
-    options.stats = &(*fixture)->stats();
-    options.priority_io = priority_io;
-    WorkloadExecutor executor((*fixture)->db(), (*fixture)->doc(), options);
-    for (const std::string& q : queries) {
-      NAVPATH_RETURN_NOT_OK(
-          executor.Add(q, PaperPlan(PlanKind::kXSchedule)));
-    }
-    return executor.Run();
-  };
-
-  auto plain = run(false);
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ(plain->metrics.priority_jumps, 0u);
-
-  auto prioritized = run(true);
-  ASSERT_TRUE(prioritized.ok()) << prioritized.status().ToString();
-  EXPECT_GT(prioritized->metrics.priority_jumps, 0u);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(prioritized->queries[i].count, plain->queries[i].count)
-        << queries[i];
   }
 }
 

@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -385,6 +386,108 @@ TEST(PersistenceTest, TruncatedFileDetected) {
     ASSERT_EQ(truncate(path.c_str(), size - 600), 0);
   }
   EXPECT_FALSE(LoadDatabase(path).ok());
+  std::remove(path.c_str());
+}
+
+/// A saved multi-page document and the byte offset of its catalog, found
+/// by walking the tag table that precedes it.
+struct SavedFile {
+  std::string bytes;
+  std::size_t catalog = 0;
+  std::uint32_t page_count = 0;
+  std::uint32_t last_page = 0;
+};
+
+void SaveMultiPageFile(const std::string& path, SavedFile* saved) {
+  DatabaseOptions options;
+  options.page_size = 1024;
+  Database db(options);
+  XMarkOptions xmark;
+  xmark.scale = 0.002;
+  const DomTree tree = GenerateXMark(xmark, db.tags());
+  SubtreeClusteringPolicy policy(896);
+  auto doc = db.Import(tree, &policy);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ASSERT_TRUE(SaveDatabase(&db, *doc, path).ok());
+  ASSERT_TRUE(LoadDatabase(path).ok());
+
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char chunk[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    saved->bytes.append(chunk, n);
+  }
+  std::fclose(f);
+  const auto u32_at = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, saved->bytes.data() + at, sizeof(v));
+    return v;
+  };
+  // magic, version, page size, page count, tag count, then the tags.
+  saved->page_count = u32_at(12);
+  ASSERT_GT(saved->page_count, 2u);
+  std::size_t at = 20;
+  for (std::uint32_t t = u32_at(16); t > 0; --t) at += 4 + u32_at(at);
+  saved->catalog = at;
+  saved->last_page = u32_at(at + 20);
+}
+
+/// Writes `saved` to `path` with the catalog's 32-bit field at byte
+/// `field` (0 root page, 4 root slot, 16 first page, 20 last page)
+/// replaced by `value`.
+void WritePatchedCatalog(const std::string& path, const SavedFile& saved,
+                         std::size_t field, std::uint32_t value) {
+  std::string bytes = saved.bytes;
+  std::memcpy(bytes.data() + saved.catalog + field, &value, sizeof(value));
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST(PersistenceTest, RejectsCatalogRootSlotThatIsNotALiveCoreRecord) {
+  // A root slot past the page's slot directory must not load: exporting
+  // the document would read a tag from outside the directory.
+  const std::string path = TempPath("bad_root_slot.nvph");
+  SavedFile saved;
+  ASSERT_NO_FATAL_FAILURE(SaveMultiPageFile(path, &saved));
+  ASSERT_NO_FATAL_FAILURE(WritePatchedCatalog(path, saved, 4, 60000));
+  auto loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("root slot"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, RejectsCatalogRootPagePastTheLastPage) {
+  const std::string path = TempPath("bad_root_page.nvph");
+  SavedFile saved;
+  ASSERT_NO_FATAL_FAILURE(SaveMultiPageFile(path, &saved));
+  ASSERT_NO_FATAL_FAILURE(
+      WritePatchedCatalog(path, saved, 0, saved.page_count + 5));
+  auto loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("root page"), std::string::npos)
+      << loaded.status().ToString();
+  std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, RejectsCatalogPageRangePastTheLastPage) {
+  // A last page past the file must not load: the document would report
+  // pages the file does not hold.
+  const std::string path = TempPath("bad_page_range.nvph");
+  SavedFile saved;
+  ASSERT_NO_FATAL_FAILURE(SaveMultiPageFile(path, &saved));
+  ASSERT_NO_FATAL_FAILURE(
+      WritePatchedCatalog(path, saved, 20, saved.page_count + 100));
+  auto loaded = LoadDatabase(path);
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+  // A first page after the last page is refused the same way.
+  ASSERT_NO_FATAL_FAILURE(
+      WritePatchedCatalog(path, saved, 16, saved.last_page + 1));
+  loaded = LoadDatabase(path);
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   std::remove(path.c_str());
 }
 

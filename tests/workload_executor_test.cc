@@ -519,6 +519,54 @@ TEST(WorkloadExecutorTest, RejectsMalformedOptionsAndDeadlines) {
   EXPECT_TRUE(run->queries[0].status.ok());
 }
 
+TEST(WorkloadExecutorTest, DeadlineUrgentJobJoinsTheHybridWindow) {
+  // kHybrid keeps only its cheapest jobs in the scheduling window until
+  // half the workload has finished. A job whose deadline slack no longer
+  // covers its remaining cost joins the window anyway: the one effect a
+  // deadline has on scheduling.
+  struct Trace {
+    std::size_t first_pull_of_last = 0;  // decision index
+    SimTime finished[3] = {};
+  };
+  const auto run = [](SimTime deadline) -> Result<Trace> {
+    NAVPATH_ASSIGN_OR_RETURN(auto fixture, XMarkFixture::Create(0.02));
+    WorkloadOptions options;
+    options.policy = WorkloadPolicy::kHybrid;
+    options.stats = &fixture->stats();
+    Trace trace;
+    std::size_t decision = 0;
+    bool seen = false;
+    options.on_pull = [&](std::size_t job, std::size_t) {
+      if (job == 2 && !seen) {
+        seen = true;
+        trace.first_pull_of_last = decision;
+      }
+      ++decision;
+    };
+    WorkloadExecutor executor(fixture->db(), fixture->doc(), options);
+    const PlanOptions plan = PaperPlan(PlanKind::kXSchedule);
+    NAVPATH_RETURN_NOT_OK(executor.Add("/site/people/person/email", plan));
+    NAVPATH_RETURN_NOT_OK(executor.Add("/site/regions//item", plan));
+    NAVPATH_RETURN_NOT_OK(
+        executor.Add("/site//keyword", plan, /*arrival=*/0, deadline));
+    NAVPATH_ASSIGN_OR_RETURN(const WorkloadResult result, executor.Run());
+    for (std::size_t i = 0; i < 3; ++i) {
+      NAVPATH_RETURN_NOT_OK(result.queries[i].status);
+      trace.finished[i] = result.queries[i].finished_at;
+    }
+    return trace;
+  };
+
+  auto urgent = run(/*deadline=*/1);
+  ASSERT_TRUE(urgent.ok()) << urgent.status().ToString();
+  auto relaxed = run(/*deadline=*/0);
+  ASSERT_TRUE(relaxed.ok()) << relaxed.status().ToString();
+  EXPECT_EQ(urgent->first_pull_of_last, 1u);
+  EXPECT_LT(urgent->finished[2], urgent->finished[1]);
+  EXPECT_EQ(relaxed->first_pull_of_last, 1130u);
+  EXPECT_GT(relaxed->finished[2], relaxed->finished[1]);
+}
+
 TEST(WorkloadExecutorTest, RejectsInvalidWorkloads) {
   auto fixture = XMarkFixture::Create(0.005);
   ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
