@@ -1,5 +1,7 @@
 #include "algebra/xschedule.h"
 
+#include <algorithm>
+
 namespace navpath {
 
 Status XSchedule::Open() {
@@ -62,21 +64,32 @@ Status XSchedule::Replenish() {
 
 Result<bool> XSchedule::SwitchToNextCluster() {
   for (;;) {
-    if (shared_->cooperative &&
-        scanned_installs_ != db_->buffer()->installs()) {
+    if (shared_->cooperative) {
       // A sibling query's wait may already have installed clusters we
       // queued (completions are delivered to whichever query blocks
       // first); pick those up instead of blocking on our own prefetches.
       // Only an install can make a queued cluster newly qualify: Enqueue
       // marks clusters already resident, and entered clusters leave q_.
+      // So the pages installed since the last check, mapped to logical
+      // ids and filtered, are exactly the queued resident clusters not yet
+      // ready; ascending order is the order a walk over q_ would mark.
+      const PageTranslator* translator = shared_->cluster.translator();
+      installed_.clear();
+      db_->buffer()->InstalledSince(scanned_installs_, &installed_);
       scanned_installs_ = db_->buffer()->installs();
-      for (const auto& [page, entries] : q_) {
-        if (!entries.empty() && !ready_set_.contains(page) &&
-            db_->buffer()->IsResident(TranslateToPhysical(
-                shared_->cluster.translator(), page))) {
-          MarkReady(page);
+      auto kept = installed_.begin();
+      for (const PageId physical : installed_) {
+        const PageId page = TranslateToLogical(translator, physical);
+        const auto it = q_.find(page);
+        if (it != q_.end() && !it->second.empty() &&
+            !ready_set_.contains(page) &&
+            db_->buffer()->IsResident(TranslateToPhysical(translator, page))) {
+          *kept++ = page;
         }
       }
+      installed_.erase(kept, installed_.end());
+      std::sort(installed_.begin(), installed_.end());
+      for (const PageId page : installed_) MarkReady(page);
     }
     // Prefer clusters whose I/O already completed (or that are resident).
     while (!ready_.empty()) {

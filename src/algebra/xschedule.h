@@ -23,6 +23,7 @@
 
 #include <deque>
 #include <map>
+#include <vector>
 
 #include "algebra/operator.h"
 #include "common/flat_set.h"
@@ -75,10 +76,12 @@ class XSchedule : public PathOperator {
 
   std::deque<PageId> ready_;
   FlatSet<PageId> ready_set_;
-  // BufferManager::installs() when the cooperative scan for clusters a
-  // sibling installed last ran (or at Open); the scan is skipped while it
-  // is unchanged. See DESIGN.md, "Claimed frames and the yield protocol".
+  // BufferManager::installs() when the cooperative check for clusters a
+  // sibling installed last ran (or at Open); the next check looks only at
+  // pages installed after it. See DESIGN.md, "Claimed frames and the
+  // yield protocol".
   std::uint64_t scanned_installs_ = 0;
+  std::vector<PageId> installed_;  // reused by that check
 
   // Speculative seed enumeration state for the current cluster.
   bool seeding_ = false;

@@ -132,6 +132,37 @@ void BufferManager::Unpin(std::size_t frame_idx) {
   }
 }
 
+void BufferManager::LinkMostRecent(std::size_t idx) {
+  Frame& f = frames_[idx];
+  f.lru_prev = lru_tail_;
+  f.lru_next = kNoFrame;
+  if (lru_tail_ == kNoFrame) {
+    lru_head_ = static_cast<std::uint32_t>(idx);
+  } else {
+    frames_[lru_tail_].lru_next = static_cast<std::uint32_t>(idx);
+  }
+  lru_tail_ = static_cast<std::uint32_t>(idx);
+}
+
+void BufferManager::UnlinkRecency(std::size_t idx) {
+  Frame& f = frames_[idx];
+  (f.lru_prev == kNoFrame ? lru_head_ : frames_[f.lru_prev].lru_next) =
+      f.lru_next;
+  (f.lru_next == kNoFrame ? lru_tail_ : frames_[f.lru_next].lru_prev) =
+      f.lru_prev;
+  f.lru_prev = kNoFrame;
+  f.lru_next = kNoFrame;
+}
+
+void BufferManager::Unmap(std::size_t idx) {
+  Frame& f = frames_[idx];
+  NAVPATH_DCHECK(FrameOf(f.page_id) == idx);
+  UnlinkRecency(idx);
+  page_table_[f.page_id] = kNoFrame;
+  --pages_resident_;
+  f.page_id = kInvalidPageId;
+}
+
 Result<std::size_t> BufferManager::GetFreeFrame() {
   if (!free_frames_.empty()) {
     const std::size_t idx = free_frames_.back();
@@ -142,25 +173,19 @@ Result<std::size_t> BufferManager::GetFreeFrame() {
   // concurrent query (prefetched, not yet consumed) are spared unless
   // every unpinned frame is claimed — evicting one forces its owner into
   // a synchronous re-read later, the costliest outcome.
-  std::size_t victim = capacity_;
-  std::uint64_t oldest = ~0ull;
-  std::size_t claimed_victim = capacity_;
-  std::uint64_t claimed_oldest = ~0ull;
-  for (std::size_t i = 0; i < frames_.size(); ++i) {
+  std::uint32_t victim = kNoFrame;
+  std::uint32_t claimed_victim = kNoFrame;
+  for (std::uint32_t i = lru_head_; i != kNoFrame; i = frames_[i].lru_next) {
     const Frame& f = frames_[i];
     if (f.pin_count != 0) continue;
-    if (f.claimed) {
-      if (f.last_use < claimed_oldest) {
-        claimed_oldest = f.last_use;
-        claimed_victim = i;
-      }
-    } else if (f.last_use < oldest) {
-      oldest = f.last_use;
+    if (!f.claimed) {
       victim = i;
+      break;
     }
+    if (claimed_victim == kNoFrame) claimed_victim = i;
   }
-  if (victim == capacity_) victim = claimed_victim;
-  if (victim == capacity_) {
+  if (victim == kNoFrame) victim = claimed_victim;
+  if (victim == kNoFrame) {
     return Status::ResourceExhausted("all buffer frames are pinned");
   }
   Frame& f = frames_[victim];
@@ -169,12 +194,11 @@ Result<std::size_t> BufferManager::GetFreeFrame() {
     NAVPATH_RETURN_NOT_OK(WritePageWithRetry(f.page_id, f.data.get()));
     f.dirty = false;
   }
-  Unmap(f.page_id);
   ++metrics_->buffer_evictions;
   NAVPATH_TRACE(tracer_, Instant(TraceCategory::kBuffer, kTrackBuffer,
                                  "evict", clock_->now(),
                                  {{"page", f.page_id}}));
-  f.page_id = kInvalidPageId;
+  Unmap(victim);
   return victim;
 }
 
@@ -192,16 +216,31 @@ Result<std::size_t> BufferManager::InstallFromScratch(PageId id) {
   f.pin_count = 0;
   f.dirty = false;
   f.claimed = false;
-  f.last_use = ++use_counter_;
+  LinkMostRecent(idx);
   if (id >= page_table_.size()) {
     page_table_.resize(static_cast<std::size_t>(id) + 1, kNoFrame);
   }
   NAVPATH_DCHECK(page_table_[id] == kNoFrame);
   page_table_[id] = static_cast<std::uint32_t>(idx);
   ++pages_resident_;
-  ++installs_;
+  f.installed_at = ++installs_;
+  install_log_.push_back(InstallRecord{id, installs_});
+  if (install_log_.size() > 2 * capacity_) {
+    // At most capacity_ entries are live, so this at least halves the log.
+    std::erase_if(install_log_, [this](const InstallRecord& record) {
+      return !IsLive(record);
+    });
+  }
   clock_->ChargeCpu(costs_.page_install);
   return idx;
+}
+
+void BufferManager::InstalledSince(std::uint64_t since,
+                                   std::vector<PageId>* out) const {
+  for (auto it = install_log_.rbegin();
+       it != install_log_.rend() && it->seq > since; ++it) {
+    if (IsLive(*it)) out->push_back(it->page);
+  }
 }
 
 Result<std::size_t> BufferManager::FixInternal(PageId id, bool charge_swizzle) {
@@ -225,7 +264,7 @@ Result<std::size_t> BufferManager::FixInternal(PageId id, bool charge_swizzle) {
   Frame& f = frames_[idx];
   ++f.pin_count;
   f.claimed = false;  // first fix consumes a concurrent query's claim
-  f.last_use = ++use_counter_;
+  Touch(idx);
   return idx;
 }
 
@@ -267,7 +306,7 @@ Result<PageGuard> BufferManager::AdoptPage(PageId id,
   ++f.pin_count;
   f.dirty = true;
   f.claimed = false;
-  f.last_use = ++use_counter_;
+  Touch(idx);
   return PageGuard(this, idx);
 }
 
@@ -278,8 +317,7 @@ Status BufferManager::Discard(PageId id) {
   if (f.pin_count > 0) {
     return Status::InvalidArgument("cannot discard a pinned page");
   }
-  Unmap(id);
-  f.page_id = kInvalidPageId;
+  Unmap(idx);
   f.dirty = false;
   f.claimed = false;
   free_frames_.push_back(idx);
@@ -312,15 +350,6 @@ Result<BufferManager::PrefetchOutcome> BufferManager::Prefetch(
   return PrefetchOutcome::kSubmitted;
 }
 
-bool BufferManager::ClaimedByQuery(PageId id) const {
-  const auto it = in_flight_.find(id);
-  if (it == in_flight_.end()) return false;
-  for (const std::uint32_t owner : it->second) {
-    if (owner != 0) return true;
-  }
-  return false;
-}
-
 std::size_t BufferManager::PendingFor(std::uint32_t owner) const {
   std::size_t n = 0;
   for (const auto& [page, owners] : in_flight_) {
@@ -328,6 +357,30 @@ std::size_t BufferManager::PendingFor(std::uint32_t owner) const {
     if (std::find(owners.begin(), owners.end(), owner) != owners.end()) ++n;
   }
   return n;
+}
+
+Result<PageId> BufferManager::FinishPrefetch(
+    const SimulatedDisk::AsyncCompletion& done) {
+  const PageId id = done.page;
+  bool claim = false;
+  if (const auto it = in_flight_.find(id); it != in_flight_.end()) {
+    claim = std::any_of(it->second.begin(), it->second.end(),
+                        [](std::uint32_t owner) { return owner != 0; });
+    in_flight_.erase(it);
+  }
+  if (!done.io.ok() || !VerifyChecksum(id, scratch_.get())) {
+    // The asynchronous read failed or delivered a bad image: degrade to a
+    // synchronous re-read (with retries) so one lost completion does not
+    // fail the whole plan.
+    if (done.io.ok()) ++metrics_->corruptions_detected;
+    ++metrics_->fault_fallbacks;
+    NAVPATH_RETURN_NOT_OK(ReadPageWithRetry(id, scratch_.get()));
+  }
+  if (!IsResident(id)) {
+    NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, InstallFromScratch(id));
+    frames_[idx].claimed = claim;
+  }
+  return id;
 }
 
 Result<PageId> BufferManager::WaitAnyPrefetch() {
@@ -340,22 +393,7 @@ Result<PageId> BufferManager::WaitAnyPrefetch() {
   NAVPATH_TRACE(tracer_, Span(TraceCategory::kBuffer, kTrackBuffer,
                               "prefetch_wait", wait_begin, clock_->now(),
                               {{"page", completion.page}}));
-  const PageId id = completion.page;
-  const bool claim = ClaimedByQuery(id);
-  in_flight_.erase(id);
-  if (!completion.io.ok() || !VerifyChecksum(id, scratch_.get())) {
-    // The asynchronous read failed or delivered a bad image: degrade to a
-    // synchronous re-read (with retries) so one lost completion does not
-    // fail the whole plan.
-    if (completion.io.ok()) ++metrics_->corruptions_detected;
-    ++metrics_->fault_fallbacks;
-    NAVPATH_RETURN_NOT_OK(ReadPageWithRetry(id, scratch_.get()));
-  }
-  if (!IsResident(id)) {
-    NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, InstallFromScratch(id));
-    frames_[idx].claimed = claim;
-  }
-  return id;
+  return FinishPrefetch(completion);
 }
 
 Result<PageId> BufferManager::PollAnyPrefetch() {
@@ -363,19 +401,7 @@ Result<PageId> BufferManager::PollAnyPrefetch() {
   const std::optional<SimulatedDisk::AsyncCompletion> completion =
       disk_->PollCompletion(scratch_.get());
   if (!completion.has_value()) return kInvalidPageId;
-  const PageId id = completion->page;
-  const bool claim = ClaimedByQuery(id);
-  in_flight_.erase(id);
-  if (!completion->io.ok() || !VerifyChecksum(id, scratch_.get())) {
-    if (completion->io.ok()) ++metrics_->corruptions_detected;
-    ++metrics_->fault_fallbacks;
-    NAVPATH_RETURN_NOT_OK(ReadPageWithRetry(id, scratch_.get()));
-  }
-  if (!IsResident(id)) {
-    NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, InstallFromScratch(id));
-    frames_[idx].claimed = claim;
-  }
-  return id;
+  return FinishPrefetch(*completion);
 }
 
 Status BufferManager::FlushAll() {
@@ -396,8 +422,7 @@ Status BufferManager::InvalidateAll() {
     if (f.pin_count > 0) {
       return Status::InvalidArgument("cannot invalidate a pinned page");
     }
-    Unmap(f.page_id);
-    f.page_id = kInvalidPageId;
+    Unmap(i);
     f.claimed = false;
     free_frames_.push_back(i);
   }

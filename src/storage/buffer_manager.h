@@ -137,17 +137,22 @@ class BufferManager {
   /// unchanged knows no page has become resident in between.
   std::uint64_t installs() const { return installs_; }
 
+  /// Appends to `out`, newest first, every page whose install came after
+  /// the installs() value `since` and that has stayed resident since that
+  /// install. Costs O(installs since `since`): nothing when the count has
+  /// not moved.
+  void InstalledSince(std::uint64_t since, std::vector<PageId>* out) const;
+
+  /// Entries in the install log behind InstalledSince (for tests: it
+  /// never holds more than twice the pool's capacity).
+  std::size_t install_log_size() const { return install_log_.size(); }
+
   /// True if any prefetch has been submitted and not yet consumed.
   bool HasPrefetchInFlight() const { return !in_flight_.empty(); }
 
   /// Number of in-flight prefetched pages `owner` registered interest in
   /// (workload scheduling policies pick queries by this).
   std::size_t PendingFor(std::uint32_t owner) const;
-
-  /// True if any non-standalone owner (!= 0) has interest in the
-  /// in-flight page `id` (such pages are eviction-protected after
-  /// installation until first fixed).
-  bool ClaimedByQuery(PageId id) const;
 
   /// Blocks until some prefetch completes, installs the page in a frame,
   /// and returns its id. The page is NOT pinned; callers Fix() it next
@@ -207,7 +212,19 @@ class BufferManager {
     /// is claimed; the first Fix consumes the claim. Standalone execution
     /// (owner 0) never claims, so its eviction order is untouched.
     bool claimed = false;
-    std::uint64_t last_use = 0;  // LRU stamp
+    /// Neighbours in the recency list (kNoFrame at either end); linked
+    /// only while the frame holds a page.
+    std::uint32_t lru_prev = kNoFrame;
+    std::uint32_t lru_next = kNoFrame;
+    /// installs() right after this frame's page was installed.
+    std::uint64_t installed_at = 0;
+  };
+
+  /// One install: the page and installs() right after it. The entry is
+  /// live while the page has stayed resident since (same frame stamp).
+  struct InstallRecord {
+    PageId page;
+    std::uint64_t seq;
   };
 
   /// Frame holding `id`, or kNoFrame when it is not resident (including
@@ -216,11 +233,23 @@ class BufferManager {
     return id < page_table_.size() ? page_table_[id] : kNoFrame;
   }
 
-  /// Drops `id`'s page-table entry (its frame is being reused or freed).
-  void Unmap(PageId id) {
-    NAVPATH_DCHECK(FrameOf(id) != kNoFrame);
-    page_table_[id] = kNoFrame;
-    --pages_resident_;
+  /// Makes frame `idx` hold no page: drops its page-table entry and its
+  /// place in the recency list (the frame is being reused or freed).
+  void Unmap(std::size_t idx);
+
+  /// Links frame `idx` at the most recently used end of the recency list.
+  void LinkMostRecent(std::size_t idx);
+  void UnlinkRecency(std::size_t idx);
+  /// Records a use of resident frame `idx` for LRU replacement.
+  void Touch(std::size_t idx) {
+    if (idx == lru_tail_) return;
+    UnlinkRecency(idx);
+    LinkMostRecent(idx);
+  }
+
+  bool IsLive(const InstallRecord& record) const {
+    const std::uint32_t idx = FrameOf(record.page);
+    return idx != kNoFrame && frames_[idx].installed_at == record.seq;
   }
 
   /// Finds a frame to (re)use, evicting the LRU unpinned page if needed.
@@ -229,6 +258,13 @@ class BufferManager {
 
   /// Installs disk data already placed in scratch_ as page `id`.
   Result<std::size_t> InstallFromScratch(PageId id);
+
+  /// The shared tail of WaitAnyPrefetch and PollAnyPrefetch: retires the
+  /// in-flight entry of the completed page, replaces a failed or corrupt
+  /// image (its payload is in scratch_) by a synchronous re-read, and
+  /// installs the page, claimed if a concurrent query asked for it,
+  /// unless it is resident already.
+  Result<PageId> FinishPrefetch(const SimulatedDisk::AsyncCompletion& done);
 
   Result<std::size_t> FixInternal(PageId id, bool charge_swizzle);
 
@@ -261,11 +297,20 @@ class BufferManager {
   // id seen and stays no larger than the disk.
   std::vector<std::uint32_t> page_table_;
   std::size_t pages_resident_ = 0;
+  // The recency list: every resident frame, least recently used at the
+  // head. A fix, install or adopt moves its frame to the tail, so walking
+  // from the head visits frames in the order of their last use (a
+  // Prefetch claim is not a use).
+  std::uint32_t lru_head_ = kNoFrame;
+  std::uint32_t lru_tail_ = kNoFrame;
+  // Every install in order. Dead entries (pages since evicted, discarded
+  // or re-installed) are dropped whenever the log outgrows twice the
+  // pool, so it stays O(capacity).
+  std::vector<InstallRecord> install_log_;
   // In-flight prefetches, each with the owners interested in the page
   // (small vectors: a handful of concurrent queries at most).
   std::unordered_map<PageId, std::vector<std::uint32_t>> in_flight_;
   std::function<void(PageId)> unpin_listener_;
-  std::uint64_t use_counter_ = 0;
   std::uint64_t installs_ = 0;
   std::unique_ptr<std::byte[]> scratch_;  // staging buffer for disk I/O
 };

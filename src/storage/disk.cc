@@ -19,6 +19,7 @@ PageId SimulatedDisk::AllocatePage() {
   const std::uint32_t crc = Crc32c(buf.get(), page_size_);
   pages_.push_back(std::move(buf));
   trailers_.push_back(PageTrailer{crc, 0});
+  queued_.push_back(false);
   return static_cast<PageId>(pages_.size() - 1);
 }
 
@@ -107,17 +108,18 @@ Status SimulatedDisk::SubmitRead(PageId id) {
     return Status::IOError("async read past end of segment: page " +
                            std::to_string(id));
   }
-  for (PendingRequest& p : pending_) {
-    if (p.page == id) {
-      // Coalesce with the queued request (which keeps its earlier submit
-      // time, so the merge never delays the elevator's visibility of it).
-      ++metrics_->requests_merged;
-      NAVPATH_TRACE(tracer_,
-                    Instant(TraceCategory::kDisk, kTrackElevator,
-                            "submit_merged", clock_->now(), {{"page", id}}));
-      return Status::OK();
-    }
+  if (queued_[id]) {
+    // Coalesce with the queued request (which keeps its earlier submit
+    // time, so the merge never delays the elevator's visibility of it).
+    ++metrics_->requests_merged;
+    NAVPATH_TRACE(tracer_,
+                  Instant(TraceCategory::kDisk, kTrackElevator,
+                          "submit_merged", clock_->now(), {{"page", id}}));
+    return Status::OK();
   }
+  NAVPATH_DCHECK(pending_.empty() ||
+                 pending_.back().submit_time <= clock_->now());
+  queued_[id] = true;
   pending_.push_back(PendingRequest{id, clock_->now()});
   ++metrics_->async_requests;
   NAVPATH_TRACE(tracer_, Instant(TraceCategory::kDisk, kTrackElevator,
@@ -128,24 +130,19 @@ Status SimulatedDisk::SubmitRead(PageId id) {
 void SimulatedDisk::ServeOnePending() {
   NAVPATH_DCHECK(!pending_.empty());
   // The drive becomes idle at drive_free_at_; if no request had been
-  // submitted by then it idles until the earliest submission.
-  SimTime earliest_submit = pending_.front().submit_time;
-  std::size_t earliest_idx = 0;
-  for (std::size_t i = 1; i < pending_.size(); ++i) {
-    if (pending_[i].submit_time < earliest_submit) {
-      earliest_submit = pending_[i].submit_time;
-      earliest_idx = i;
-    }
-  }
-  const SimTime t_start = std::max(drive_free_at_, earliest_submit);
+  // submitted by then it idles until the earliest submission, the front.
+  const SimTime t_start =
+      std::max(drive_free_at_, pending_.front().submit_time);
 
   // Sample the pending pool visible to the drive at this decision: the
   // paper predicts concurrent queries deepen it (Sec. 7), which is what
   // gives the elevator its reordering freedom.
-  std::uint64_t visible = 0;
-  for (const auto& p : pending_) {
-    if (p.submit_time <= t_start) ++visible;
-  }
+  const std::uint64_t visible = static_cast<std::uint64_t>(
+      std::upper_bound(pending_.begin(), pending_.end(), t_start,
+                       [](SimTime t, const PendingRequest& p) {
+                         return t < p.submit_time;
+                       }) -
+      pending_.begin());
   ++metrics_->elevator_batches;
   metrics_->elevator_depth_sum += visible;
   metrics_->elevator_depth_max =
@@ -156,17 +153,14 @@ void SimulatedDisk::ServeOnePending() {
   // last queued page, wrap around to the lowest one. This is the
   // scheduling the paper attributes to the OS / on-disk controller.
   // Only the `queue_window` earliest-submitted visible requests compete
-  // (the command-queue depth of the hardware); pending_ is kept in
-  // submission order, so the first qualifying entries form the window.
+  // (the command-queue depth of the hardware): the front of pending_.
   const PageId sweep_from = head_ == kInvalidPageId ? 0 : head_;
-  const std::size_t none = pending_.size();
+  const std::size_t window = static_cast<std::size_t>(
+      std::min<std::uint64_t>(visible, model_.queue_window));
+  const std::size_t none = window;
   std::size_t best = none;
   std::size_t lowest = none;
-  std::size_t admitted = 0;
-  for (std::size_t i = 0;
-       i < pending_.size() && admitted < model_.queue_window; ++i) {
-    if (pending_[i].submit_time > t_start) continue;
-    ++admitted;
+  for (std::size_t i = 0; i < window; ++i) {
     const PageId p = pending_[i].page;
     if (lowest == none || p < pending_[lowest].page) lowest = i;
     if (p >= sweep_from && (best == none || p < pending_[best].page)) {
@@ -174,11 +168,12 @@ void SimulatedDisk::ServeOnePending() {
     }
   }
   if (best == none) best = lowest;  // wrap the sweep
-  NAVPATH_DCHECK(best < pending_.size());
-  if (best != earliest_idx) ++metrics_->async_reorderings;
+  NAVPATH_DCHECK(best < window);
+  if (best != 0) ++metrics_->async_reorderings;
 
   const PendingRequest chosen = pending_[best];
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
+  queued_[chosen.page] = false;
 
   // ChargeAccess starts at max(now, drive_free_at_); for background serving
   // the start time is t_start regardless of the CPU clock, so adjust
@@ -271,12 +266,10 @@ std::optional<SimulatedDisk::AsyncCompletion> SimulatedDisk::PollCompletion(
     if (pending_.empty()) return std::nullopt;
     // Only commit the drive's next scheduling decision if the drive would
     // have made it by now; otherwise later submissions could still change
-    // the SSTF choice.
-    SimTime earliest_submit = pending_.front().submit_time;
-    for (const auto& p : pending_) {
-      earliest_submit = std::min(earliest_submit, p.submit_time);
+    // the elevator's choice.
+    if (std::max(drive_free_at_, pending_.front().submit_time) > now) {
+      return std::nullopt;
     }
-    if (std::max(drive_free_at_, earliest_submit) > now) return std::nullopt;
     ServeOnePending();
   }
 }

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -197,7 +198,13 @@ class SimulatedDisk {
 #if NAVPATH_OBSERVE_ENABLED
   Tracer* tracer_ = nullptr;
 #endif
-  std::vector<PendingRequest> pending_;
+  // Queued requests in submission order, hence by nondecreasing submit
+  // time: the clock only moves forward between ResetTimeline calls, which
+  // require an empty queue. The earliest request is the front, and the
+  // requests visible to the drive at any instant form a prefix.
+  std::deque<PendingRequest> pending_;
+  // Per page: a request for it is in pending_ (SubmitRead merges into it).
+  std::vector<bool> queued_;
   std::priority_queue<CompletedRequest, std::vector<CompletedRequest>,
                       std::greater<CompletedRequest>>
       completed_;

@@ -329,7 +329,11 @@ Result<LoadedDatabase> LoadDatabase(const std::string& path,
     loaded.db->disk()->LoadRawPage(buf.data());
   }
 
-  if (page_count == 0) return loaded;
+  if (page_count == 0) {
+    // No pages, no document: whatever the unchecked catalog says.
+    loaded.doc = ImportedDocument{};
+    return loaded;
+  }
   // The root must be a live core record on the page that holds the current
   // version of the root cluster (the versioned root may have moved it).
   PageId root_physical = root_page;

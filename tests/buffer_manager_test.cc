@@ -1,10 +1,14 @@
 // Unit tests for the buffer manager: pinning, LRU eviction, write-back,
-// prefetch, swizzle accounting.
+// prefetch, swizzle accounting, and a seeded differential run of the
+// replacement policy and the install log against brute-force references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <vector>
 
+#include "common/random.h"
 #include "storage/buffer_manager.h"
 
 namespace navpath {
@@ -304,6 +308,190 @@ TEST(BufferManagerTest, InvalidateRefusesWhilePinned) {
   auto g = f.bm.Fix(a);
   ASSERT_TRUE(g.ok());
   EXPECT_FALSE(f.bm.InvalidateAll().ok());
+}
+
+// Brute-force reference for the replacement policy: an LRU stamp per
+// resident page, restamped on every use, and a full argmin scan on every
+// eviction that prefers unpinned unclaimed pages over unpinned claimed
+// ones. Also remembers each page's latest install number, the reference
+// for InstalledSince.
+struct ReferencePool {
+  struct Entry {
+    std::uint64_t stamp = 0;
+    int pins = 0;
+    bool claimed = false;
+  };
+  explicit ReferencePool(std::size_t pool) : capacity(pool) {}
+
+  std::size_t capacity;
+  std::map<PageId, Entry> resident;
+  std::map<PageId, std::vector<std::uint32_t>> in_flight;
+  std::map<PageId, std::uint64_t> installed_at;
+  std::uint64_t stamps = 0;
+  std::uint64_t installs = 0;
+  std::uint64_t evictions = 0;
+
+  /// False when every frame is pinned (the buffer's ResourceExhausted).
+  bool Install(PageId page, bool claimed) {
+    if (resident.size() == capacity) {
+      PageId victim = kInvalidPageId;
+      for (const bool want_claimed : {false, true}) {
+        std::uint64_t oldest = ~0ull;
+        for (const auto& [p, e] : resident) {
+          if (e.pins == 0 && e.claimed == want_claimed && e.stamp < oldest) {
+            oldest = e.stamp;
+            victim = p;
+          }
+        }
+        if (victim != kInvalidPageId) break;
+      }
+      if (victim == kInvalidPageId) return false;
+      resident.erase(victim);
+      ++evictions;
+    }
+    resident[page] = Entry{++stamps, 0, claimed};
+    installed_at[page] = ++installs;
+    return true;
+  }
+
+  /// Fix or AdoptPage: install if needed, then pin, unclaim and restamp.
+  bool Use(PageId page) {
+    if (resident.count(page) == 0 && !Install(page, false)) return false;
+    Entry& e = resident[page];
+    e.stamp = ++stamps;
+    e.claimed = false;
+    ++e.pins;
+    return true;
+  }
+
+  void Prefetch(PageId page, std::uint32_t owner) {
+    if (auto it = resident.find(page); it != resident.end()) {
+      if (owner != 0) it->second.claimed = true;
+      return;
+    }
+    std::vector<std::uint32_t>& owners = in_flight[page];
+    if (std::find(owners.begin(), owners.end(), owner) == owners.end()) {
+      owners.push_back(owner);
+    }
+  }
+
+  /// A prefetch of `page` completed.
+  bool Complete(PageId page) {
+    const std::vector<std::uint32_t> owners = in_flight[page];
+    in_flight.erase(page);
+    if (resident.count(page) != 0) return true;
+    return Install(page, std::any_of(owners.begin(), owners.end(),
+                                     [](std::uint32_t o) { return o != 0; }));
+  }
+
+  /// Resident pages installed after install number `since`, newest first.
+  std::vector<PageId> InstalledSince(std::uint64_t since) const {
+    std::vector<std::pair<std::uint64_t, PageId>> hits;
+    for (const auto& [page, e] : resident) {
+      (void)e;
+      const std::uint64_t seq = installed_at.at(page);
+      if (seq > since) hits.emplace_back(seq, page);
+    }
+    std::sort(hits.rbegin(), hits.rend());
+    std::vector<PageId> pages;
+    for (const auto& hit : hits) pages.push_back(hit.second);
+    return pages;
+  }
+};
+
+TEST(BufferManagerTest, RandomOpsMatchBruteForceReference) {
+  // Random fixes, pins, owner-tagged prefetches, completions, adopts,
+  // discards and invalidations on a small pool over a larger disk. After
+  // every step the resident set, the eviction count, the install count
+  // and InstalledSince at every stamp must equal the reference's, and the
+  // install log must stay within twice the pool.
+  constexpr std::size_t kPool = 6;
+  constexpr PageId kDiskPages = 24;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    BufferFixture f(kPool);
+    for (PageId p = 0; p < kDiskPages; ++p) {
+      f.NewDiskPage(static_cast<std::uint8_t>(p));
+    }
+    ReferencePool ref(kPool);
+    Random rng(seed);
+    std::vector<PageGuard> held;
+    std::map<PageId, int> held_count;
+    const std::vector<std::byte> image(kPage, std::byte{0x3C});
+    for (int step = 0; step < 600; ++step) {
+      const PageId page = static_cast<PageId>(rng.NextBounded(kDiskPages));
+      const std::uint64_t op = rng.NextBounded(100);
+      if (op < 35) {
+        const bool ok = ref.Use(page);
+        auto guard = f.bm.Fix(page);
+        ASSERT_EQ(guard.ok(), ok) << guard.status().ToString();
+        if (!ok) {
+          EXPECT_TRUE(guard.status().IsResourceExhausted());
+        } else if (rng.NextBool(0.3)) {
+          ++held_count[page];
+          held.push_back(std::move(*guard));
+        } else {
+          --ref.resident[page].pins;
+        }
+      } else if (op < 50) {
+        if (!held.empty()) {
+          const std::size_t i = rng.NextBounded(held.size());
+          const PageId released = held[i].page_id();
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+          --held_count[released];
+          --ref.resident[released].pins;
+        }
+      } else if (op < 70) {
+        const auto owner = static_cast<std::uint32_t>(rng.NextBounded(3));
+        ref.Prefetch(page, owner);
+        ASSERT_TRUE(f.bm.Prefetch(page, owner).ok());
+      } else if (op < 85) {
+        // Keep a frame unpinned, so the completion can always install.
+        const auto pinned = static_cast<std::size_t>(std::count_if(
+            held_count.begin(), held_count.end(),
+            [](const auto& entry) { return entry.second > 0; }));
+        if (f.bm.HasPrefetchInFlight() && pinned < kPool) {
+          Result<PageId> done = kInvalidPageId;
+          if (rng.NextBool(0.5)) {
+            done = f.bm.WaitAnyPrefetch();
+          } else {
+            f.clock.ChargeCpu(
+                static_cast<SimTime>(rng.NextBounded(20)) * kSimMillisecond);
+            done = f.bm.PollAnyPrefetch();
+          }
+          ASSERT_TRUE(done.ok()) << done.status().ToString();
+          if (*done != kInvalidPageId) ASSERT_TRUE(ref.Complete(*done));
+        }
+      } else if (op < 92) {
+        const bool ok = ref.Use(page);
+        auto guard = f.bm.AdoptPage(page, image.data());
+        ASSERT_EQ(guard.ok(), ok) << guard.status().ToString();
+        if (ok) --ref.resident[page].pins;
+      } else if (op < 98) {
+        if (held_count[page] == 0) {
+          ref.resident.erase(page);
+          ASSERT_TRUE(f.bm.Discard(page).ok());
+        }
+      } else if (held.empty()) {
+        ref.resident.clear();
+        ASSERT_TRUE(f.bm.InvalidateAll().ok());
+      }
+
+      for (PageId p = 0; p < kDiskPages; ++p) {
+        ASSERT_EQ(f.bm.IsResident(p), ref.resident.count(p) == 1)
+            << "step " << step << " page " << p;
+      }
+      ASSERT_EQ(f.metrics.buffer_evictions, ref.evictions) << "step " << step;
+      ASSERT_EQ(f.bm.installs(), ref.installs) << "step " << step;
+      ASSERT_LE(f.bm.install_log_size(), 2 * kPool);
+      for (std::uint64_t since = 0; since <= ref.installs; ++since) {
+        std::vector<PageId> got;
+        f.bm.InstalledSince(since, &got);
+        ASSERT_EQ(got, ref.InstalledSince(since))
+            << "step " << step << " since " << since;
+      }
+    }
+  }
 }
 
 }  // namespace

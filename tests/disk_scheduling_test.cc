@@ -1,11 +1,17 @@
 // Tests for the asynchronous scheduler details: C-SCAN elevator order,
 // bounded queue window, trace hook, timeline reset discipline, duplicate
-// request merging, and elevator pool depth accounting.
+// request merging, elevator pool depth accounting, and a seeded
+// differential run of the service order against a brute-force reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/harness.h"
+#include "common/random.h"
 #include "storage/disk.h"
 
 namespace navpath {
@@ -180,6 +186,142 @@ TEST(DiskSchedulingTest, SequentialForwardSkipRotatesInsteadOfSeeking) {
             4990 * m.transfer_time);
   // Backward always seeks.
   EXPECT_GT(m.AccessCost(13, 10), m.seek_base);
+}
+
+// Brute-force reference for the drive's asynchronous queue: every decision
+// rescans the whole queue for the earliest submission, the visible depth
+// and the window's C-SCAN pick, with no assumption about queue order.
+struct ReferenceDrive {
+  struct Request {
+    PageId page;
+    SimTime submit;
+  };
+  ReferenceDrive(const DiskModel& m, PageId start_head)
+      : model(m), head(start_head) {}
+
+  DiskModel model;
+  PageId head;
+  SimTime free_at = 0;
+  std::vector<Request> pending;
+  std::optional<std::pair<PageId, SimTime>> completed;  // page, time
+  std::uint64_t depth_sum = 0;
+  std::uint64_t reorderings = 0;
+
+  void Submit(PageId page, SimTime now) {
+    for (const Request& r : pending) {
+      if (r.page == page) return;
+    }
+    pending.push_back(Request{page, now});
+  }
+
+  SimTime Access(PageId page, SimTime start) {
+    free_at = std::max(free_at, start) + model.AccessCost(head, page);
+    head = page;
+    return free_at;
+  }
+
+  void ServeOne() {
+    std::size_t earliest = 0;
+    for (std::size_t i = 1; i < pending.size(); ++i) {
+      if (pending[i].submit < pending[earliest].submit) earliest = i;
+    }
+    const SimTime t_start = std::max(free_at, pending[earliest].submit);
+    std::size_t admitted = 0;
+    std::size_t best = pending.size();
+    std::size_t lowest = pending.size();
+    const PageId from = head == kInvalidPageId ? 0 : head;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (pending[i].submit > t_start) continue;
+      ++depth_sum;
+      if (admitted++ >= model.queue_window) continue;
+      const PageId p = pending[i].page;
+      if (lowest == pending.size() || p < pending[lowest].page) lowest = i;
+      if (p >= from && (best == pending.size() || p < pending[best].page)) {
+        best = i;
+      }
+    }
+    if (best == pending.size()) best = lowest;
+    if (best != earliest) ++reorderings;
+    const PageId page = pending[best].page;
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(best));
+    completed = {page, Access(page, t_start)};
+  }
+
+  /// WaitForCompletion: the page served and the clock afterwards.
+  std::pair<PageId, SimTime> Wait(SimTime now) {
+    if (!completed.has_value()) ServeOne();
+    const auto done = *completed;
+    completed.reset();
+    return {done.first, std::max(now, done.second)};
+  }
+
+  /// PollCompletion at `now`: the page, or kInvalidPageId.
+  PageId Poll(SimTime now) {
+    for (;;) {
+      if (completed.has_value()) {
+        if (completed->second > now) return kInvalidPageId;
+        const PageId page = completed->first;
+        completed.reset();
+        return page;
+      }
+      if (pending.empty()) return kInvalidPageId;
+      SimTime earliest = pending.front().submit;
+      for (const Request& r : pending) earliest = std::min(earliest, r.submit);
+      if (std::max(free_at, earliest) > now) return kInvalidPageId;
+      ServeOne();
+    }
+  }
+};
+
+TEST(DiskSchedulingTest, ServiceOrderMatchesFullRescanReference) {
+  // Random submissions (with repeats that merge), CPU time, polls, waits
+  // and synchronous reads, under two queue windows: every completion's
+  // page and time, and the depth and reordering counters, must equal the
+  // brute-force reference's.
+  for (const std::size_t window : {std::size_t{3}, std::size_t{16}}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE("window " + std::to_string(window) + " seed " +
+                   std::to_string(seed));
+      DiskModel model;
+      model.queue_window = window;
+      Fixture f(model);
+      ReferenceDrive ref(model, f.disk.head_position());
+      std::vector<std::byte> buf(kPage);
+      Random rng(seed);
+      for (int step = 0; step < 2000; ++step) {
+        const std::uint64_t op = rng.NextBounded(100);
+        if (op < 45) {
+          const PageId page = static_cast<PageId>(rng.NextBounded(200));
+          ref.Submit(page, f.clock.now());
+          ASSERT_TRUE(f.disk.SubmitRead(page).ok());
+        } else if (op < 65) {
+          f.clock.ChargeCpu(static_cast<SimTime>(rng.NextBounded(3000)) *
+                            kSimMicrosecond);
+        } else if (op < 83) {
+          const PageId expected = ref.Poll(f.clock.now());
+          const auto polled = f.disk.PollCompletion(buf.data());
+          ASSERT_EQ(polled.has_value() ? polled->page : kInvalidPageId,
+                    expected)
+              << "step " << step;
+        } else if (op < 97) {
+          if (f.disk.pending_requests() == 0) continue;
+          const auto [page, time] = ref.Wait(f.clock.now());
+          const auto waited = f.disk.WaitForCompletion(buf.data());
+          ASSERT_TRUE(waited.ok());
+          ASSERT_EQ(waited->page, page) << "step " << step;
+          ASSERT_EQ(f.clock.now(), time) << "step " << step;
+        } else {
+          const PageId page = static_cast<PageId>(rng.NextBounded(200));
+          const SimTime done = ref.Access(page, f.clock.now());
+          ASSERT_TRUE(f.disk.ReadSync(page, buf.data()).ok());
+          ASSERT_EQ(f.clock.now(), done) << "step " << step;
+        }
+        ASSERT_EQ(f.disk.head_position(), ref.head) << "step " << step;
+        ASSERT_EQ(f.metrics.elevator_depth_sum, ref.depth_sum);
+        ASSERT_EQ(f.metrics.async_reorderings, ref.reorderings);
+      }
+    }
+  }
 }
 
 }  // namespace

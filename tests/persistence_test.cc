@@ -355,6 +355,8 @@ TEST(PersistenceTest, SummaryExtentPastTheLastPageDegradesToNoSummary) {
   EXPECT_TRUE(loaded->summary_status.IsCorruption())
       << loaded->summary_status.ToString();
   EXPECT_EQ(loaded->db->summary(), nullptr);
+  // The zeroed catalog of a file without pages names no document.
+  EXPECT_EQ(loaded->doc.page_count(), 0u);
   // The same summary without the extent is kept.
   WriteV4Header(path, 512, 0, summary_block(0));
   loaded = LoadDatabase(path);

@@ -248,6 +248,60 @@ TEST(TxnTest, UnpinAfterLastSnapshotReleaseDrainsRetirees) {
   EXPECT_EQ(f.mgr->versions_reclaimed(), f.mgr->versions_retired());
 }
 
+TEST(TxnTest, TranslatorsRoundTripEveryDocumentPage) {
+  // XSchedule maps the physical page of a completion or an install back to
+  // its cluster with ToLogical, which finds the cluster only if
+  // ToLogical(ToPhysical(L)) == L for every logical page L. Check it after
+  // shadow pages were retired, reclaimed and handed out again, through a
+  // snapshot and through a writer whose write set shadows part of the
+  // document.
+  TxnFixture f("<r><a/><b/><c/><d/></r>");
+  const auto expect_round_trip = [](const PageTranslator& t,
+                                    const ImportedDocument& doc,
+                                    const char* who) {
+    for (PageId page = doc.first_page; page <= doc.last_page; ++page) {
+      if (t.IsShadow(page)) continue;
+      EXPECT_EQ(t.ToLogical(t.ToPhysical(page)), page)
+          << who << ": logical page " << page;
+    }
+  };
+  auto pin = f.mgr->OpenSnapshot();  // keeps every replaced shadow retired
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(f.CommitInsert("x", "payload").ok());
+  }
+  EXPECT_GT(f.mgr->retired_pending(), 0u);
+  pin.reset();
+  EXPECT_GT(f.mgr->versions_reclaimed(), 0u);
+  const std::vector<PageId> reclaimed = f.mgr->ExportState().free_pages;
+  ASSERT_FALSE(reclaimed.empty());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(f.CommitInsert("y", "payload").ok());
+  }
+  bool recycled = false;
+  for (const auto& [logical, physical] :
+       f.mgr->current_version()->to_physical) {
+    (void)logical;
+    recycled |= std::find(reclaimed.begin(), reclaimed.end(), physical) !=
+                reclaimed.end();
+  }
+  EXPECT_TRUE(recycled) << "no reclaimed shadow id was handed out again";
+
+  auto snap = f.mgr->OpenSnapshot();
+  expect_round_trip(*snap, snap->doc(), "snapshot");
+
+  auto writer = f.mgr->BeginWrite();
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(writer->updater()
+                    ->InsertElement(writer->doc()->root, kInvalidNodeID,
+                                    f.db.tags()->Intern("z"), "payload")
+                    .ok());
+  }
+  ASSERT_TRUE(
+      writer->IsShadow(writer->ToPhysical(writer->doc()->root.page)));
+  expect_round_trip(*writer, *writer->doc(), "writer");
+  ASSERT_TRUE(writer->Abort().ok());
+}
+
 TEST(TxnTest, VersionedRootSurvivesSaveAndLoad) {
   TxnFixture f("<site><open_auctions/><people/></site>");
   ASSERT_TRUE(f.CommitInsert("bid", "99").ok());
