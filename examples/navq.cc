@@ -59,10 +59,15 @@ int Shell(const std::string& path) {
               doc.page_count(),
               static_cast<unsigned long long>(doc.core_records));
 
-  // Statistics for the optimizer: reconstruct the logical tree once.
-  std::printf("building statistics for the cost-based optimizer...\n");
+  // A file with no pages holds no document: there is nothing to build
+  // statistics from, and every query answers 0 without touching the drive.
+  const bool empty = doc.page_count() == 0;
   DocumentStats stats;
-  {
+  if (empty) {
+    std::printf("empty store: every query answers 0\n");
+  } else {
+    // Statistics for the optimizer: reconstruct the logical tree once.
+    std::printf("building statistics for the cost-based optimizer...\n");
     auto text = ExportDocument(db, doc);
     if (!text.ok()) {
       std::fprintf(stderr, "statistics failed: %s\n",
@@ -114,6 +119,10 @@ int Shell(const std::string& path) {
     if (!query.ok()) {
       std::printf("parse error: %s\nnavq> ",
                   query.status().ToString().c_str());
+      continue;
+    }
+    if (empty) {
+      std::printf("0 result(s) in an empty store (0 reads)\nnavq> ");
       continue;
     }
     PlanKind kind = PlanKind::kXSchedule;

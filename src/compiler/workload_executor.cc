@@ -33,6 +33,15 @@ constexpr std::uint64_t kClassifyMinPulls = 4;
 /// flight and the elevator pool stays deep.
 constexpr std::size_t kHybridBreadth = 1;
 
+/// The counter `name` of `registry`, looked up only while `*slot` is
+/// unset: MetricsRegistry::Reset keeps every map node, so the reference
+/// stays valid for the registry's lifetime.
+std::uint64_t& CounterSlot(MetricsRegistry& registry, std::uint64_t*& slot,
+                           const char* name) {
+  if (slot == nullptr) slot = &registry.Counter(name);
+  return *slot;
+}
+
 /// Buffer pages a plan's prefetch/speculative state may occupy while the
 /// query is active: XSchedule keeps its in-flight reads (queue_k-ish)
 /// plus the pinned current cluster; XScan and Simple touch one page at a
@@ -432,9 +441,11 @@ std::size_t WorkloadExecutor::PickNext(
     const std::vector<std::size_t>& active, std::uint64_t decisions) {
   NAVPATH_DCHECK(!active.empty());
   // Measurement-side observability; never touches the simulated clock.
-  ++sched_.Counter("sched.decisions");
-  sched_.GetHistogram("sched.pool_depth")
-      .Record(db_->disk()->pending_requests());
+  ++CounterSlot(sched_, sched_slots_.decisions, "sched.decisions");
+  if (sched_slots_.pool_depth == nullptr) {
+    sched_slots_.pool_depth = &sched_.GetHistogram("sched.pool_depth");
+  }
+  sched_slots_.pool_depth->Record(db_->disk()->pending_requests());
   switch (options_.policy) {
     case WorkloadPolicy::kRoundRobin: {
       // Rotate over stable job ids, not positions: `decisions % size`
@@ -513,15 +524,17 @@ std::size_t WorkloadExecutor::PickNext(
       for (const std::size_t pos : ranked) {
         (IoBound(jobs_[active[pos]]) ? io : cpu).push_back(pos);
       }
-      sched_.Counter("sched.classified.io_bound") += io.size();
-      sched_.Counter("sched.classified.cpu_bound") += cpu.size();
+      CounterSlot(sched_, sched_slots_.classified_io,
+                  "sched.classified.io_bound") += io.size();
+      CounterSlot(sched_, sched_slots_.classified_cpu,
+                  "sched.classified.cpu_bound") += cpu.size();
       const bool serve_io =
           !io.empty() && (cpu.empty() || decisions % 2 == 0);
       if (serve_io) {
-        ++sched_.Counter("sched.picks.io_rr");
+        ++CounterSlot(sched_, sched_slots_.picks_io, "sched.picks.io_rr");
         return RotatePick(active, io, &hybrid_io_cursor_);
       }
-      ++sched_.Counter("sched.picks.cpu_sjf");
+      ++CounterSlot(sched_, sched_slots_.picks_cpu, "sched.picks.cpu_sjf");
       return SjfPick(active, cpu);
     }
   }

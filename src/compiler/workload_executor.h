@@ -523,6 +523,17 @@ class WorkloadExecutor {
   /// Scheduler observability for the current run (reset by
   /// BeginStepping); snapshotted into WorkloadResult::scheduler.
   MetricsRegistry sched_;
+  /// sched_'s per-decision metrics, each looked up by name on its first
+  /// use only; a run that never records one registers nothing.
+  struct SchedSlots {
+    std::uint64_t* decisions = nullptr;
+    Histogram* pool_depth = nullptr;
+    std::uint64_t* classified_io = nullptr;
+    std::uint64_t* classified_cpu = nullptr;
+    std::uint64_t* picks_io = nullptr;
+    std::uint64_t* picks_cpu = nullptr;
+  };
+  SchedSlots sched_slots_;
 };
 
 }  // namespace navpath

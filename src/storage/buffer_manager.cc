@@ -208,12 +208,15 @@ Result<std::size_t> BufferManager::InstallFromScratch(PageId id) {
   NAVPATH_CHECK(id < disk_->num_pages());
   NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, GetFreeFrame());
   Frame& f = frames_[idx];
+  // The frame takes the staged image and hands its old buffer over as the
+  // next staging buffer. Only an unpinned frame's buffer changes hands: no
+  // guard points into it, and GetFreeFrame wrote back a dirty victim.
+  NAVPATH_DCHECK(f.pin_count == 0);
   if (f.data == nullptr) {
     f.data = std::make_unique<std::byte[]>(disk_->page_size());
   }
-  std::memcpy(f.data.get(), scratch_.get(), disk_->page_size());
+  std::swap(f.data, scratch_);
   f.page_id = id;
-  f.pin_count = 0;
   f.dirty = false;
   f.claimed = false;
   LinkMostRecent(idx);

@@ -256,7 +256,9 @@ class BufferManager {
   /// Unclaimed frames are preferred victims (see Frame::claimed).
   Result<std::size_t> GetFreeFrame();
 
-  /// Installs disk data already placed in scratch_ as page `id`.
+  /// Installs the image already placed in scratch_ (all page_size bytes
+  /// of it) as page `id`: the chosen frame takes scratch_'s buffer and
+  /// gives its own to scratch_ in exchange, so no page is copied.
   Result<std::size_t> InstallFromScratch(PageId id);
 
   /// The shared tail of WaitAnyPrefetch and PollAnyPrefetch: retires the
@@ -312,7 +314,9 @@ class BufferManager {
   std::unordered_map<PageId, std::vector<std::uint32_t>> in_flight_;
   std::function<void(PageId)> unpin_listener_;
   std::uint64_t installs_ = 0;
-  std::unique_ptr<std::byte[]> scratch_;  // staging buffer for disk I/O
+  // Staging buffer for disk I/O; each install swaps it with the buffer of
+  // the frame it fills.
+  std::unique_ptr<std::byte[]> scratch_;
 };
 
 }  // namespace navpath

@@ -9,9 +9,10 @@
 // Status::Corruption instead of undefined navigation behaviour.
 //
 // On x86-64 CPUs with SSE4.2 the checksum runs on the crc32 instruction,
-// eight bytes per step, picked once per process at run time; elsewhere it
-// falls back to a byte-wise table walk. Both paths compute the same
-// values, so page trailers and saved files are the same on every machine.
+// eight bytes per step in three interleaved streams, picked once per
+// process at run time; elsewhere it falls back to a byte-wise table walk.
+// Both paths compute the same values, so page trailers and saved files are
+// the same on every machine.
 #ifndef NAVPATH_STORAGE_CHECKSUM_H_
 #define NAVPATH_STORAGE_CHECKSUM_H_
 

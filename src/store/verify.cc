@@ -12,7 +12,10 @@ Result<VerifyReport> VerifyStore(Database* db, const ImportedDocument& doc) {
   VerifyReport report;
   const std::size_t page_size = db->options().page_size;
 
-  for (PageId p = doc.first_page; p <= doc.last_page; ++p) {
+  // A store with no pages holds no document (its catalog names page
+  // kInvalidPageId), so only the record counts below are checked.
+  const bool empty = doc.page_count() == 0;
+  for (PageId p = doc.first_page; !empty && p <= doc.last_page; ++p) {
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, db->buffer()->Fix(p));
     TreePage page(guard.data(), page_size);
     NAVPATH_RETURN_NOT_OK(page.Validate());
@@ -61,6 +64,7 @@ Result<VerifyReport> VerifyStore(Database* db, const ImportedDocument& doc) {
   if (report.border_records != 2 * doc.border_pairs) {
     return Status::Corruption("border record count mismatch");
   }
+  if (empty) return report;
 
   // Logical walk: every core reachable exactly once, unique order keys.
   std::unordered_set<std::uint64_t> seen_orders;

@@ -1,6 +1,8 @@
 // Unit tests for the buffer manager: pinning, LRU eviction, write-back,
-// prefetch, swizzle accounting, and a seeded differential run of the
-// replacement policy and the install log against brute-force references.
+// prefetch, swizzle accounting, a seeded differential run of the
+// replacement policy and the install log against brute-force references,
+// and a seeded run that checks every frame's bytes while installs exchange
+// the staging buffer with the frames they fill.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +12,7 @@
 
 #include "common/random.h"
 #include "storage/buffer_manager.h"
+#include "storage/fault_injector.h"
 
 namespace navpath {
 namespace {
@@ -491,6 +494,181 @@ TEST(BufferManagerTest, RandomOpsMatchBruteForceReference) {
             << "step " << step << " since " << since;
       }
     }
+  }
+}
+
+// Fills `out` with bytes drawn from `rng`, so images of different pages
+// differ.
+void RandomImage(Random* rng, std::vector<std::byte>* out) {
+  out->resize(kPage);
+  for (std::byte& b : *out) b = static_cast<std::byte>(rng->NextU64());
+}
+
+bool SameBytes(const std::byte* got, const std::byte* want) {
+  return std::memcmp(got, want, kPage) == 0;
+}
+
+TEST(BufferManagerTest, RandomOpsKeepEveryFrameImageExact) {
+  // An install hands the frame the staging buffer and takes the frame's
+  // old buffer as the next one. Random fixes (some writing through a
+  // dirty guard), prefetch waits and polls, evictions, NewPage,
+  // AdoptPage, Discard and InvalidateAll on a small pool; after every
+  // step each resident frame must hold its page's drive image, or the
+  // bytes last written to it through the buffer, and no two frames may
+  // share a buffer. A page that left the pool dirty, other than by
+  // Discard, must have been written back with those bytes.
+  constexpr std::size_t kPool = 5;
+  constexpr PageId kDiskPages = 16;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    BufferFixture f(kPool);
+    Random rng(seed);
+    std::vector<std::byte> image;
+    for (PageId p = 0; p < kDiskPages; ++p) {
+      RandomImage(&rng, &image);
+      const PageId id = f.disk.AllocatePage();
+      ASSERT_TRUE(f.disk.WriteSync(id, image.data()).ok());
+    }
+    // The bytes last written through the buffer to each resident page.
+    std::map<PageId, std::vector<std::byte>> written;
+    std::vector<PageGuard> held;
+    for (int step = 0; step < 500; ++step) {
+      const PageId page = static_cast<PageId>(rng.NextBounded(
+          f.disk.num_pages()));
+      const bool held_page = std::any_of(
+          held.begin(), held.end(),
+          [page](const PageGuard& g) { return g.page_id() == page; });
+      std::vector<PageId> discarded;
+      const std::uint64_t op = rng.NextBounded(100);
+      if (op < 35) {
+        auto guard = f.bm.Fix(page);
+        ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+        if (rng.NextBool(0.4)) {
+          RandomImage(&rng, &image);
+          std::memcpy(guard->data(), image.data(), kPage);
+          guard->MarkDirty();
+          written[page] = image;
+        }
+        if (held.size() + 1 < kPool && rng.NextBool(0.3)) {
+          held.push_back(std::move(*guard));
+        }
+      } else if (op < 45) {
+        if (!held.empty()) {
+          held.erase(held.begin() +
+                     static_cast<std::ptrdiff_t>(rng.NextBounded(held.size())));
+        }
+      } else if (op < 65) {
+        const auto owner = static_cast<std::uint32_t>(rng.NextBounded(3));
+        ASSERT_TRUE(f.bm.Prefetch(page, owner).ok());
+      } else if (op < 80) {
+        if (f.bm.HasPrefetchInFlight()) {
+          Result<PageId> done = kInvalidPageId;
+          if (rng.NextBool(0.5)) {
+            done = f.bm.WaitAnyPrefetch();
+          } else {
+            f.clock.ChargeCpu(
+                static_cast<SimTime>(rng.NextBounded(20)) * kSimMillisecond);
+            done = f.bm.PollAnyPrefetch();
+          }
+          ASSERT_TRUE(done.ok()) << done.status().ToString();
+        }
+      } else if (op < 85) {
+        auto guard = f.bm.NewPage();
+        ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+        written[guard->page_id()] = std::vector<std::byte>(kPage);
+      } else if (op < 92) {
+        RandomImage(&rng, &image);
+        auto guard = f.bm.AdoptPage(page, image.data());
+        ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+        written[page] = image;
+      } else if (op < 98) {
+        if (!held_page) {
+          ASSERT_TRUE(f.bm.Discard(page).ok());
+          discarded.push_back(page);
+        }
+      } else if (held.empty()) {
+        ASSERT_TRUE(f.bm.InvalidateAll().ok());
+      }
+
+      for (auto it = written.begin(); it != written.end();) {
+        if (f.bm.IsResident(it->first)) {
+          ++it;
+          continue;
+        }
+        if (std::find(discarded.begin(), discarded.end(), it->first) ==
+            discarded.end()) {
+          ASSERT_TRUE(SameBytes(f.disk.RawPage(it->first), it->second.data()))
+              << "step " << step << ": page " << it->first
+              << " left the pool without its written bytes";
+        }
+        it = written.erase(it);
+      }
+      std::vector<const std::byte*> buffers;
+      for (std::size_t i = 0; i < f.bm.capacity(); ++i) {
+        const std::byte* data = f.bm.FrameData(i);
+        if (data != nullptr) buffers.push_back(data);
+        const PageId resident = f.bm.FramePage(i);
+        if (resident == kInvalidPageId) continue;
+        const auto it = written.find(resident);
+        ASSERT_TRUE(SameBytes(data, it != written.end()
+                                        ? it->second.data()
+                                        : f.disk.RawPage(resident)))
+            << "step " << step << ": frame " << i << " page " << resident;
+      }
+      std::sort(buffers.begin(), buffers.end());
+      ASSERT_EQ(std::adjacent_find(buffers.begin(), buffers.end()),
+                buffers.end())
+          << "step " << step << ": two frames share a buffer";
+    }
+  }
+}
+
+TEST(BufferManagerTest, CorruptAsyncCompletionInstallsTheCleanReread) {
+  // An asynchronous read that delivers flipped bits lands in the staging
+  // buffer; the synchronous re-read must overwrite it there before the
+  // install hands that buffer to a frame. Pick a fault seed whose first
+  // read decision corrupts and whose second (the re-read) is clean.
+  FaultInjectorOptions faults;
+  faults.corruption_rate = 0.5;
+  for (faults.seed = 1;; ++faults.seed) {
+    FaultInjector probe(faults);
+    if (!probe.NextReadFault(3).corrupt) continue;
+    std::vector<std::byte> scratch(kPage);
+    probe.CorruptPayload(scratch.data(), kPage);  // as the delivery does
+    if (!probe.NextReadFault(3).Any()) break;
+  }
+  for (const bool wait : {true, false}) {
+    SCOPED_TRACE(wait ? "WaitAnyPrefetch" : "PollAnyPrefetch");
+    BufferFixture f(2);
+    for (std::uint8_t fill = 1; fill <= 4; ++fill) f.NewDiskPage(fill);
+    // Fill the pool, so the completion's install takes a victim's frame.
+    for (const PageId p : {PageId{1}, PageId{2}}) {
+      ASSERT_TRUE(f.bm.Fix(p).ok());
+    }
+    FaultInjector injector(faults);
+    f.disk.SetFaultInjector(&injector);
+    ASSERT_TRUE(f.bm.Prefetch(3).ok());
+    Result<PageId> done = kInvalidPageId;
+    if (wait) {
+      done = f.bm.WaitAnyPrefetch();
+    } else {
+      f.clock.ChargeCpu(100 * kSimMillisecond);
+      done = f.bm.PollAnyPrefetch();
+    }
+    f.disk.SetFaultInjector(nullptr);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    EXPECT_EQ(*done, 3u);
+    EXPECT_EQ(injector.decisions(), 2u);
+    EXPECT_EQ(f.metrics.corruptions_detected, 1u);
+    EXPECT_EQ(f.metrics.fault_fallbacks, 1u);
+    auto guard = f.bm.Fix(3);
+    ASSERT_TRUE(guard.ok());
+    EXPECT_TRUE(SameBytes(guard->data(), f.disk.RawPage(3)));
+    // The next install reuses the other frame's buffer; both stay exact.
+    auto other = f.bm.Fix(0);
+    ASSERT_TRUE(other.ok());
+    EXPECT_TRUE(SameBytes(other->data(), f.disk.RawPage(0)));
+    EXPECT_TRUE(SameBytes(guard->data(), f.disk.RawPage(3)));
   }
 }
 

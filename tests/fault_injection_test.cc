@@ -3,6 +3,7 @@
 // corruption detection across persistence save/load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -48,10 +49,16 @@ TEST(ChecksumTest, DetectsSingleBitFlip) {
 }
 
 TEST(ChecksumTest, MatchesPortableReferenceEverywhere) {
-  // Crc32c may run on the SSE4.2 crc32 instruction; it must agree with
-  // the byte-wise table walk on every length, alignment and seed, or
-  // saved files and page trailers would differ between machines.
-  std::vector<std::byte> buf(9000 + 8);
+  // Crc32c may run on the SSE4.2 kernel; it must agree with the byte-wise
+  // table walk on every length, alignment and seed, or saved files and
+  // page trailers would differ between machines. The kernel checksums
+  // rounds of three 2728-byte blocks, then a serial tail
+  // (storage/checksum.cc), so the lengths cover every multiple of the
+  // block size, and ±1 and ±8 around each, up to two rounds: past a full
+  // 8 KiB page.
+  constexpr std::size_t kBlock = 2728;
+  constexpr std::size_t kMaxLength = 2 * 3 * kBlock + 8;
+  std::vector<std::byte> buf(kMaxLength + 8);
   std::uint32_t x = 0x12345678u;
   for (std::byte& b : buf) {
     x = x * 1664525u + 1013904223u;
@@ -59,24 +66,31 @@ TEST(ChecksumTest, MatchesPortableReferenceEverywhere) {
   }
   std::vector<std::size_t> lengths;
   for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
-  for (const std::size_t n : {100u, 255u, 511u, 1000u, 4095u, 4096u, 8191u,
-                              8192u, 8193u, 9000u}) {
+  for (std::size_t base = kBlock; base + 8 <= kMaxLength; base += kBlock) {
+    for (const std::size_t n : {base - 8, base - 1, base, base + 1, base + 8}) {
+      lengths.push_back(n);
+    }
+  }
+  for (const std::size_t n :
+       {100u, 255u, 511u, 1000u, 4095u, 4096u, 8191u, 8192u, 8193u, 9000u}) {
     lengths.push_back(n);
   }
   for (std::size_t offset = 0; offset < 8; ++offset) {
     const std::byte* data = buf.data() + offset;
     for (const std::size_t n : lengths) {
-      EXPECT_EQ(Crc32c(data, n), Crc32cPortable(data, n))
+      const std::uint32_t whole = Crc32cPortable(data, n);
+      EXPECT_EQ(Crc32c(data, n), whole)
           << "offset " << offset << " length " << n;
       for (const std::uint32_t init : {0x1u, 0xE3069283u, 0xFFFFFFFFu}) {
         EXPECT_EQ(Crc32c(data, n, init), Crc32cPortable(data, n, init))
             << "offset " << offset << " length " << n << " init " << init;
       }
-      // Chained: the second half continues the first half's checksum.
-      const std::size_t half = n / 2;
-      EXPECT_EQ(Crc32c(data + half, n - half, Crc32c(data, half)),
-                Crc32cPortable(data, n))
-          << "offset " << offset << " length " << n;
+      // Chained: the second part continues the first part's checksum,
+      // split in the middle and one round in.
+      for (const std::size_t split : {n / 2, std::min(n, 3 * kBlock)}) {
+        EXPECT_EQ(Crc32c(data + split, n - split, Crc32c(data, split)), whole)
+            << "offset " << offset << " length " << n << " split " << split;
+      }
     }
   }
 }

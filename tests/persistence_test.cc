@@ -367,6 +367,22 @@ TEST(PersistenceTest, SummaryExtentPastTheLastPageDegradesToNoSummary) {
   std::remove(path.c_str());
 }
 
+TEST(PersistenceTest, PagelessFileVerifiesAsAnEmptyStore) {
+  // navq's \stats runs VerifyStore on whatever it opened; a file without
+  // pages is an empty store, not a read past the end of the segment.
+  const std::string path = TempPath("pageless.nvph");
+  WriteV4Header(path, 512, 0, U8(0) + U8(0));
+  auto loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  auto report = VerifyStore(loaded->db.get(), loaded->doc);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->pages, 0u);
+  EXPECT_EQ(report->core_records, 0u);
+  EXPECT_EQ(report->reachable_cores, 0u);
+  EXPECT_EQ(loaded->db->metrics()->disk_reads, 0u);
+  std::remove(path.c_str());
+}
+
 TEST(PersistenceTest, TruncatedFileDetected) {
   DatabaseOptions options;
   options.page_size = 512;
