@@ -11,13 +11,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "benchlib/harness.h"
-#include "store/export.h"
 #include "store/persistence.h"
 #include "store/verify.h"
-#include "xml/parser.h"
 #include "xpath/parser.h"
 
 namespace {
@@ -59,30 +58,23 @@ int Shell(const std::string& path) {
               doc.page_count(),
               static_cast<unsigned long long>(doc.core_records));
 
-  // A file with no pages holds no document: there is nothing to build
-  // statistics from, and every query answers 0 without touching the drive.
+  // A file with no pages holds no document: every query answers 0 without
+  // touching the drive. The optimizer's statistics come from the path
+  // summary; a file without a usable one (format v2, a damaged summary
+  // block, a save after an update that dropped it) has none, and \plan
+  // auto then runs the default plan instead of pricing plans blind.
   const bool empty = doc.page_count() == 0;
-  DocumentStats stats;
+  const PathSummary* summary = db->summary();
+  std::optional<DocumentStats> stats;
   if (empty) {
     std::printf("empty store: every query answers 0\n");
+  } else if (summary == nullptr) {
+    std::printf("no path summary (%s): \\plan auto runs xschedule\n",
+                loaded->summary_status.ok()
+                    ? "none saved"
+                    : loaded->summary_status.ToString().c_str());
   } else {
-    // Statistics for the optimizer: reconstruct the logical tree once.
-    std::printf("building statistics for the cost-based optimizer...\n");
-    auto text = ExportDocument(db, doc);
-    if (!text.ok()) {
-      std::fprintf(stderr, "statistics failed: %s\n",
-                   text.status().ToString().c_str());
-      return 1;
-    }
-    // A document nested deeper than kMaxXmlDepth does not re-parse.
-    auto tree = ParseXml(*text, db->tags());
-    if (!tree.ok()) {
-      std::fprintf(stderr, "statistics failed: %s\n",
-                   tree.status().ToString().c_str());
-      return 1;
-    }
-    stats = DocumentStats::Build(*tree, doc, db->options().page_size);
-    db->ResetMeasurement().AbortIfNotOk();
+    stats = DocumentStats::FromSummary(*summary, doc);
   }
 
   std::string plan_mode = "auto";
@@ -130,9 +122,9 @@ int Shell(const std::string& path) {
       kind = PlanKind::kSimple;
     } else if (plan_mode == "xscan") {
       kind = PlanKind::kXScan;
-    } else if (plan_mode == "auto") {
-      kind = ChoosePlanKind(stats, *query, db->options().disk_model,
-                            db->costs());
+    } else if (plan_mode == "auto" && stats.has_value()) {
+      kind = ChoosePlanKind(*stats, *query, db->options().disk_model,
+                            db->costs(), summary);
     }
 
     ExecuteOptions exec;

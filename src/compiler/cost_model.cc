@@ -5,95 +5,55 @@
 
 namespace navpath {
 
-DocumentStats DocumentStats::Build(const DomTree& tree,
-                                   const ImportedDocument& doc,
-                                   std::size_t page_size) {
-  (void)page_size;
+DocumentStats DocumentStats::FromSummary(const PathSummary& summary,
+                                         const ImportedDocument& doc) {
   DocumentStats stats;
-  stats.node_count_ = tree.size();
+  stats.node_count_ = summary.total_instances();
   stats.page_count_ = doc.page_count();
   stats.border_records_ = doc.border_pairs * 2;
-  stats.root_tag_ = tree.empty() ? 0 : tree.node(tree.root()).tag;
-  if (tree.size() > 1) {
+  stats.root_tag_ = summary.node(summary.root()).tag;
+  if (stats.node_count_ > 1) {
     stats.crossing_probability_ =
         static_cast<double>(doc.border_pairs) /
-        static_cast<double>(tree.size() - 1);  // crossings per logical edge
+        static_cast<double>(stats.node_count_ - 1);  // per logical edge
   }
 
-  // One depth-first pass; every node contributes one increment per
-  // ancestor (descendant-pair stats) and one per parent (child-pair).
-  std::vector<DomNodeId> stack;
-  std::vector<TagId> tag_path;
-  std::vector<std::pair<DomNodeId, bool>> events;
-  events.emplace_back(tree.root(), false);
-  while (!events.empty()) {
-    const auto [v, post] = events.back();
-    events.pop_back();
-    if (post) {
-      tag_path.pop_back();
+  // A summary node's `count` DOM nodes share its tag path, so each of them
+  // forms the same pairs with its parent and ancestors.
+  for (std::uint32_t i = 0; i < summary.size(); ++i) {
+    const PathSummary::Node& n = summary.node(i);
+    if (n.count == 0) continue;  // a delete can leave an empty path behind
+    stats.tag_counts_[n.tag] += n.count;
+    if (n.parent == PathSummary::kNoParent) continue;
+    const TagId parent_tag = summary.node(n.parent).tag;
+    if (n.kind == DomNodeKind::kAttribute) {
+      stats.attr_pair_[PairKey(parent_tag, n.tag)] += n.count;
+      stats.attr_any_[parent_tag] += n.count;
       continue;
     }
-    const TagId tag = tree.node(v).tag;
-    ++stats.tag_counts_[tag];
-    for (DomNodeId a = tree.node(v).first_attr; a != kNilDomNode;
-         a = tree.node(a).next_sibling) {
-      ++stats.attr_pair_[PairKey(tag, tree.node(a).tag)];
-      ++stats.attr_any_[tag];
-      // Attribute names join the tag universe (used as cardinality caps).
-      ++stats.tag_counts_[tree.node(a).tag];
-    }
-    if (!tag_path.empty()) {
-      const TagId parent_tag = tag_path.back();
-      ++stats.child_pair_[PairKey(parent_tag, tag)];
-      ++stats.child_any_[parent_tag];
-    }
-    for (const TagId ancestor_tag : tag_path) {
-      ++stats.desc_pair_[PairKey(ancestor_tag, tag)];
-      ++stats.desc_any_[ancestor_tag];
-    }
-    tag_path.push_back(tag);
-    events.emplace_back(v, true);
-    for (DomNodeId c = tree.node(v).last_child; c != kNilDomNode;
-         c = tree.node(c).prev_sibling) {
-      events.emplace_back(c, false);
+    stats.child_pair_[PairKey(parent_tag, n.tag)] += n.count;
+    stats.child_any_[parent_tag] += n.count;
+    for (std::uint32_t a = n.parent; a != PathSummary::kNoParent;
+         a = summary.node(a).parent) {
+      const TagId ancestor_tag = summary.node(a).tag;
+      stats.desc_pair_[PairKey(ancestor_tag, n.tag)] += n.count;
+      stats.desc_any_[ancestor_tag] += n.count;
     }
   }
+  for (const auto& [tag, count] : stats.tag_counts_) {
+    stats.tags_.push_back(tag);
+  }
+  std::sort(stats.tags_.begin(), stats.tags_.end());
   return stats;
 }
 
-std::uint64_t DocumentStats::CountOfTag(TagId tag) const {
-  auto it = tag_counts_.find(tag);
-  return it == tag_counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t DocumentStats::AttributeCount(TagId parent, TagId attr) const {
-  auto it = attr_pair_.find(PairKey(parent, attr));
-  return it == attr_pair_.end() ? 0 : it->second;
-}
-
-std::uint64_t DocumentStats::AttributeCountAny(TagId parent) const {
-  auto it = attr_any_.find(parent);
-  return it == attr_any_.end() ? 0 : it->second;
-}
-
-std::uint64_t DocumentStats::ChildCount(TagId parent, TagId child) const {
-  auto it = child_pair_.find(PairKey(parent, child));
-  return it == child_pair_.end() ? 0 : it->second;
-}
-
-std::uint64_t DocumentStats::ChildCountAny(TagId parent) const {
-  auto it = child_any_.find(parent);
-  return it == child_any_.end() ? 0 : it->second;
-}
-
-std::uint64_t DocumentStats::DescendantCount(TagId parent, TagId desc) const {
-  auto it = desc_pair_.find(PairKey(parent, desc));
-  return it == desc_pair_.end() ? 0 : it->second;
-}
-
-std::uint64_t DocumentStats::DescendantCountAny(TagId parent) const {
-  auto it = desc_any_.find(parent);
-  return it == desc_any_.end() ? 0 : it->second;
+DocumentStats DocumentStats::Build(const DomTree& tree,
+                                   const ImportedDocument& doc,
+                                   std::size_t /*page_size*/) {
+  if (tree.empty()) return DocumentStats();
+  // Only the counts are read; every node's page is given as 0.
+  return FromSummary(
+      *PathSummary::Build(tree, std::vector<PageId>(tree.size(), 0)), doc);
 }
 
 namespace {
@@ -105,21 +65,6 @@ double Total(const TagDistribution& dist) {
   double total = 0;
   for (const auto& [tag, n] : dist) total += n;
   return total;
-}
-
-/// All tags the document contains (the estimation universe).
-std::vector<TagId> UniverseOf(const DocumentStats& stats,
-                              const LocationPath& path) {
-  // The distribution only ever contains tags reachable through steps, and
-  // wildcard steps need the whole alphabet. Collect from path + stats by
-  // probing tag ids 0..max seen in the path plus all counted tags. The
-  // stats keep exact per-tag counts, so iterate those.
-  std::vector<TagId> tags;
-  for (TagId t = 0; t < 4096; ++t) {
-    if (stats.CountOfTag(t) > 0) tags.push_back(t);
-  }
-  (void)path;
-  return tags;
 }
 
 }  // namespace
@@ -186,7 +131,7 @@ PathEstimate EstimatePathDetailed(const DocumentStats& stats,
     per_step->clear();
     per_step->reserve(path.steps.size());
   }
-  const std::vector<TagId> universe = UniverseOf(stats, path);
+  const std::vector<TagId>& universe = stats.tags();
   TagDistribution dist;
   dist[stats.root_tag()] = 1.0;
 

@@ -3,11 +3,11 @@
 // The paper leaves this to future work ("Further research is needed to
 // create a cost model to support the choice of the I/O-performing
 // operator", Sec. 7). This module implements it: document statistics
-// gathered at import time estimate, per location path, how many nodes a
-// plan examines and how many clusters it must visit; plugging those into
-// the disk and CPU models yields estimated total costs per plan kind, and
-// the planner picks the cheapest. The Q7/Q15 selectivity contrast in the
-// evaluation is exactly the crossover this model captures.
+// derived from the import's path summary estimate, per location path, how
+// many nodes a plan examines and how many clusters it must visit; plugging
+// those into the disk and CPU models yields estimated total costs per plan
+// kind, and the planner picks the cheapest. The Q7/Q15 selectivity
+// contrast in the evaluation is exactly the crossover this model captures.
 #ifndef NAVPATH_COMPILER_COST_MODEL_H_
 #define NAVPATH_COMPILER_COST_MODEL_H_
 
@@ -21,13 +21,22 @@
 
 namespace navpath {
 
-/// Per-document statistics for cardinality estimation. Built once from
-/// the DOM at import time; O(nodes) construction.
+/// Per-document statistics for cardinality estimation: tag counts and
+/// parent/child, ancestor/descendant and element/attribute pair counts.
+/// They are derived from the path summary. Every DOM node maps to the one
+/// summary node with its root-to-node tag path, so each counter is an
+/// exact sum over summary nodes, weighted by their instance counts.
 class DocumentStats {
  public:
-  /// Gathers statistics from `tree`. `borders_per_node` is the fraction
-  /// of logical edges that became inter-cluster edges at import (from
-  /// ImportedDocument::border_pairs / core_records).
+  /// The statistics of the document `summary` describes; `doc` supplies
+  /// the page and border counts. One pass over the summary nodes and
+  /// their summary ancestors, independent of the document's node count.
+  static DocumentStats FromSummary(const PathSummary& summary,
+                                   const ImportedDocument& doc);
+
+  /// FromSummary over a summary tallied from `tree`, for callers that
+  /// pass a tree: navbench's set-up, and fixtures imported without a
+  /// summary. An empty tree gives empty statistics.
   static DocumentStats Build(const DomTree& tree, const ImportedDocument& doc,
                              std::size_t page_size);
 
@@ -43,16 +52,32 @@ class DocumentStats {
   TagId root_tag() const { return root_tag_; }
   std::uint64_t border_records() const { return border_records_; }
 
-  std::uint64_t CountOfTag(TagId tag) const;
+  std::uint64_t CountOfTag(TagId tag) const { return Get(tag_counts_, tag); }
   /// Total attributes named `attr` on elements with tag `parent`.
-  std::uint64_t AttributeCount(TagId parent, TagId attr) const;
-  std::uint64_t AttributeCountAny(TagId parent) const;
+  std::uint64_t AttributeCount(TagId parent, TagId attr) const {
+    return Get(attr_pair_, PairKey(parent, attr));
+  }
+  std::uint64_t AttributeCountAny(TagId parent) const {
+    return Get(attr_any_, parent);
+  }
   /// Total children with tag `child` under elements with tag `parent`.
-  std::uint64_t ChildCount(TagId parent, TagId child) const;
-  std::uint64_t ChildCountAny(TagId parent) const;
+  std::uint64_t ChildCount(TagId parent, TagId child) const {
+    return Get(child_pair_, PairKey(parent, child));
+  }
+  std::uint64_t ChildCountAny(TagId parent) const {
+    return Get(child_any_, parent);
+  }
   /// Total proper descendants with tag `desc` under elements of `parent`.
-  std::uint64_t DescendantCount(TagId parent, TagId desc) const;
-  std::uint64_t DescendantCountAny(TagId parent) const;
+  std::uint64_t DescendantCount(TagId parent, TagId desc) const {
+    return Get(desc_pair_, PairKey(parent, desc));
+  }
+  std::uint64_t DescendantCountAny(TagId parent) const {
+    return Get(desc_any_, parent);
+  }
+
+  /// Every tag with a nonzero count, ascending: the estimation universe,
+  /// over which each step spreads its expected result tags.
+  const std::vector<TagId>& tags() const { return tags_; }
 
  private:
   using TagPairCounts =
@@ -60,6 +85,11 @@ class DocumentStats {
 
   static std::uint64_t PairKey(TagId a, TagId b) {
     return (static_cast<std::uint64_t>(a) << 32) | b;
+  }
+  template <typename Map>
+  static std::uint64_t Get(const Map& counts, typename Map::key_type key) {
+    const auto it = counts.find(key);
+    return it == counts.end() ? 0 : it->second;
   }
 
   std::uint64_t node_count_ = 0;
@@ -74,6 +104,7 @@ class DocumentStats {
   TagPairCounts desc_pair_;
   TagPairCounts attr_pair_;
   std::unordered_map<TagId, std::uint64_t> attr_any_;
+  std::vector<TagId> tags_;
 };
 
 /// Estimated evaluation profile of one location path.

@@ -163,8 +163,6 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Build(
       // identical to an unsharded Database fed the same options.
       NAVPATH_ASSIGN_OR_RETURN(state.doc,
                                state.db->Import(tree, policy.get()));
-      state.stats = DocumentStats::Build(tree, state.doc,
-                                         db_options.page_size);
     } else {
       // Pruned copy: the root element (text, attributes — the latter only
       // on the home shard so no attribute is replicated) plus the owned
@@ -193,11 +191,10 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Build(
       }
       NAVPATH_ASSIGN_OR_RETURN(state.doc,
                                state.db->Import(shard_tree, policy.get()));
-      state.stats = DocumentStats::Build(shard_tree, state.doc,
-                                         db_options.page_size);
     }
 
     NAVPATH_CHECK(state.db->summary() != nullptr);
+    state.stats = DocumentStats::FromSummary(*state.db->summary(), state.doc);
     store->shards_.push_back(std::move(state));
   }
   return store;

@@ -1,8 +1,12 @@
 #include "store/persistence.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -50,6 +54,14 @@ bool ExtentsWithin(const PathSummary& summary, std::uint32_t page_count) {
     if (!extents.empty() && extents.back().last >= page_count) return false;
   }
   return true;
+}
+
+/// fsync(2)s the file or directory at `path`.
+bool Sync(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  return ::close(fd) == 0 && synced;
 }
 
 }  // namespace
@@ -135,13 +147,20 @@ Status SaveDatabase(Database* db, const ImportedDocument& doc,
     WriteU32(out, 0);  // reserved
   }
   out.close();
-  if (!out) {
+  // The data must be on disk before the rename publishes it, and the
+  // rename itself is durable only once the directory is synced: without
+  // both, a power cut can leave `path` naming an empty or partial file.
+  if (!out || !Sync(tmp)) {
     std::remove(tmp.c_str());
     return Status::IOError("write failed: " + tmp);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return Status::IOError("cannot rename " + tmp + " over " + path);
+  }
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  if (!Sync(dir.empty() ? "." : dir)) {
+    return Status::IOError("cannot sync the directory of " + path);
   }
   return Status::OK();
 }

@@ -21,8 +21,10 @@
 // Version 3 adds the path-summary synopsis between catalog and pages,
 // protected by its own CRC32C. Summary damage is NOT fatal: the synopsis
 // is derived data, so load degrades — the database comes up without a
-// summary (queries fall back to navigation and DocumentStats estimates)
-// and LoadedDatabase.summary_status carries the Corruption report.
+// summary and LoadedDatabase.summary_status carries the Corruption report.
+// Queries then navigate, and there are no statistics to price plans with:
+// DocumentStats derives from the summary, and the file holds no tree to
+// rebuild one from, so a caller runs a fixed plan instead.
 // Version-2 files load unchanged, with no summary.
 #ifndef NAVPATH_STORE_PERSISTENCE_H_
 #define NAVPATH_STORE_PERSISTENCE_H_
@@ -53,9 +55,11 @@ struct VersionedRootState {
 };
 
 /// Writes the database's pages, tags and `doc`'s catalog entry to `path`.
-/// The file is written as `<path>.tmp` and renamed over `path` once
-/// complete; a failed save returns IOError, removes the temp file and
-/// leaves any previous file at `path` untouched.
+/// The file is written as `<path>.tmp`, synced, and renamed over `path`
+/// once complete; then the directory is synced. A save that fails before
+/// the rename returns IOError, removes the temp file and leaves any
+/// previous file at `path` untouched. A failed directory sync returns
+/// IOError with the new file in place but not known to be durable.
 /// `txn_state`, when non-null, persists the MVCC versioned root so the
 /// current document version survives the round trip (without it, a reload
 /// would see pre-copy-on-write page images for shadowed pages).

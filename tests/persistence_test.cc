@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <string>
 
+#include "compiler/cost_model.h"
 #include "compiler/executor.h"
 #include "storage/checksum.h"
 #include "store/export.h"
@@ -179,7 +180,87 @@ TEST(PersistenceTest, RoundTripPreservesSummary) {
   EXPECT_EQ(result->count, OracleCount(tree, *query, tree.root()));
   EXPECT_EQ(result->metrics.clusters_visited, 0u);
   EXPECT_EQ(result->metrics.disk_reads, 0u);
+
+  // The optimizer's statistics, derived from the reloaded synopsis, are
+  // those of the source tree.
+  const DocumentStats reloaded_stats =
+      DocumentStats::FromSummary(*loaded->db->summary(), loaded->doc);
+  const DocumentStats source_stats =
+      DocumentStats::Build(tree, *doc, options.page_size);
+  EXPECT_EQ(StatsDifferences(reloaded_stats, source_stats,
+                             static_cast<TagId>(db.tags()->size())),
+            "");
+  EXPECT_EQ(reloaded_stats.tags(), source_stats.tags());
+  EXPECT_EQ(reloaded_stats.page_count(), source_stats.page_count());
+  EXPECT_EQ(reloaded_stats.crossing_probability(),
+            source_stats.crossing_probability());
   std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, ChainDeeperThanTheXmlParserAllowsPlansFromItsSummary) {
+  // ParseXml refuses documents nested deeper than 256 levels, so a saved
+  // 300-deep chain cannot be exported and re-parsed; its statistics come
+  // from the summary the file carries.
+  DatabaseOptions options;
+  options.page_size = 512;
+  Database db(options);
+  DomTree tree(db.tags());
+  DomNodeId v = tree.CreateRoot(db.tags()->Intern("r"));
+  const TagId d = db.tags()->Intern("d");
+  for (int i = 0; i < 300; ++i) v = tree.AppendChild(v, d);
+  tree.AssignOrderKeys();
+  SubtreeClusteringPolicy policy(448);
+  auto doc = db.Import(tree, &policy);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+
+  const std::string path = TempPath("deep_chain.nvph");
+  ASSERT_TRUE(SaveDatabase(&db, *doc, path).ok());
+  auto loaded = LoadDatabase(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::remove(path.c_str());
+  const PathSummary* summary = loaded->db->summary();
+  ASSERT_NE(summary, nullptr);
+  const DocumentStats stats =
+      DocumentStats::FromSummary(*summary, loaded->doc);
+  EXPECT_EQ(stats.CountOfTag(d), 300u);
+  EXPECT_EQ(stats.DescendantCount(d, d), 299u * 300u / 2);
+
+  auto query = ParseQuery("count(//d)", loaded->db->tags());
+  ASSERT_TRUE(query.ok());
+  const PlanKind chosen =
+      ChoosePlanKind(stats, *query, loaded->db->options().disk_model,
+                     loaded->db->costs(), summary);
+  for (const PlanKind kind :
+       {chosen, PlanKind::kSimple, PlanKind::kXSchedule, PlanKind::kXScan}) {
+    SCOPED_TRACE(PlanKindName(kind));
+    ExecuteOptions exec;
+    exec.plan.kind = kind;
+    exec.plan.use_summary = false;  // navigate all 300 levels
+    auto result = ExecuteQuery(loaded->db.get(), loaded->doc, *query, exec);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->count, 300u);
+  }
+}
+
+TEST(PersistenceTest, SavesToAFileNameWithoutADirectory) {
+  // The directory synced after the rename is then the working directory.
+  DatabaseOptions options;
+  options.page_size = 512;
+  Database db(options);
+  auto tree = ParseXml("<r><a/><b/></r>", db.tags());
+  ASSERT_TRUE(tree.ok());
+  SubtreeClusteringPolicy policy(448);
+  auto doc = db.Import(*tree, &policy);
+  ASSERT_TRUE(doc.ok());
+  const std::filesystem::path previous = std::filesystem::current_path();
+  std::filesystem::current_path(::testing::TempDir());
+  const Status saved = SaveDatabase(&db, *doc, "relative.nvph");
+  auto loaded = LoadDatabase("relative.nvph");
+  std::remove("relative.nvph");
+  std::filesystem::current_path(previous);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->doc.core_records, doc->core_records);
 }
 
 TEST(PersistenceTest, CorruptSummaryBlockDegradesToSummaryFreeLoad) {

@@ -112,6 +112,44 @@ class ExplicitClusteringPolicy : public ClusteringPolicy {
 Result<std::unordered_map<std::uint64_t, NodeID>> MapOrderToNodeID(
     Database* db, const ImportedDocument& doc, const DomTree& tree);
 
+/// Compares the counters of two DocumentStats-like objects (anything with
+/// its count accessors): the node count, the root tag, and every per-tag
+/// and per-tag-pair count over tag ids below `tag_count`. Returns the
+/// first few differences, one per line, and their total; empty if none.
+template <typename A, typename B>
+std::string StatsDifferences(const A& a, const B& b, TagId tag_count) {
+  std::string out;
+  std::size_t differences = 0;
+  auto check = [&](const char* what, TagId x, TagId y, std::uint64_t va,
+                   std::uint64_t vb) {
+    if (va == vb || ++differences > 5) return;
+    out += std::string(what) + "(" + std::to_string(x) + ", " +
+           std::to_string(y) + "): " + std::to_string(va) + " vs " +
+           std::to_string(vb) + "\n";
+  };
+  check("node_count", 0, 0, a.node_count(), b.node_count());
+  check("root_tag", 0, 0, a.root_tag(), b.root_tag());
+  for (TagId x = 0; x < tag_count; ++x) {
+    check("CountOfTag", x, x, a.CountOfTag(x), b.CountOfTag(x));
+    check("AttributeCountAny", x, x, a.AttributeCountAny(x),
+          b.AttributeCountAny(x));
+    check("ChildCountAny", x, x, a.ChildCountAny(x), b.ChildCountAny(x));
+    check("DescendantCountAny", x, x, a.DescendantCountAny(x),
+          b.DescendantCountAny(x));
+    for (TagId y = 0; y < tag_count; ++y) {
+      check("AttributeCount", x, y, a.AttributeCount(x, y),
+            b.AttributeCount(x, y));
+      check("ChildCount", x, y, a.ChildCount(x, y), b.ChildCount(x, y));
+      check("DescendantCount", x, y, a.DescendantCount(x, y),
+            b.DescendantCount(x, y));
+    }
+  }
+  if (differences > 0) {
+    out += std::to_string(differences) + " difference(s)";
+  }
+  return out;
+}
+
 /// FNV-1a over 64-bit words: digests of simulated schedules and costs,
 /// compared against constants recorded from an earlier build.
 struct Fnv1a {
