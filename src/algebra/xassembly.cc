@@ -1,18 +1,23 @@
 #include "algebra/xassembly.h"
 
+#include <utility>
+
 #include "algebra/xschedule.h"
 
 namespace navpath {
 
 Status XAssembly::Open() {
-  r_.clear();
+  r_ = db_->table_pool()->Take();
   s_.clear();
   s_size_ = 0;
   pending_.clear();
   return producer_->Open();
 }
 
-Status XAssembly::Close() { return producer_->Close(); }
+Status XAssembly::Close() {
+  db_->table_pool()->GiveBack(std::move(r_));
+  return producer_->Close();
+}
 
 PathEnd XAssembly::TargetOf(const PathEnd& right) const {
   NAVPATH_DCHECK(right.border);

@@ -58,7 +58,6 @@ class XAssembly : public PathOperator {
   Status Close() override;
 
   std::size_t s_size() const { return s_size_; }
-  std::size_t r_size() const { return r_.size(); }
 
  private:
   /// Registers `inst.right` (already target()-resolved for borders) as
@@ -78,7 +77,7 @@ class XAssembly : public PathOperator {
   XSchedule* schedule_;
   XAssemblyOptions options_;
 
-  FlatSet<std::uint64_t> r_;
+  FlatSet<std::uint64_t> r_;  // from the database's table pool while open
   std::unordered_map<std::uint64_t, std::vector<PathInstance>> s_;
   std::size_t s_size_ = 0;
   std::deque<PathInstance> pending_;  // full instances awaiting emission

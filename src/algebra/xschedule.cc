@@ -5,11 +5,9 @@
 namespace navpath {
 
 Status XSchedule::Open() {
-  q_.clear();
-  q_size_ = 0;
+  q_.Clear();
   producer_done_ = false;
   ready_.clear();
-  ready_set_.clear();
   scanned_installs_ = db_->buffer()->installs();
   seeding_ = false;
   clusters_entered_ = 0;
@@ -23,14 +21,13 @@ Status XSchedule::Close() {
 }
 
 void XSchedule::MarkReady(PageId page) {
-  if (ready_set_.insert(page)) ready_.push_back(page);
+  if (q_.SetReady(page)) ready_.push_back(page);
 }
 
 Status XSchedule::Enqueue(const PathInstance& inst) {
   const PageId cluster = inst.right.node.page;
   db_->clock()->ChargeCpu(db_->costs().set_op);
-  q_[cluster].push_back(inst);
-  ++q_size_;
+  q_.Push(cluster, inst);
   // The queue and ready set stay in logical page ids; only the
   // buffer/drive interaction below uses the snapshot's physical mapping.
   NAVPATH_ASSIGN_OR_RETURN(
@@ -50,7 +47,7 @@ Status XSchedule::AddWork(const PathInstance& inst) {
 }
 
 Status XSchedule::Replenish() {
-  while (!producer_done_ && q_size_ < options_.k) {
+  while (!producer_done_ && q_.size() < options_.k) {
     PathInstance inst;
     NAVPATH_ASSIGN_OR_RETURN(const bool have, producer_->Pull(&inst));
     if (!have) {
@@ -72,7 +69,7 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       // marks clusters already resident, and entered clusters leave q_.
       // So the pages installed since the last check, mapped to logical
       // ids and filtered, are exactly the queued resident clusters not yet
-      // ready; ascending order is the order a walk over q_ would mark.
+      // ready; they are marked in ascending page order.
       const PageTranslator* translator = shared_->cluster.translator();
       installed_.clear();
       db_->buffer()->InstalledSince(scanned_installs_, &installed_);
@@ -80,9 +77,7 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       auto kept = installed_.begin();
       for (const PageId physical : installed_) {
         const PageId page = TranslateToLogical(translator, physical);
-        const auto it = q_.find(page);
-        if (it != q_.end() && !it->second.empty() &&
-            !ready_set_.contains(page) &&
+        if (!q_.empty(page) && !q_.ready(page) &&
             db_->buffer()->IsResident(TranslateToPhysical(translator, page))) {
           *kept++ = page;
         }
@@ -95,9 +90,8 @@ Result<bool> XSchedule::SwitchToNextCluster() {
     while (!ready_.empty()) {
       const PageId page = ready_.front();
       ready_.pop_front();
-      ready_set_.erase(page);
-      auto it = q_.find(page);
-      if (it == q_.end() || it->second.empty()) continue;  // stale marker
+      q_.ClearReady(page);
+      if (q_.empty(page)) continue;  // stale marker
       NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
       NAVPATH_TRACE(db_->tracer(),
                     Instant(TraceCategory::kScheduler, kTrackScheduler,
@@ -119,8 +113,8 @@ Result<bool> XSchedule::SwitchToNextCluster() {
         Result<PageId> polled = db_->buffer()->PollAnyPrefetch();
         if (polled.ok()) {
           if (*polled != kInvalidPageId) {
-            // Completions report the physical page; map back before
-            // matching against the logical ready set.
+            // Completions report the physical page; map back to the
+            // logical page the queue is indexed by.
             MarkReady(TranslateToLogical(shared_->cluster.translator(),
                                          *polled));
             continue;
@@ -159,9 +153,9 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       ++db_->metrics()->fault_fallbacks;
     }
     // Safety net: queued clusters whose ready marker was consumed early
-    // (e.g. after eviction). Serve the first one synchronously.
-    for (auto& [page, entries] : q_) {
-      if (entries.empty()) continue;
+    // (e.g. after eviction). Serve the lowest one synchronously.
+    const PageId page = q_.LowestNonEmpty();
+    if (page != kInvalidPageId) {
       NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
       NAVPATH_TRACE(db_->tracer(),
                     Instant(TraceCategory::kScheduler, kTrackScheduler,
@@ -203,20 +197,15 @@ Result<bool> XSchedule::Next(PathInstance* out) {
   for (;;) {
     NAVPATH_RETURN_NOT_OK(Replenish());
     if (shared_->cluster.valid()) {
-      auto it = q_.find(shared_->cluster.page());
-      if (it != q_.end()) {
-        if (!it->second.empty()) {
-          *out = it->second.front();
-          it->second.pop_front();
-          --q_size_;
-          db_->clock()->ChargeCpu(db_->costs().instance_op);
-          return true;
-        }
-        q_.erase(it);
+      const PageId page = shared_->cluster.page();
+      if (!q_.empty(page)) {
+        *out = q_.Pop(page);
+        db_->clock()->ChargeCpu(db_->costs().instance_op);
+        return true;
       }
       if (EmitSeed(out)) return true;
     }
-    if (q_size_ == 0) {
+    if (q_.size() == 0) {
       // Replenish drained the producer, Q is empty, seeds are done.
       shared_->cluster.Clear();
       return false;

@@ -22,11 +22,10 @@
 #define NAVPATH_ALGEBRA_XSCHEDULE_H_
 
 #include <deque>
-#include <map>
 #include <vector>
 
+#include "algebra/cluster_queue.h"
 #include "algebra/operator.h"
-#include "common/flat_set.h"
 
 namespace navpath {
 
@@ -70,12 +69,12 @@ class XSchedule : public PathOperator {
   PathOperator* producer_;
   XScheduleOptions options_;
 
-  std::map<PageId, std::deque<PathInstance>> q_;
-  std::size_t q_size_ = 0;
+  // Q, with the per-page ready flag: a page's flag is set exactly while
+  // the page waits in ready_, so ready_ holds each page at most once.
+  ClusterQueue q_;
   bool producer_done_ = false;
 
   std::deque<PageId> ready_;
-  FlatSet<PageId> ready_set_;
   // BufferManager::installs() when the cooperative check for clusters a
   // sibling installed last ran (or at Open); the next check looks only at
   // pages installed after it. See DESIGN.md, "Claimed frames and the

@@ -1,7 +1,7 @@
 // FlatSet: an open-addressing hash set of unsigned integer keys.
 //
 // The membership sets on the pull path (XAssembly's R, the per-query
-// result dedup sets, visited/ready cluster sets) are probed once per path
+// result dedup sets, the visited-cluster set) are probed once per path
 // instance. A node-based std::unordered_set allocates on every insert and
 // frees on every erase and clear; this set keeps its keys in one
 // power-of-two array instead:
@@ -11,6 +11,7 @@
 //     than leaving a tombstone, so churn never lengthens probe runs;
 //   * the all-ones key marks an empty slot and is itself tracked by a
 //     flag, so every key value can be stored.
+// FlatSetPool, below, recycles the per-query tables between queries.
 //
 // There is deliberately no iteration API. The order of a hash table is an
 // accident of its hash and capacity; a set that cannot be walked cannot
@@ -46,6 +47,8 @@ class FlatSet {
   }
 
   std::size_t size() const { return used_ + (has_empty_key_ ? 1 : 0); }
+  /// Slots in the table (0 until the first insert).
+  std::size_t capacity() const { return slots_.size(); }
 
   bool contains(Key key) const {
     if (key == kEmpty) return has_empty_key_;
@@ -137,6 +140,41 @@ class FlatSet {
   int shift_ = 64;  // 64 - log2(capacity)
   std::size_t used_ = 0;  // members in slots_ (excludes kEmpty itself)
   bool has_empty_key_ = false;
+};
+
+/// A bounded stack of idle tables for the per-query membership sets
+/// (XAssembly's R and the result dedup sets). A query takes a table when
+/// it starts and gives it back when it ends, so the next query starts
+/// from a table that has already grown instead of rehashing up from 16
+/// slots. Emptying a table costs its full capacity, so sets that live for
+/// one step and hold a handful of keys do not belong here.
+template <typename Key>
+class FlatSetPool {
+ public:
+  /// Idle tables kept at most; a table given back beyond that is freed.
+  static constexpr std::size_t kMaxIdle = 16;
+
+  /// The table given back last, emptied, or a new one when none is idle.
+  FlatSet<Key> Take() {
+    if (idle_.empty()) return FlatSet<Key>();
+    FlatSet<Key> table = std::move(idle_.back());
+    idle_.pop_back();
+    table.clear();
+    return table;
+  }
+
+  /// Keeps `table` for a later Take while fewer than kMaxIdle are idle. A
+  /// table that never grew is not worth a place and is dropped.
+  void GiveBack(FlatSet<Key> table) {
+    if (table.capacity() != 0 && idle_.size() < kMaxIdle) {
+      idle_.push_back(std::move(table));
+    }
+  }
+
+  std::size_t idle() const { return idle_.size(); }
+
+ private:
+  std::vector<FlatSet<Key>> idle_;
 };
 
 }  // namespace navpath

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace navpath {
 
@@ -19,25 +21,64 @@ DocumentStats DocumentStats::FromSummary(const PathSummary& summary,
   }
 
   // A summary node's `count` DOM nodes share its tag path, so each of them
-  // forms the same pairs with its parent and ancestors.
-  for (std::uint32_t i = 0; i < summary.size(); ++i) {
-    const PathSummary::Node& n = summary.node(i);
-    if (n.count == 0) continue;  // a delete can leave an empty path behind
+  // forms the same pairs with its parent and ancestors. A depth-first walk
+  // carries the ancestors' tags with their multiplicities: an ancestor tag
+  // that occurs m times on the path adds m * count to its pair at once, so
+  // a path that repeats one tag costs one update per node, not one per
+  // ancestor. (A path of distinct tags still has as many pairs as
+  // ancestors.)
+  std::vector<std::pair<TagId, std::uint64_t>> ancestors;  // tag, times
+  const auto times_of = [&](TagId tag) {
+    return std::find_if(ancestors.begin(), ancestors.end(),
+                        [tag](const auto& a) { return a.first == tag; });
+  };
+  const auto tally = [&](const PathSummary::Node& n) {
+    if (n.count == 0) return;  // a delete can leave an empty path behind
     stats.tag_counts_[n.tag] += n.count;
-    if (n.parent == PathSummary::kNoParent) continue;
+    if (n.parent == PathSummary::kNoParent) return;
     const TagId parent_tag = summary.node(n.parent).tag;
     if (n.kind == DomNodeKind::kAttribute) {
       stats.attr_pair_[PairKey(parent_tag, n.tag)] += n.count;
       stats.attr_any_[parent_tag] += n.count;
-      continue;
+      return;
     }
     stats.child_pair_[PairKey(parent_tag, n.tag)] += n.count;
     stats.child_any_[parent_tag] += n.count;
-    for (std::uint32_t a = n.parent; a != PathSummary::kNoParent;
-         a = summary.node(a).parent) {
-      const TagId ancestor_tag = summary.node(a).tag;
-      stats.desc_pair_[PairKey(ancestor_tag, n.tag)] += n.count;
-      stats.desc_any_[ancestor_tag] += n.count;
+    for (const auto& [ancestor_tag, times] : ancestors) {
+      stats.desc_pair_[PairKey(ancestor_tag, n.tag)] += times * n.count;
+      stats.desc_any_[ancestor_tag] += times * n.count;
+    }
+  };
+  // Each frame is a summary node on the current path and the index of its
+  // next child to visit. Entering a node tallies it against its ancestors
+  // and then adds its own tag; leaving removes it again, and a tag whose
+  // multiplicity falls to 0 is the one added last.
+  std::vector<std::pair<std::uint32_t, std::size_t>> path;
+  const auto enter = [&](std::uint32_t i) {
+    const PathSummary::Node& n = summary.node(i);
+    tally(n);
+    const auto it = times_of(n.tag);
+    if (it == ancestors.end()) {
+      ancestors.emplace_back(n.tag, 1);
+    } else {
+      ++it->second;
+    }
+    path.emplace_back(i, 0);
+  };
+  enter(summary.root());
+  while (!path.empty()) {
+    const auto [i, next_child] = path.back();
+    const PathSummary::Node& n = summary.node(i);
+    if (next_child < n.children.size()) {
+      ++path.back().second;
+      enter(n.children[next_child]);
+      continue;
+    }
+    path.pop_back();
+    const auto it = times_of(n.tag);
+    if (--it->second == 0) {
+      NAVPATH_DCHECK(it + 1 == ancestors.end());
+      ancestors.pop_back();
     }
   }
   for (const auto& [tag, count] : stats.tag_counts_) {

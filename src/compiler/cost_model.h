@@ -29,8 +29,9 @@ namespace navpath {
 class DocumentStats {
  public:
   /// The statistics of the document `summary` describes; `doc` supplies
-  /// the page and border counts. One pass over the summary nodes and
-  /// their summary ancestors, independent of the document's node count.
+  /// the page and border counts. One depth-first pass over the summary
+  /// nodes, independent of the document's node count; each node costs
+  /// one update per distinct tag among its summary ancestors.
   static DocumentStats FromSummary(const PathSummary& summary,
                                    const ImportedDocument& doc);
 

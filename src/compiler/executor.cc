@@ -15,7 +15,7 @@ Status DrainPlan(Database* db, PathPlan* plan, bool collect_nodes,
                  std::uint64_t* count, std::vector<LogicalNode>* nodes,
                  std::uint64_t stop_after = 0) {
   NAVPATH_RETURN_NOT_OK(plan->root()->Open());
-  FlatSet<std::uint64_t> seen;
+  FlatSet<std::uint64_t> seen = db->table_pool()->Take();
   std::uint64_t produced = 0;
   bool stopped_early = false;
   PathInstance inst;
@@ -36,6 +36,7 @@ Status DrainPlan(Database* db, PathPlan* plan, bool collect_nodes,
       break;
     }
   }
+  db->table_pool()->GiveBack(std::move(seen));
   NAVPATH_RETURN_NOT_OK(plan->root()->Close());
   // An early stop (existence queries) abandons the plan's speculative
   // prefetches mid-flight; drain them so the database stays reusable and
@@ -87,6 +88,10 @@ Result<bool> StorePredicateHolds(Database* db, NodeID context,
     const LocationStep& step = path.steps[i];
     const bool last = i + 1 == path.steps.size();
     std::vector<NodeID> next;
+    // One origin's axis enumeration never repeats a node, so only a
+    // frontier of two or more nodes can reach a node twice. A lone origin
+    // skips the set, which then never allocates.
+    const bool dedup = frontier.size() > 1;
     FlatSet<std::uint64_t> seen;
     CrossClusterCursor cursor(db, translator);
     for (const NodeID ctx : frontier) {
@@ -97,7 +102,7 @@ Result<bool> StorePredicateHolds(Database* db, NodeID context,
         if (!more) break;
         db->clock()->ChargeCpu(db->costs().node_test);
         if (!step.test.Matches(node.tag)) continue;
-        if (!seen.insert(node.id.Pack())) continue;
+        if (dedup && !seen.insert(node.id.Pack())) continue;
         NAVPATH_ASSIGN_OR_RETURN(
             const bool keep,
             StepSatisfiesPredicates(db, node, step, translator));

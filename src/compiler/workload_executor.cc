@@ -264,7 +264,13 @@ Status WorkloadExecutor::StartNextPath(Job* job) {
   plan.shared()->owner_id = job->owner_id;
   plan.shared()->cooperative = true;
   job->plan = std::move(plan);
-  job->seen.clear();
+  // The query's first path takes a dedup table from the database's pool;
+  // its later paths empty that one.
+  if (job->path_index == 0) {
+    job->seen = db_->table_pool()->Take();
+  } else {
+    job->seen.clear();
+  }
   job->produced_in_path = 0;
   // Fresh plan, fresh yield/block counters: restart the classification
   // window so the new path's behavior is judged on its own pulls.
@@ -569,7 +575,9 @@ void WorkloadExecutor::FinishJob(std::size_t active_pos) {
   Job& job = jobs_[run_active_[active_pos]];
   job.result.finished_at = db_->clock()->now();
   job.plan = PathPlan();
-  job.seen = FlatSet<std::uint64_t>();  // release the table, not just empty it
+  // Give the table back, not just empty it: a finished job must not hold
+  // one in jobs_ for the rest of the run.
+  db_->table_pool()->GiveBack(std::move(job.seen));
   // Transaction state goes after the plan (the plan's translator points
   // into the snapshot). Dropping the snapshot unpins its version for
   // reclamation; a writer still open here (insert failure path) was
@@ -847,6 +855,7 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
     job.result.status = started;
     job.result.finished_at = db_->clock()->now();
     job.plan = PathPlan();
+    db_->table_pool()->GiveBack(std::move(job.seen));
     job.snapshot.reset();
     job.done = true;
     ++completed_;

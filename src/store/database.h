@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/flat_set.h"
 #include "common/metrics.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
@@ -107,6 +108,10 @@ class Database {
   /// Cold-starts a measurement: drops the buffer, resets clock + metrics.
   Status ResetMeasurement();
 
+  /// Idle per-query membership tables: XAssembly's R, the workload jobs'
+  /// and DrainPlan's result dedup sets take theirs here and give them back.
+  FlatSetPool<std::uint64_t>* table_pool() { return &table_pool_; }
+
  private:
   DatabaseOptions options_;
   SimClock clock_;
@@ -116,6 +121,7 @@ class Database {
   std::unique_ptr<FaultInjector> fault_injector_;
   std::unique_ptr<BufferManager> buffer_;
   std::shared_ptr<const PathSummary> summary_;
+  FlatSetPool<std::uint64_t> table_pool_;
   std::size_t imported_docs_ = 0;
   /// Owned; raw because the observe-off build must not reference ~Tracer.
   Tracer* tracer_ = nullptr;

@@ -1,12 +1,14 @@
 // Differential tests of FlatSet against std::unordered_set: seeded random
 // insert/contains/erase/clear sequences over key pools that include keys
 // crowded onto a few home slots, runs that wrap around the table's end,
-// the set's own empty-slot marker, and growth from an empty table.
+// the set's own empty-slot marker, growth from an empty table, and a large
+// table reused after clear(). FlatSetPool: its bound and its empty tables.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/flat_set.h"
@@ -191,6 +193,70 @@ TEST(FlatSetTest, MovedFromSetIsEmptyAndUsable) {
   EXPECT_EQ(b.size(), 0u);
   b = FlatSet<std::uint64_t>();
   EXPECT_EQ(b.size(), 0u);
+}
+
+TEST(FlatSetTest, ClearedLargeTableMatchesUnorderedSetOnReuse) {
+  // A per-query table from the pool arrives cleared but keeps its grown
+  // capacity; the next query must see exactly its own keys.
+  Random rng(7);
+  FlatSet<std::uint64_t> set;
+  std::unordered_set<std::uint64_t> reference;
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t key = rng.NextU64();
+    ASSERT_EQ(set.insert(key), reference.insert(key).second);
+  }
+  ASSERT_EQ(set.size(), reference.size());
+  const std::size_t grown = set.capacity();
+  set.clear();
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.capacity(), grown);
+  for (const std::uint64_t key : reference) {
+    ASSERT_FALSE(set.contains(key)) << key;
+  }
+  reference.clear();
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t key = rng.NextBounded(5000) * 4096;
+    const std::uint64_t dice = rng.NextBounded(3);
+    if (dice == 0) {
+      ASSERT_EQ(set.insert(key), reference.insert(key).second) << op;
+    } else if (dice == 1) {
+      ASSERT_EQ(set.erase(key), reference.erase(key) > 0) << op;
+    } else {
+      ASSERT_EQ(set.contains(key), reference.count(key) > 0) << op;
+    }
+    ASSERT_EQ(set.size(), reference.size()) << op;
+  }
+  EXPECT_EQ(set.capacity(), grown);  // never shrinks, never needed to grow
+}
+
+TEST(FlatSetPoolTest, HoldsAtMostItsBoundAndHandsOutEmptyTables) {
+  using Pool = FlatSetPool<std::uint64_t>;
+  Pool pool;
+  EXPECT_EQ(pool.idle(), 0u);
+  EXPECT_EQ(pool.Take().capacity(), 0u);  // nothing idle: a new table
+  pool.GiveBack(FlatSet<std::uint64_t>());  // never grew: not kept
+  EXPECT_EQ(pool.idle(), 0u);
+  // Give back twice the bound, table i holding 10 * (i + 1) keys.
+  for (std::size_t i = 0; i < 2 * Pool::kMaxIdle; ++i) {
+    FlatSet<std::uint64_t> table;
+    for (std::uint64_t k = 0; k < 10 * (i + 1); ++k) table.insert(k);
+    pool.GiveBack(std::move(table));
+    ASSERT_LE(pool.idle(), Pool::kMaxIdle);
+  }
+  EXPECT_EQ(pool.idle(), Pool::kMaxIdle);
+  // The last table kept is the first handed out: the pool is a stack.
+  std::size_t last_capacity = ~std::size_t{0};
+  for (std::size_t i = 0; i < Pool::kMaxIdle; ++i) {
+    FlatSet<std::uint64_t> table = pool.Take();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_GT(table.capacity(), 0u);
+    EXPECT_LE(table.capacity(), last_capacity);
+    last_capacity = table.capacity();
+    for (std::uint64_t k = 0; k < 10 * (Pool::kMaxIdle + 1); ++k) {
+      ASSERT_FALSE(table.contains(k)) << "table " << i << " key " << k;
+    }
+  }
+  EXPECT_EQ(pool.idle(), 0u);
 }
 
 }  // namespace

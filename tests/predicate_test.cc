@@ -143,7 +143,12 @@ INSTANTIATE_TEST_SUITE_P(
                       PredicateCase{65, "//t0[t1][t2]/t1"},
                       PredicateCase{66, "//t2[..]"},
                       PredicateCase{67, "//t0[t1[@a1]]"},
-                      PredicateCase{68, "//t1[@a0=\"val\"]"}),
+                      PredicateCase{68, "//t1[@a0=\"val\"]"},
+                      // parent:: from sibling t1s reaches their t0 once
+                      // per sibling: the step after a multi-node frontier
+                      // must deduplicate.
+                      PredicateCase{69, "//t0[t1/parent::t0/t2]"},
+                      PredicateCase{70, "//t2[t0/parent::*[t1]]"}),
     [](const ::testing::TestParamInfo<PredicateCase>& info) {
       return "case_s" + std::to_string(info.param.seed);
     });
