@@ -195,6 +195,31 @@ struct PlanSharedState {
 #endif
 };
 
+/// Speculative seeds of the open cluster `view` (Sec. 5.4.3), shared by
+/// XScan and speculative XSchedule: one left-incomplete instance
+/// l_{b,i} per (border record b, step i < path_length), in slot order.
+/// `*slot` and `*step` are the enumeration's position, which the caller
+/// zeroes on entering a cluster. Writes the next seed to `out` and
+/// returns true, or returns false once the cluster has none left.
+inline bool NextClusterSeed(Database* db, const ClusterView& view,
+                            int path_length, SlotId* slot, int* step,
+                            PathInstance* out) {
+  while (*slot < view.slot_count()) {
+    if (view.IsLive(*slot) && view.IsBorder(*slot) && *step < path_length) {
+      *out = PathInstance::Seed(view.IdOf(*slot), *step);
+      ++*step;
+      db->clock()->ChargeCpu(db->costs().instance_op);
+      ++db->metrics()->speculative_instances;
+      ++db->metrics()->instances_created;
+      return true;
+    }
+    view.ChargeHop();
+    *step = 0;
+    ++*slot;
+  }
+  return false;
+}
+
 }  // namespace navpath
 
 #endif  // NAVPATH_ALGEBRA_OPERATOR_H_

@@ -12,7 +12,6 @@ Status XScan::Open() {
   next_page_ = options_.first_page;
   fallback_started_ = false;
   fallback_pos_ = 0;
-  clusters_scanned_ = 0;
 
   // The specification requires the context input sorted by cluster id;
   // materialize and sort it here.
@@ -74,25 +73,6 @@ PageId XScan::NextAllowedPage(PageId page) {
   return std::max(page, ext[restrict_idx_].first);
 }
 
-bool XScan::EmitSeed(PathInstance* out) {
-  const ClusterView& view = shared_->cluster.view();
-  while (seed_slot_ < view.slot_count()) {
-    if (view.IsLive(seed_slot_) && view.IsBorder(seed_slot_) &&
-        seed_step_ < options_.path_length) {
-      *out = PathInstance::Seed(view.IdOf(seed_slot_), seed_step_);
-      ++seed_step_;
-      db_->clock()->ChargeCpu(db_->costs().instance_op);
-      ++db_->metrics()->speculative_instances;
-      ++db_->metrics()->instances_created;
-      return true;
-    }
-    view.ChargeHop();
-    seed_step_ = 0;
-    ++seed_slot_;
-  }
-  return false;
-}
-
 Result<bool> XScan::Next(PathInstance* out) {
   for (;;) {
     if (shared_->fallback) {
@@ -119,7 +99,10 @@ Result<bool> XScan::Next(PathInstance* out) {
         db_->clock()->ChargeCpu(db_->costs().instance_op);
         return true;
       }
-      if (EmitSeed(out)) return true;
+      if (NextClusterSeed(db_, shared_->cluster.view(), options_.path_length,
+                          &seed_slot_, &seed_step_, out)) {
+        return true;
+      }
       page_open_ = false;
     }
 
@@ -151,7 +134,6 @@ Result<bool> XScan::Next(PathInstance* out) {
                            {"owner", shared_->owner_id}}));
     shared_->visited_clusters.insert(next_page_);
     ++next_page_;
-    ++clusters_scanned_;
     page_open_ = true;
     seed_slot_ = 0;
     seed_step_ = 0;

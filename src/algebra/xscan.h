@@ -44,11 +44,7 @@ class XScan : public PathOperator {
   Result<bool> Next(PathInstance* out) override;
   Status Close() override;
 
-  std::uint64_t clusters_scanned() const { return clusters_scanned_; }
-
  private:
-  bool EmitSeed(PathInstance* out);
-
   /// Smallest page >= `page` the restricted sweep may visit (== `page`
   /// when no restriction is set). Monotone calls; advances restrict_idx_.
   PageId NextAllowedPage(PageId page);
@@ -71,8 +67,6 @@ class XScan : public PathOperator {
   std::size_t fallback_pos_ = 0;
 
   std::size_t restrict_idx_ = 0;
-
-  std::uint64_t clusters_scanned_ = 0;
 };
 
 }  // namespace navpath

@@ -10,7 +10,6 @@ Status XSchedule::Open() {
   ready_.clear();
   scanned_installs_ = db_->buffer()->installs();
   seeding_ = false;
-  clusters_entered_ = 0;
   NAVPATH_CHECK(options_.k >= 1);
   return producer_->Open();
 }
@@ -59,6 +58,20 @@ Status XSchedule::Replenish() {
   return Status::OK();
 }
 
+Status XSchedule::EnterCluster(PageId page,
+                               [[maybe_unused]] const char* event) {
+  NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
+  NAVPATH_TRACE(db_->tracer(),
+                Instant(TraceCategory::kScheduler, kTrackScheduler, event,
+                        db_->clock()->now(),
+                        {{"page", page}, {"owner", shared_->owner_id}}));
+  shared_->visited_clusters.insert(page);
+  seeding_ = options_.speculative && !shared_->fallback;
+  seed_slot_ = 0;
+  seed_step_ = 0;
+  return Status::OK();
+}
+
 Result<bool> XSchedule::SwitchToNextCluster() {
   for (;;) {
     if (shared_->cooperative) {
@@ -92,16 +105,7 @@ Result<bool> XSchedule::SwitchToNextCluster() {
       ready_.pop_front();
       q_.ClearReady(page);
       if (q_.empty(page)) continue;  // stale marker
-      NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
-      NAVPATH_TRACE(db_->tracer(),
-                    Instant(TraceCategory::kScheduler, kTrackScheduler,
-                            "enter_cluster", db_->clock()->now(),
-                            {{"page", page}, {"owner", shared_->owner_id}}));
-      shared_->visited_clusters.insert(page);
-      ++clusters_entered_;
-      seeding_ = options_.speculative && !shared_->fallback;
-      seed_slot_ = 0;
-      seed_step_ = 0;
+      NAVPATH_RETURN_NOT_OK(EnterCluster(page, "enter_cluster"));
       return true;
     }
     if (db_->buffer()->HasPrefetchInFlight()) {
@@ -156,41 +160,11 @@ Result<bool> XSchedule::SwitchToNextCluster() {
     // (e.g. after eviction). Serve the lowest one synchronously.
     const PageId page = q_.LowestNonEmpty();
     if (page != kInvalidPageId) {
-      NAVPATH_RETURN_NOT_OK(shared_->cluster.Switch(page));
-      NAVPATH_TRACE(db_->tracer(),
-                    Instant(TraceCategory::kScheduler, kTrackScheduler,
-                            "enter_cluster_sync", db_->clock()->now(),
-                            {{"page", page}, {"owner", shared_->owner_id}}));
-      shared_->visited_clusters.insert(page);
-      ++clusters_entered_;
-      seeding_ = options_.speculative && !shared_->fallback;
-      seed_slot_ = 0;
-      seed_step_ = 0;
+      NAVPATH_RETURN_NOT_OK(EnterCluster(page, "enter_cluster_sync"));
       return true;
     }
     return false;
   }
-}
-
-bool XSchedule::EmitSeed(PathInstance* out) {
-  if (!seeding_ || shared_->fallback) return false;
-  const ClusterView& view = shared_->cluster.view();
-  while (seed_slot_ < view.slot_count()) {
-    if (view.IsLive(seed_slot_) && view.IsBorder(seed_slot_) &&
-        seed_step_ < options_.path_length) {
-      *out = PathInstance::Seed(view.IdOf(seed_slot_), seed_step_);
-      ++seed_step_;
-      db_->clock()->ChargeCpu(db_->costs().instance_op);
-      ++db_->metrics()->speculative_instances;
-      ++db_->metrics()->instances_created;
-      return true;
-    }
-    view.ChargeHop();
-    seed_step_ = 0;
-    ++seed_slot_;
-  }
-  seeding_ = false;
-  return false;
 }
 
 Result<bool> XSchedule::Next(PathInstance* out) {
@@ -203,7 +177,14 @@ Result<bool> XSchedule::Next(PathInstance* out) {
         db_->clock()->ChargeCpu(db_->costs().instance_op);
         return true;
       }
-      if (EmitSeed(out)) return true;
+      if (seeding_ && !shared_->fallback) {
+        if (NextClusterSeed(db_, shared_->cluster.view(),
+                            options_.path_length, &seed_slot_, &seed_step_,
+                            out)) {
+          return true;
+        }
+        seeding_ = false;
+      }
     }
     if (q_.size() == 0) {
       // Replenish drained the producer, Q is empty, seeds are done.

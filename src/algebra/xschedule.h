@@ -52,8 +52,6 @@ class XSchedule : public PathOperator {
   /// the cluster that must be visited) and schedule the cluster's I/O.
   Status AddWork(const PathInstance& inst);
 
-  std::uint64_t clusters_entered() const { return clusters_entered_; }
-
  private:
   /// Queues `inst` under its right end's cluster and submits that
   /// cluster's read (every queued cluster is on order at once).
@@ -62,7 +60,9 @@ class XSchedule : public PathOperator {
   Status Replenish();
   /// Picks and pins the next cluster; false when no work remains.
   Result<bool> SwitchToNextCluster();
-  bool EmitSeed(PathInstance* out);
+  /// Pins `page` as the current cluster and starts its seeds; `event`
+  /// names the trace instant.
+  Status EnterCluster(PageId page, const char* event);
 
   Database* db_;
   PlanSharedState* shared_;
@@ -86,8 +86,6 @@ class XSchedule : public PathOperator {
   bool seeding_ = false;
   SlotId seed_slot_ = 0;
   int seed_step_ = 0;
-
-  std::uint64_t clusters_entered_ = 0;
 };
 
 }  // namespace navpath

@@ -315,7 +315,13 @@ PlanCosts EstimatePlanCosts(const DocumentStats& stats,
                             const LocationPath& path, const DiskModel& disk,
                             const CpuCostModel& cpu,
                             const PathSummary* summary) {
-  const PathEstimate est = EstimatePath(stats, path, summary);
+  return EstimatePlanCosts(stats, EstimatePath(stats, path, summary),
+                           path.length(), disk, cpu);
+}
+
+PlanCosts EstimatePlanCosts(const DocumentStats& stats,
+                            const PathEstimate& est, std::size_t path_length,
+                            const DiskModel& disk, const CpuCostModel& cpu) {
   const double pages = static_cast<double>(stats.page_count());
   // Pages an XScan sweep visits: the whole document, or — with a summary
   // — only the touched-extent union (the sweep skips over the rest).
@@ -350,7 +356,7 @@ PlanCosts EstimatePlanCosts(const DocumentStats& stats,
   // (borders and records are uniform across the layout, so a restricted
   // sweep meets the swept fraction of both).
   const double seed_count = static_cast<double>(stats.border_records()) *
-                            static_cast<double>(path.length()) *
+                            static_cast<double>(path_length) *
                             swept_fraction;
   const double scan_cpu =
       nav_cpu +
@@ -428,36 +434,6 @@ DegradedTier ChooseDegradedTier(const DocumentStats& stats,
   }
   tier.viable = true;
   return tier;
-}
-
-WriterAdmission EstimateWriterAdmission(std::size_t writers,
-                                        double conflict_probability,
-                                        double txn_cost,
-                                        double retry_backoff,
-                                        std::size_t max_retries) {
-  WriterAdmission est;
-  // Clamp away the pole at p = 1: even a fully conflicting workload is
-  // bounded by the retry budget, and an estimate of exactly 1.0 is noise
-  // from a tiny sample, not a physical rate.
-  const double p =
-      std::min(0.95, std::max(0.0, conflict_probability));
-  // Geometric attempt count: each attempt independently survives with
-  // probability (1 - p), so the expectation is 1/(1-p) — truncated at the
-  // retry budget, past which the transaction fails rather than retries.
-  est.attempts =
-      std::min(1.0 / (1.0 - p), 1.0 + static_cast<double>(max_retries));
-  // Every attempt redoes the transaction's work; every retry additionally
-  // waits out its backoff (the exponential growth is ignored here — by
-  // the time it matters, serialization has long since won).
-  est.optimistic_cost =
-      est.attempts * txn_cost + (est.attempts - 1.0) * retry_backoff;
-  // A serialized writer conflicts with nobody but queues behind, on
-  // average, half of its peers.
-  const double peers =
-      writers > 0 ? static_cast<double>(writers - 1) : 0.0;
-  est.serialized_cost = txn_cost * (1.0 + 0.5 * peers);
-  est.prefer_optimistic = est.optimistic_cost <= est.serialized_cost;
-  return est;
 }
 
 ShardFanoutEstimate EstimateShardFanout(

@@ -168,6 +168,13 @@ PlanCosts EstimatePlanCosts(const DocumentStats& stats,
                             const CpuCostModel& cpu,
                             const PathSummary* summary = nullptr);
 
+/// The same prices for a path of `path_length` steps whose estimate the
+/// caller already holds (EstimatePath or EstimatePathDetailed of that
+/// path), so the path is not estimated a second time.
+PlanCosts EstimatePlanCosts(const DocumentStats& stats,
+                            const PathEstimate& est, std::size_t path_length,
+                            const DiskModel& disk, const CpuCostModel& cpu);
+
 /// The optimizer: picks the cheapest I/O-performing operator for `query`
 /// (summing estimates over count() operands).
 PlanKind ChoosePlanKind(const DocumentStats& stats, const PathQuery& query,
@@ -197,21 +204,6 @@ DegradedTier ChooseDegradedTier(const DocumentStats& stats,
                                 const CpuCostModel& cpu,
                                 const PathSummary* summary = nullptr);
 
-/// Expected per-transaction cost of admitting `writers` write
-/// transactions optimistically (first-committer-wins, bounded retry with
-/// backoff) versus serializing them (one active writer, the rest queue).
-/// The workload executor's admission gate compares the two to pick a
-/// writer concurrency under the observed conflict rate: optimistic wins
-/// at low conflict (retries are rare, queueing is pure loss), serialized
-/// wins once expected aborted work plus backoff exceeds the average
-/// queue wait of (writers-1)/2 transactions.
-struct WriterAdmission {
-  double attempts = 1.0;        // expected commit attempts per transaction
-  double optimistic_cost = 0;   // attempts * txn + retry backoff waits
-  double serialized_cost = 0;   // one txn + expected queue wait
-  bool prefer_optimistic = true;
-};
-
 /// Sharded fan-out pricing (src/shard): a query fanned across K shards
 /// finishes when its slowest participant does — the shards' drives run in
 /// parallel — and then pays a coordinator-side document-order merge over
@@ -233,17 +225,6 @@ struct ShardFanoutEstimate {
 ShardFanoutEstimate EstimateShardFanout(
     const std::vector<double>& per_shard_costs, double result_cardinality,
     double merge_op_cost);
-
-/// `conflict_probability` is the chance one optimistic attempt loses the
-/// first-committer race (clamped into [0, 0.95]); `txn_cost` and
-/// `retry_backoff` are in the same (simulated-time) unit; `max_retries`
-/// bounds the attempt count at 1 + max_retries, after which the
-/// transaction fails instead of retrying.
-WriterAdmission EstimateWriterAdmission(std::size_t writers,
-                                        double conflict_probability,
-                                        double txn_cost,
-                                        double retry_backoff,
-                                        std::size_t max_retries);
 
 }  // namespace navpath
 

@@ -212,8 +212,8 @@ PathExplain BuildPathExplain(Database* db, const LocationPath& path,
     est_exact = estimate.summary_exact;
     explain.estimated_clusters_touched = estimate.clusters_touched;
     const PlanCosts costs =
-        EstimatePlanCosts(*stats, path, db->options().disk_model,
-                          db->options().cpu_costs, summary);
+        EstimatePlanCosts(*stats, estimate, path.length(),
+                          db->options().disk_model, db->options().cpu_costs);
     switch (plan_options.kind) {
       case PlanKind::kSimple:
         explain.estimated_cost = costs.simple;

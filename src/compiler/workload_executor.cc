@@ -33,15 +33,6 @@ constexpr std::uint64_t kClassifyMinPulls = 4;
 /// flight and the elevator pool stays deep.
 constexpr std::size_t kHybridBreadth = 1;
 
-/// The counter `name` of `registry`, looked up only while `*slot` is
-/// unset: MetricsRegistry::Reset keeps every map node, so the reference
-/// stays valid for the registry's lifetime.
-std::uint64_t& CounterSlot(MetricsRegistry& registry, std::uint64_t*& slot,
-                           const char* name) {
-  if (slot == nullptr) slot = &registry.Counter(name);
-  return *slot;
-}
-
 /// Buffer pages a plan's prefetch/speculative state may occupy while the
 /// query is active: XSchedule keeps its in-flight reads (queue_k-ish)
 /// plus the pinned current cluster; XScan and Simple touch one page at a
@@ -192,17 +183,17 @@ void WorkloadExecutor::ComputeEstimates(Job* job) const {
   const PathSummary* summary =
       options_.summary ? db_->summary() : nullptr;
   for (const LocationPath& path : job->query.paths) {
-    const PlanCosts costs =
-        EstimatePlanCosts(*options_.stats, path, db_->options().disk_model,
-                          db_->costs(), summary);
+    const PathEstimate estimate =
+        EstimatePath(*options_.stats, path, summary);
+    const PlanCosts costs = EstimatePlanCosts(
+        *options_.stats, estimate, path.length(),
+        db_->options().disk_model, db_->costs());
     double cost = costs.simple;
     if (job->plan_options.kind == PlanKind::kXSchedule) {
       cost = costs.xschedule;
     }
     if (job->plan_options.kind == PlanKind::kXScan) cost = costs.xscan;
     job->path_costs.push_back(cost);
-    const PathEstimate estimate =
-        EstimatePath(*options_.stats, path, summary);
     job->path_cards.push_back(estimate.result_cardinality);
     job->path_clusters.push_back(estimate.clusters_touched);
     job->clusters_touched =
@@ -322,22 +313,6 @@ Status WorkloadExecutor::ApplyWriteOp(Job* job, const WriteOp& op) {
   return Status::OK();
 }
 
-std::size_t WorkloadExecutor::WriterLimit() const {
-  if (options_.max_writers <= 1) return 1;
-  // Conflict rate observed this run; 0 before the first commit attempt,
-  // so a fresh run starts optimistic and narrows only on evidence.
-  const double p =
-      writer_commit_attempts_ == 0
-          ? 0.0
-          : static_cast<double>(writer_conflict_aborts_) /
-                static_cast<double>(writer_commit_attempts_);
-  const WriterAdmission est = EstimateWriterAdmission(
-      options_.max_writers, p, writer_cost_ewma_,
-      static_cast<double>(kWriterRetryBackoff),
-      options_.writer_max_retries);
-  return est.prefer_optimistic ? options_.max_writers : 1;
-}
-
 void WorkloadExecutor::FinishPath(Job* job) {
   if (!options_.explain) return;
   if (job->result.explain == nullptr) {
@@ -447,11 +422,7 @@ std::size_t WorkloadExecutor::PickNext(
     const std::vector<std::size_t>& active, std::uint64_t decisions) {
   NAVPATH_DCHECK(!active.empty());
   // Measurement-side observability; never touches the simulated clock.
-  ++CounterSlot(sched_, sched_slots_.decisions, "sched.decisions");
-  if (sched_slots_.pool_depth == nullptr) {
-    sched_slots_.pool_depth = &sched_.GetHistogram("sched.pool_depth");
-  }
-  sched_slots_.pool_depth->Record(db_->disk()->pending_requests());
+  pool_depth_.Record(db_->disk()->pending_requests());
   switch (options_.policy) {
     case WorkloadPolicy::kRoundRobin: {
       // Rotate over stable job ids, not positions: `decisions % size`
@@ -530,17 +501,11 @@ std::size_t WorkloadExecutor::PickNext(
       for (const std::size_t pos : ranked) {
         (IoBound(jobs_[active[pos]]) ? io : cpu).push_back(pos);
       }
-      CounterSlot(sched_, sched_slots_.classified_io,
-                  "sched.classified.io_bound") += io.size();
-      CounterSlot(sched_, sched_slots_.classified_cpu,
-                  "sched.classified.cpu_bound") += cpu.size();
+      classified_io_ += io.size();
+      classified_cpu_ += cpu.size();
       const bool serve_io =
           !io.empty() && (cpu.empty() || decisions % 2 == 0);
-      if (serve_io) {
-        ++CounterSlot(sched_, sched_slots_.picks_io, "sched.picks.io_rr");
-        return RotatePick(active, io, &hybrid_io_cursor_);
-      }
-      ++CounterSlot(sched_, sched_slots_.picks_cpu, "sched.picks.cpu_sjf");
+      if (serve_io) return RotatePick(active, io, &hybrid_io_cursor_);
       return SjfPick(active, cpu);
     }
   }
@@ -552,7 +517,9 @@ Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
   NAVPATH_RETURN_NOT_OK(db_->ResetMeasurement());
   stepping_ = true;
   n_total_ = expected_jobs;
-  sched_.Reset();
+  pool_depth_.Reset();
+  classified_io_ = 0;
+  classified_cpu_ = 0;
   rr_cursor_ = static_cast<std::size_t>(-1);
   hybrid_io_cursor_ = static_cast<std::size_t>(-1);
   completed_ = 0;
@@ -561,9 +528,6 @@ Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
   consecutive_yields_ = 0;
   footprint_used_ = 0;
   writers_active_ = 0;
-  writer_commit_attempts_ = 0;
-  writer_conflict_aborts_ = 0;
-  writer_cost_ewma_ = 0.0;
   budget_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              static_cast<double>(db_->buffer()->capacity()) *
@@ -636,21 +600,7 @@ Result<std::size_t> WorkloadExecutor::StepOnce() {
       }
       return kNoJob;
     }
-    const SimTime active_for =
-        db_->clock()->now() - job.result.admitted_at;
     const Status committed = job.writer->Commit();
-    ++writer_commit_attempts_;
-    {
-      // Per-attempt cost sample for the admission estimate: the writer's
-      // wall time since activation, spread over its attempts (retries
-      // redo the whole transaction). EWMA with 1/4 gain follows phase
-      // changes without whipsawing on one odd transaction.
-      const double sample = static_cast<double>(active_for) /
-                            static_cast<double>(job.result.aborts + 1);
-      writer_cost_ewma_ = writer_cost_ewma_ == 0.0
-                              ? sample
-                              : 0.75 * writer_cost_ewma_ + 0.25 * sample;
-    }
     if (!committed.ok()) {
       if (committed.IsAborted() &&
           job.result.aborts < options_.writer_max_retries) {
@@ -660,7 +610,6 @@ Result<std::size_t> WorkloadExecutor::StepOnce() {
         // aborted attempt's work was rolled back with its shadow pages.
         // A retried writer keeps its job: it never re-enters admission,
         // so overload control cannot re-tier it mid-flight.
-        ++writer_conflict_aborts_;
         ++job.result.aborts;
         NAVPATH_DCHECK(!job.result.degraded);
         const unsigned shift = static_cast<unsigned>(
@@ -786,7 +735,16 @@ Result<WorkloadResult> WorkloadExecutor::EndStepping() {
   result.total_time = db_->clock()->now();
   result.cpu_time = db_->clock()->cpu_time();
   result.metrics = *db_->metrics();
-  result.scheduler = sched_.Snapshot();
+  // Every decision is one pull of one job, so run_decisions_ is the
+  // sched.decisions count.
+  result.scheduler.counters = {
+      {"sched.classified.cpu_bound", classified_cpu_},
+      {"sched.classified.io_bound", classified_io_},
+      {"sched.decisions", run_decisions_}};
+  if (pool_depth_.count() > 0) {
+    result.scheduler.histograms.push_back(
+        Summarize("sched.pool_depth", pool_depth_));
+  }
   return result;
 }
 
@@ -841,10 +799,9 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
   if (job.arrival > db_->clock()->now()) {
     return Status::InvalidArgument("job has not arrived yet");
   }
-  if (job.is_write && writers_active_ >= WriterLimit()) {
+  if (job.is_write && writers_active_ >= options_.max_writers) {
     return Status::InvalidArgument(
-        "writer concurrency limit reached (admission runs writers "
-        "serialized or optimistically up to max_writers)");
+        "writer concurrency limit reached (max_writers writers active)");
   }
   job.activated = true;
   const Status started = StartNextPath(&job);
@@ -908,10 +865,9 @@ bool WorkloadExecutor::CanAdmit(std::size_t index) const {
   const bool fits =
       run_active_.empty() || footprint_used_ + job.footprint <= budget_;
   // Writer admission (head-of-line): a queued writer waits until the
-  // active-writer count drops under the limit the cost model picks —
-  // max_writers while optimistic retries price below serialized queueing
-  // at the observed conflict rate, 1 otherwise.
-  const bool writer_ok = !job.is_write || writers_active_ < WriterLimit();
+  // active-writer count drops under max_writers.
+  const bool writer_ok =
+      !job.is_write || writers_active_ < options_.max_writers;
   return have_slot && fits && writer_ok;
 }
 

@@ -6,7 +6,7 @@
 // N XPath queries are admitted against one Database (one buffer manager,
 // one simulated disk) and their operator trees are pulled cooperatively,
 // one instance at a time, so every query's pending asynchronous reads pool
-// in the disk's elevator simultaneously. The storage layer merges
+// in the disk's elevator simultaneously. The buffer manager merges
 // duplicate reads across queries (one submission, many interested owners),
 // and admission control keeps the aggregate prefetch footprint of the
 // active queries within the buffer budget.
@@ -106,13 +106,10 @@ struct WorkloadOptions {
   /// execution byte for byte. Must outlive the executor.
   TxnManager* txn = nullptr;
 
-  /// Upper bound on concurrently active write transactions (requires
-  /// `txn`; 0 is InvalidArgument). 1 — the default — serializes writers
-  /// exactly as before. Above 1 the admission gate runs writers
-  /// optimistically up to this bound while the cost model's
-  /// EstimateWriterAdmission, fed the live conflict rate observed this
-  /// run, says retries are cheaper than queueing; under high conflict it
-  /// falls back to width 1 (guaranteed aborts become short waits).
+  /// Number of write transactions the admission gate runs at once
+  /// (requires `txn`; 0 is InvalidArgument). 1 — the default —
+  /// serializes writers. Above 1 writers run optimistically: a commit
+  /// that loses the first-committer race retries (writer_max_retries).
   std::size_t max_writers = 1;
 
   /// Bounded retry of a write transaction whose commit loses the
@@ -224,13 +221,13 @@ struct WorkloadResult {
   /// the elevator depth counters).
   Metrics metrics;
 
-  /// Scheduler-side observability for the run: counters
-  /// "sched.decisions", "sched.classified.io_bound" /
-  /// "sched.classified.cpu_bound" (jobs so classified, summed over
-  /// hybrid decisions) and "sched.picks.io_rr" / "sched.picks.cpu_sjf"
-  /// (which half of the hybrid served each decision), plus the
-  /// "sched.pool_depth" histogram sampling the drive's pending pool at
-  /// every decision. Recording is measurement-side only — it never
+  /// Scheduler-side report for the run, filled once by EndStepping:
+  /// counters "sched.decisions" (scheduling decisions, which equals the
+  /// sum of the queries' pulls) and "sched.classified.io_bound" /
+  /// "sched.classified.cpu_bound" (jobs so classified, summed over hybrid
+  /// decisions), plus the "sched.pool_depth" histogram sampling the
+  /// drive's pending pool at every decision (present only when the run
+  /// made a decision). Recording is measurement-side only — it never
   /// touches the simulated clock.
   RegistrySnapshot scheduler;
 
@@ -276,8 +273,7 @@ class WorkloadExecutor {
   /// the new head after an exponential backoff; a transaction that
   /// exhausts the budget fails individually — its neighbors keep
   /// running. Arrivals share the nondecreasing rule with Add(). Up to
-  /// max_writers writers are active at once when the cost model prices
-  /// optimistic retries below serialization; queued writers wait,
+  /// max_writers writers are active at once; queued writers wait,
   /// readers are unaffected.
   Status AddWrite(std::vector<WriteOp> ops, SimTime arrival = 0);
 
@@ -431,12 +427,6 @@ class WorkloadExecutor {
   /// (insert or last-child-by-tag delete), bumping the result counters.
   Status ApplyWriteOp(Job* job, const WriteOp& op);
 
-  /// How many writers the admission gate runs concurrently right now:
-  /// max_writers while the cost model prices optimistic retries (at the
-  /// conflict rate observed so far this run) below serialized queueing,
-  /// 1 otherwise. Always 1 when max_writers == 1.
-  std::size_t WriterLimit() const;
-
   /// Appends the finished path's EXPLAIN ANALYZE report (explain mode
   /// only). Must run after Close() and before the plan is discarded.
   void FinishPath(Job* job);
@@ -507,33 +497,15 @@ class WorkloadExecutor {
   std::size_t hybrid_io_cursor_ = static_cast<std::size_t>(-1);
   /// Jobs finished in the current run (widens kHybrid's window).
   std::size_t completed_ = 0;
-  /// Write transactions currently active (WorkloadOptions.txn). The
-  /// admission gate holds this at WriterLimit(): width max_writers while
-  /// optimistic retries price below serialized queueing under the live
-  /// conflict rate, width 1 once conflicts make aborts the likely
-  /// outcome (queueing converts guaranteed aborts into short waits).
+  /// Write transactions currently active (WorkloadOptions.txn); the
+  /// admission gate holds this at or below max_writers.
   std::size_t writers_active_ = 0;
-  /// Live conflict statistics feeding WriterLimit(): commit attempts and
-  /// first-committer-race losses this run, plus an EWMA of the simulated
-  /// time one commit attempt takes (activation-to-attempt, divided by
-  /// the attempt count).
-  std::uint64_t writer_commit_attempts_ = 0;
-  std::uint64_t writer_conflict_aborts_ = 0;
-  double writer_cost_ewma_ = 0.0;
   /// Scheduler observability for the current run (reset by
-  /// BeginStepping); snapshotted into WorkloadResult::scheduler.
-  MetricsRegistry sched_;
-  /// sched_'s per-decision metrics, each looked up by name on its first
-  /// use only; a run that never records one registers nothing.
-  struct SchedSlots {
-    std::uint64_t* decisions = nullptr;
-    Histogram* pool_depth = nullptr;
-    std::uint64_t* classified_io = nullptr;
-    std::uint64_t* classified_cpu = nullptr;
-    std::uint64_t* picks_io = nullptr;
-    std::uint64_t* picks_cpu = nullptr;
-  };
-  SchedSlots sched_slots_;
+  /// BeginStepping), reported in WorkloadResult::scheduler: the drive's
+  /// pending pool at each decision, and the jobs kHybrid classified.
+  Histogram pool_depth_;
+  std::uint64_t classified_io_ = 0;
+  std::uint64_t classified_cpu_ = 0;
 };
 
 }  // namespace navpath

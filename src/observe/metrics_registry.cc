@@ -1,8 +1,6 @@
 #include "observe/metrics_registry.h"
 
 #include <bit>
-#include <cinttypes>
-#include <cstdio>
 
 namespace navpath {
 
@@ -100,29 +98,6 @@ HistogramSummary Summarize(const std::string& name, const Histogram& h) {
   return s;
 }
 
-RegistrySnapshot MetricsRegistry::Snapshot() const {
-  RegistrySnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, value] : counters_) {
-    snap.counters.emplace_back(name, value);
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, value] : gauges_) {
-    snap.gauges.emplace_back(name, value);
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms.push_back(Summarize(name, h));
-  }
-  return snap;
-}
-
-void MetricsRegistry::Reset() {
-  for (auto& [name, value] : counters_) value = 0;
-  for (auto& [name, value] : gauges_) value = 0;
-  for (auto& [name, h] : histograms_) h.Reset();
-}
-
 std::uint64_t RegistrySnapshot::CounterOr(const std::string& name,
                                           std::uint64_t fallback) const {
   for (const auto& [counter, value] : counters) {
@@ -137,28 +112,6 @@ const HistogramSummary* RegistrySnapshot::FindHistogram(
     if (h.name == name) return &h;
   }
   return nullptr;
-}
-
-std::string RegistrySnapshot::ToString() const {
-  std::string out;
-  char buf[256];
-  for (const auto& [name, value] : counters) {
-    std::snprintf(buf, sizeof(buf), "%s: %" PRIu64 "\n", name.c_str(), value);
-    out += buf;
-  }
-  for (const auto& [name, value] : gauges) {
-    std::snprintf(buf, sizeof(buf), "%s: %.3f\n", name.c_str(), value);
-    out += buf;
-  }
-  for (const HistogramSummary& h : histograms) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: count=%" PRIu64 " min=%" PRIu64 " mean=%.1f p50=%" PRIu64
-                  " p95=%" PRIu64 " p99=%" PRIu64 " max=%" PRIu64 "\n",
-                  h.name.c_str(), h.count, h.min, h.mean, h.p50, h.p95, h.p99,
-                  h.max);
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace navpath

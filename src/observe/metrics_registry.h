@@ -1,18 +1,18 @@
-// Named metrics: counters, gauges, and HDR-style histograms.
+// HDR-style histograms and the by-name report of a driver's run.
 //
-// Generalizes the fixed-field common/metrics struct: components register
-// metrics by name at runtime, benchmarks snapshot a registry per sweep
-// point, and histograms answer quantile queries (p50/p95/p99 of simulated
-// latencies) with bounded memory. Everything here is measurement-side
-// only — recording never touches the simulated clock, so instrumented and
-// uninstrumented runs have identical simulated costs.
+// Drivers count in typed members (integers and Histograms) while they
+// run and fill one RegistrySnapshot when the run ends; benchmarks and
+// tests read it by name. Histograms answer quantile queries (p50/p95/p99
+// of simulated latencies) with bounded memory. Everything here is
+// measurement-side only — recording never touches the simulated clock, so
+// instrumented and uninstrumented runs have identical simulated costs.
 #ifndef NAVPATH_OBSERVE_METRICS_REGISTRY_H_
 #define NAVPATH_OBSERVE_METRICS_REGISTRY_H_
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace navpath {
@@ -66,44 +66,18 @@ struct HistogramSummary {
   std::uint64_t p99 = 0;
 };
 
-/// Snapshot of a whole registry, detached from the live metrics.
+/// A driver's report of one run, by metric name: counters and histogram
+/// summaries, each listed in lexicographic name order.
 struct RegistrySnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramSummary> histograms;
 
-  /// Value of counter `name`, or `fallback` when it was never recorded
-  /// (lets benches/tests read snapshots without caring which policies
-  /// touched which counters).
+  /// Value of counter `name`, or `fallback` when the report has none.
   std::uint64_t CounterOr(const std::string& name,
                           std::uint64_t fallback = 0) const;
-  /// Summary of histogram `name`, or nullptr when never recorded.
+  /// Summary of histogram `name`, or nullptr when the report has none
+  /// (a driver lists a histogram only if it recorded a value).
   const HistogramSummary* FindHistogram(const std::string& name) const;
-
-  std::string ToString() const;
-};
-
-/// Name-addressed metric store. Lookup creates on first use; iteration
-/// order is the lexicographic name order, so snapshots are deterministic.
-class MetricsRegistry {
- public:
-  std::uint64_t& Counter(const std::string& name) { return counters_[name]; }
-  double& Gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& GetHistogram(const std::string& name) {
-    return histograms_[name];
-  }
-
-  /// Summarizes every metric (histograms as p50/p95/p99 summaries).
-  RegistrySnapshot Snapshot() const;
-
-  /// Zeroes all counters/gauges and empties all histograms (the names
-  /// stay registered).
-  void Reset();
-
- private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 HistogramSummary Summarize(const std::string& name, const Histogram& h);

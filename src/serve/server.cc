@@ -133,7 +133,6 @@ Status Server::ProcessArrivals() {
     const Submission& s = subs_[sub];
     const TenantSpec& spec = options_.tenants[s.tenant];
     std::deque<std::size_t>& queue = queues_[s.tenant];
-    ++serve_.Counter("serve.submitted");
 
     // Bounded queue: overflow always sheds. In the shed state a tenant
     // additionally sheds early, at a fraction of its capacity, so a
@@ -153,8 +152,6 @@ Status Server::ProcessArrivals() {
           OverloadStateName(state_) + ", fair-share budget " +
           std::to_string(deficit_[s.tenant]) + " cost units); retry later");
       shed_.push_back(sub);
-      ++serve_.Counter("serve.shed");
-      ++serve_.Counter("serve.tenant." + spec.name + ".shed");
       continue;
     }
     if (s.is_write) {
@@ -174,7 +171,6 @@ Status Server::ProcessArrivals() {
 
 Status Server::Activate(std::size_t sub) {
   const Submission& s = subs_[sub];
-  const TenantSpec& spec = options_.tenants[s.tenant];
   std::deque<std::size_t>& queue = queues_[s.tenant];
   NAVPATH_CHECK(!queue.empty() && queue.front() == sub);
   const std::size_t job = job_of_[sub];
@@ -197,25 +193,14 @@ Status Server::Activate(std::size_t sub) {
         options_.workload.summary ? db_->summary() : nullptr);
     if (tier.viable) {
       NAVPATH_RETURN_NOT_OK(executor_.RetierJob(job, tier.plan));
-      ++serve_.Counter("serve.degraded");
-      ++serve_.Counter("serve.tenant." + spec.name + ".degraded");
     }
   }
 
-  const std::size_t active_before = executor_.active_count();
   NAVPATH_RETURN_NOT_OK(executor_.ActivateJob(job));
   job_activated_[job] = 1;
   queue.pop_front();
   --queued_total_;
   admission_order_.push_back(sub);
-  ++serve_.Counter("serve.admitted");
-  serve_.GetHistogram("serve.queue_wait")
-      .Record(static_cast<std::uint64_t>(db_->clock()->now() - s.arrival));
-  if (executor_.active_count() == active_before) {
-    // The plan failed to open: the job finished instantly with its error
-    // (per-query isolation) and will never pass through StepOnce.
-    OnJobFinished(job);
-  }
   return Status::OK();
 }
 
@@ -342,9 +327,9 @@ void Server::UpdateController() {
   }
   if (static_cast<int>(target) > static_cast<int>(state_)) {
     if (target == OverloadState::kShed) {
-      ++serve_.Counter("serve.state.shed_entered");
+      ++shed_entered_;
     } else {
-      ++serve_.Counter("serve.state.degrade_entered");
+      ++degrade_entered_;
     }
     state_ = target;
     healthy_streak_ = 0;
@@ -364,24 +349,7 @@ void Server::UpdateController() {
     state_ = state_ == OverloadState::kShed ? OverloadState::kDegrade
                                             : OverloadState::kNormal;
     healthy_streak_ = 0;
-    ++serve_.Counter("serve.state.recovered");
-  }
-}
-
-void Server::OnJobFinished(std::size_t job) {
-  const std::size_t sub = sub_of_job_[job];
-  const TenantSpec& spec = options_.tenants[subs_[sub].tenant];
-  const WorkloadQueryResult& result = executor_.JobResult(job);
-  const SimTime turnaround = result.finished_at - result.arrival;
-  ++serve_.Counter("serve.completed");
-  ++serve_.Counter("serve.tenant." + spec.name + ".completed");
-  serve_.GetHistogram("serve.turnaround")
-      .Record(static_cast<std::uint64_t>(turnaround));
-  serve_.GetHistogram("serve.tenant." + spec.name + ".turnaround")
-      .Record(static_cast<std::uint64_t>(turnaround));
-  if (!result.status.ok()) {
-    ++serve_.Counter("serve.failed");
-    ++serve_.Counter("serve.tenant." + spec.name + ".failed");
+    ++recovered_;
   }
 }
 
@@ -403,7 +371,9 @@ Result<ServeResult> Server::Run() {
   next_fifo_ = 0;
   state_ = OverloadState::kNormal;
   healthy_streak_ = 0;
-  serve_.Reset();
+  degrade_entered_ = 0;
+  shed_entered_ = 0;
+  recovered_ = 0;
 
   NAVPATH_RETURN_NOT_OK(executor_.BeginStepping(subs_.size()));
   NAVPATH_RETURN_NOT_OK(ProcessArrivals());
@@ -432,7 +402,6 @@ Result<ServeResult> Server::Run() {
     }
     NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, executor_.StepOnce());
     if (done != WorkloadExecutor::kNoJob) {
-      OnJobFinished(done);
       UpdateController();
       NAVPATH_RETURN_NOT_OK(TryAdmit());
     }
@@ -468,7 +437,10 @@ Result<ServeResult> Server::Run() {
   result.admission_order = std::move(admission_order_);
   result.shed = std::move(shed_);
   result.workload = std::move(workload);
-  result.metrics = serve_.Snapshot();
+  result.metrics.counters = {
+      {"serve.state.degrade_entered", degrade_entered_},
+      {"serve.state.recovered", recovered_},
+      {"serve.state.shed_entered", shed_entered_}};
   result.final_state = state_;
   subs_.clear();
   return result;

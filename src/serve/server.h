@@ -135,12 +135,11 @@ struct ServeResult {
   /// arrival order of the non-shed submissions; metrics window, scheduler
   /// snapshot).
   WorkloadResult workload;
-  /// serve.* counters and histograms: "serve.submitted" / "serve.shed" /
-  /// "serve.degraded" / "serve.admitted" / "serve.failed", state
-  /// transition counters ("serve.state.degrade_entered" /
-  /// "serve.state.shed_entered" / "serve.state.recovered"), the
-  /// "serve.queue_wait" and "serve.turnaround" histograms, and per-tenant
-  /// variants "serve.tenant.<name>.{shed,degraded,completed,turnaround}".
+  /// The overload controller's state transitions, filled once when Run()
+  /// ends: counters "serve.state.degrade_entered",
+  /// "serve.state.shed_entered" and "serve.state.recovered". Shed,
+  /// admitted, degraded and failed counts are read off `shed`,
+  /// `admission_order` and `outcomes`.
   RegistrySnapshot metrics;
   /// Controller state when the last query drained.
   OverloadState final_state = OverloadState::kNormal;
@@ -209,15 +208,12 @@ class Server {
 
   /// Activates the submission at the front of its tenant queue,
   /// re-planning it onto the degraded tier first when the controller says
-  /// so. Updates the admission bookkeeping and serve metrics.
+  /// so. Updates the admission bookkeeping.
   Status Activate(std::size_t sub);
 
   /// Re-evaluates the overload state from the live signals, applying the
   /// recovery hysteresis.
   void UpdateController();
-
-  /// Completion bookkeeping for the job that finished on this decision.
-  void OnJobFinished(std::size_t job);
 
   Database* db_;
   ServeOptions options_;
@@ -236,10 +232,13 @@ class Server {
 
   OverloadState state_ = OverloadState::kNormal;
   std::size_t healthy_streak_ = 0;
+  // Controller transitions this run (ServeResult::metrics).
+  std::uint64_t degrade_entered_ = 0;
+  std::uint64_t shed_entered_ = 0;
+  std::uint64_t recovered_ = 0;
 
   std::vector<std::size_t> admission_order_;
   std::vector<std::size_t> shed_;
-  MetricsRegistry serve_;
 };
 
 }  // namespace navpath

@@ -107,13 +107,10 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
   }
 
   // Per-query merge.
-  MetricsRegistry registry;
-  std::uint64_t& fanout = registry.Counter("shard.fanout");
-  std::uint64_t& routed_single = registry.Counter("shard.routed.single");
-  std::uint64_t& routed_home = registry.Counter("shard.routed.home");
-  std::uint64_t& merge_duplicates =
-      registry.Counter("shard.merge.duplicates");
-  Histogram& width_histogram = registry.GetHistogram("shard.fanout.width");
+  std::uint64_t fanout = 0;
+  std::uint64_t routed_single = 0;
+  std::uint64_t merge_duplicates = 0;
+  Histogram width_histogram;
 
   out.queries.resize(pending_.size());
   for (std::size_t qi = 0; qi < pending_.size(); ++qi) {
@@ -157,12 +154,13 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
     }
 
     width_histogram.Record(q.route.width());
-    if (q.route.unrouted) {
-      ++routed_home;
-    } else if (q.route.width() > 1) {
-      ++fanout;
-    } else {
-      ++routed_single;
+    // An out-of-domain query (the home-shard fallback at K=1) is neither.
+    if (!q.route.unrouted) {
+      if (q.route.width() > 1) {
+        ++fanout;
+      } else {
+        ++routed_single;
+      }
     }
     out.queries[qi] = std::move(merged);
   }
@@ -172,13 +170,14 @@ Result<ShardWorkloadResult> ShardedWorkloadExecutor::Run() {
         out.total_time > 0 ? static_cast<double>(busy[k]) /
                                  static_cast<double>(out.total_time)
                            : 0.0;
-    const std::string prefix = "disk.shard." + std::to_string(k) + ".";
-    registry.Gauge(prefix + "utilization") = out.utilization[k];
-    registry.Gauge(prefix + "busy_seconds") = SimClock::ToSeconds(busy[k]);
-    registry.Gauge(prefix + "reads") =
-        static_cast<double>(out.shards[k].metrics.disk_reads);
   }
-  out.scheduler = registry.Snapshot();
+  out.scheduler.counters = {{"shard.fanout", fanout},
+                            {"shard.merge.duplicates", merge_duplicates},
+                            {"shard.routed.single", routed_single}};
+  if (width_histogram.count() > 0) {
+    out.scheduler.histograms.push_back(
+        Summarize("shard.fanout.width", width_histogram));
+  }
   return out;
 }
 

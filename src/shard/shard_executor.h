@@ -55,12 +55,12 @@ struct ShardWorkloadResult {
   /// summed; elevator_depth_max maxed).
   Metrics metrics;
 
-  /// Shard-layer observability: counters "shard.fanout" (queries fanned
-  /// to >1 shard), "shard.routed.single", "shard.routed.home" (out-of-
-  /// domain fallbacks), "shard.merge.duplicates" (replicated-root copies
-  /// removed); the "shard.fanout.width" histogram (participants per
-  /// query); and per-drive gauges "disk.shard.<k>.utilization" (busy over
-  /// makespan), "disk.shard.<k>.busy_seconds", "disk.shard.<k>.reads".
+  /// Shard-layer report, filled once when Run() ends: counters
+  /// "shard.fanout" (queries fanned to >1 shard), "shard.routed.single"
+  /// and "shard.merge.duplicates" (replicated-root copies removed), and
+  /// the "shard.fanout.width" histogram (participants per query; present
+  /// only when the run had a query). Per-drive utilization is
+  /// `utilization`.
   RegistrySnapshot scheduler;
 
   /// Raw per-shard runs (default-constructed for shards no query

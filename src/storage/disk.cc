@@ -19,7 +19,6 @@ PageId SimulatedDisk::AllocatePage() {
   const std::uint32_t crc = Crc32c(buf.get(), page_size_);
   pages_.push_back(std::move(buf));
   trailers_.push_back(PageTrailer{crc, 0});
-  queued_.push_back(false);
   return static_cast<PageId>(pages_.size() - 1);
 }
 
@@ -108,18 +107,11 @@ Status SimulatedDisk::SubmitRead(PageId id) {
     return Status::IOError("async read past end of segment: page " +
                            std::to_string(id));
   }
-  if (queued_[id]) {
-    // Coalesce with the queued request (which keeps its earlier submit
-    // time, so the merge never delays the elevator's visibility of it).
-    ++metrics_->requests_merged;
-    NAVPATH_TRACE(tracer_,
-                  Instant(TraceCategory::kDisk, kTrackElevator,
-                          "submit_merged", clock_->now(), {{"page", id}}));
-    return Status::OK();
-  }
+  NAVPATH_DCHECK(std::none_of(
+      pending_.begin(), pending_.end(),
+      [id](const PendingRequest& p) { return p.page == id; }));
   NAVPATH_DCHECK(pending_.empty() ||
                  pending_.back().submit_time <= clock_->now());
-  queued_[id] = true;
   pending_.push_back(PendingRequest{id, clock_->now()});
   ++metrics_->async_requests;
   NAVPATH_TRACE(tracer_, Instant(TraceCategory::kDisk, kTrackElevator,
@@ -173,7 +165,6 @@ void SimulatedDisk::ServeOnePending() {
 
   const PendingRequest chosen = pending_[best];
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
-  queued_[chosen.page] = false;
 
   // ChargeAccess starts at max(now, drive_free_at_); for background serving
   // the start time is t_start regardless of the CPU clock, so adjust

@@ -77,11 +77,12 @@ class SimulatedDisk {
   // --- Asynchronous interface (Sec. 3.7) -------------------------------
 
   /// Queues an asynchronous read of `id` at the current simulated time.
-  /// A read of a page that is already pending is *merged* into the queued
-  /// request instead of occupying a second elevator slot: the pair costs
-  /// one disk service and produces one completion (requests_merged counts
-  /// the coalesced submissions). Concurrent queries interested in the same
-  /// page therefore share a single physical read.
+  /// Precondition: no read of `id` is pending. Duplicate requests merge
+  /// before they reach the drive, in the buffer's in-flight table
+  /// (BufferManager::Prefetch submits only a page with no in-flight
+  /// entry, and the entry lives until the completion is consumed), so
+  /// concurrent queries interested in one page share a single physical
+  /// read.
   Status SubmitRead(PageId id);
 
   /// Number of submitted reads whose completion has not been consumed.
@@ -203,8 +204,6 @@ class SimulatedDisk {
   // require an empty queue. The earliest request is the front, and the
   // requests visible to the drive at any instant form a prefix.
   std::deque<PendingRequest> pending_;
-  // Per page: a request for it is in pending_ (SubmitRead merges into it).
-  std::vector<bool> queued_;
   std::priority_queue<CompletedRequest, std::vector<CompletedRequest>,
                       std::greater<CompletedRequest>>
       completed_;

@@ -166,6 +166,46 @@ TEST(BufferManagerTest, PrefetchLifecycle) {
   EXPECT_EQ(*o4, BufferManager::PrefetchOutcome::kResident);
 }
 
+TEST(BufferManagerTest, CrossOwnerPrefetchesShareOneDriveRequest) {
+  // Two queries prefetch one page: the in-flight table merges the second
+  // request, so the drive serves one read and one completion installs the
+  // page, claimed for the queries that asked.
+  BufferFixture f(2);
+  const PageId a = f.NewDiskPage(1);
+  const PageId b = f.NewDiskPage(2);
+  const PageId c = f.NewDiskPage(3);
+  auto first = f.bm.Prefetch(a, /*owner=*/1);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*first, BufferManager::PrefetchOutcome::kSubmitted);
+  auto second = f.bm.Prefetch(a, /*owner=*/2);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(*second, BufferManager::PrefetchOutcome::kInFlight);
+  EXPECT_EQ(f.metrics.async_requests, 1u);
+  EXPECT_EQ(f.disk.pending_requests(), 1u);
+  EXPECT_EQ(f.metrics.requests_merged, 1u);
+  // A repeat by an owner already registered is not a merge.
+  auto repeat = f.bm.Prefetch(a, /*owner=*/2);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(*repeat, BufferManager::PrefetchOutcome::kInFlight);
+  EXPECT_EQ(f.metrics.requests_merged, 1u);
+  EXPECT_EQ(f.bm.PendingFor(1), 1u);
+  EXPECT_EQ(f.bm.PendingFor(2), 1u);
+
+  auto done = f.bm.WaitAnyPrefetch();
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(*done, a);
+  EXPECT_TRUE(f.bm.IsResident(a));
+  EXPECT_FALSE(f.bm.HasPrefetchInFlight());
+  EXPECT_EQ(f.disk.pending_requests(), 0u);
+  EXPECT_EQ(f.metrics.disk_reads, 1u);
+  // Claimed: a is the least recently used frame, yet the miss on c evicts
+  // the unclaimed b.
+  { auto g = f.bm.Fix(b); ASSERT_TRUE(g.ok()); }
+  { auto g = f.bm.Fix(c); ASSERT_TRUE(g.ok()); }
+  EXPECT_TRUE(f.bm.IsResident(a));
+  EXPECT_FALSE(f.bm.IsResident(b));
+}
+
 TEST(BufferManagerTest, InstallCounterAdvancesOnlyOnInstalls) {
   // XSchedule skips its scan for clusters a sibling query installed while
   // this counter stands still, so it must move on every way a page

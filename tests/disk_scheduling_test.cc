@@ -1,7 +1,7 @@
 // Tests for the asynchronous scheduler details: C-SCAN elevator order,
-// bounded queue window, trace hook, timeline reset discipline, duplicate
-// request merging, elevator pool depth accounting, and a seeded
-// differential run of the service order against a brute-force reference.
+// bounded queue window, trace hook, timeline reset discipline, elevator
+// pool depth accounting, and a seeded differential run of the service
+// order against a brute-force reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,19 +136,6 @@ TEST(DiskSchedulingTest, TraceRecordsServiceOrder) {
   EXPECT_EQ(trace.size(), 3u);
 }
 
-TEST(DiskSchedulingTest, DuplicateSubmissionsMergeIntoOneRequest) {
-  Fixture f;
-  ASSERT_TRUE(f.disk.SubmitRead(42).ok());
-  ASSERT_TRUE(f.disk.SubmitRead(42).ok());  // merged, not queued twice
-  ASSERT_TRUE(f.disk.SubmitRead(17).ok());
-  EXPECT_EQ(f.disk.pending_requests(), 2u);
-  EXPECT_EQ(f.metrics.requests_merged, 1u);
-  // One disk service produces one completion for the merged pair.
-  const std::vector<PageId> served = f.DrainAll();
-  EXPECT_EQ(served.size(), 2u);
-  EXPECT_EQ(f.metrics.disk_reads, 2u);
-}
-
 TEST(DiskSchedulingTest, ElevatorDepthIsSampledPerServiceDecision) {
   Fixture f;
   for (const PageId p : {80, 60, 70, 55, 90}) {
@@ -207,10 +194,14 @@ struct ReferenceDrive {
   std::uint64_t depth_sum = 0;
   std::uint64_t reorderings = 0;
 
-  void Submit(PageId page, SimTime now) {
+  bool IsPending(PageId page) const {
     for (const Request& r : pending) {
-      if (r.page == page) return;
+      if (r.page == page) return true;
     }
+    return false;
+  }
+
+  void Submit(PageId page, SimTime now) {
     pending.push_back(Request{page, now});
   }
 
@@ -274,10 +265,11 @@ struct ReferenceDrive {
 };
 
 TEST(DiskSchedulingTest, ServiceOrderMatchesFullRescanReference) {
-  // Random submissions (with repeats that merge), CPU time, polls, waits
-  // and synchronous reads, under two queue windows: every completion's
-  // page and time, and the depth and reordering counters, must equal the
-  // brute-force reference's.
+  // Random submissions, CPU time, polls, waits and synchronous reads,
+  // under two queue windows: every completion's page and time, and the
+  // depth and reordering counters, must equal the brute-force reference's.
+  // Like the buffer, the generator never submits a page that is already
+  // pending.
   for (const std::size_t window : {std::size_t{3}, std::size_t{16}}) {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
       SCOPED_TRACE("window " + std::to_string(window) + " seed " +
@@ -292,6 +284,7 @@ TEST(DiskSchedulingTest, ServiceOrderMatchesFullRescanReference) {
         const std::uint64_t op = rng.NextBounded(100);
         if (op < 45) {
           const PageId page = static_cast<PageId>(rng.NextBounded(200));
+          if (ref.IsPending(page)) continue;
           ref.Submit(page, f.clock.now());
           ASSERT_TRUE(f.disk.SubmitRead(page).ok());
         } else if (op < 65) {

@@ -1,5 +1,5 @@
-// Tests for the observability subsystem: histograms, the metrics
-// registry, the simulated-time tracer, and EXPLAIN ANALYZE.
+// Tests for the observability subsystem: histograms, the simulated-time
+// tracer, and EXPLAIN ANALYZE.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -80,49 +80,6 @@ TEST(HistogramTest, DeterministicAcrossInsertionOrder) {
   for (const double q : {0.1, 0.5, 0.95, 0.99}) {
     EXPECT_EQ(forward.ValueAtQuantile(q), backward.ValueAtQuantile(q));
   }
-}
-
-// --- MetricsRegistry -----------------------------------------------------
-
-TEST(MetricsRegistryTest, CountersGaugesHistograms) {
-  MetricsRegistry registry;
-  registry.Counter("pulls") += 3;
-  registry.Gauge("depth") = 1.5;
-  registry.GetHistogram("latency").Record(42);
-
-  const RegistrySnapshot snap = registry.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].first, "pulls");
-  EXPECT_EQ(snap.counters[0].second, 3u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].second, 1.5);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].name, "latency");
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-  EXPECT_EQ(snap.histograms[0].p50, 42u);
-  EXPECT_FALSE(snap.ToString().empty());
-}
-
-TEST(MetricsRegistryTest, SnapshotOrderIsLexicographic) {
-  MetricsRegistry registry;
-  registry.Counter("zeta") = 1;
-  registry.Counter("alpha") = 2;
-  const RegistrySnapshot snap = registry.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].first, "alpha");
-  EXPECT_EQ(snap.counters[1].first, "zeta");
-}
-
-TEST(MetricsRegistryTest, ResetKeepsNamesZeroesValues) {
-  MetricsRegistry registry;
-  registry.Counter("c") = 7;
-  registry.GetHistogram("h").Record(9);
-  registry.Reset();
-  const RegistrySnapshot snap = registry.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].second, 0u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 0u);
 }
 
 // --- common/metrics windowing --------------------------------------------

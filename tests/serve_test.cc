@@ -109,8 +109,6 @@ TEST(ServeTest, UnderloadIsByteIdenticalToServingLayerOff) {
   // Nothing shed, nothing degraded, FIFO admission order preserved.
   EXPECT_TRUE(served->shed.empty());
   EXPECT_EQ(served->final_state, OverloadState::kNormal);
-  EXPECT_EQ(served->metrics.CounterOr("serve.shed"), 0u);
-  EXPECT_EQ(served->metrics.CounterOr("serve.degraded"), 0u);
   ASSERT_EQ(served->admission_order.size(), arrivals.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
     EXPECT_EQ(served->admission_order[i], i);
@@ -166,11 +164,10 @@ TEST(ServeTest, OverloadShedsDegradesAndRecovers) {
   auto served = server.Run();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
-  // All three responses fired: shed, degrade, recover.
-  EXPECT_GT(served->metrics.CounterOr("serve.shed"), 0u);
-  EXPECT_GT(served->metrics.CounterOr("serve.degraded"), 0u);
-  // The burst lands in one arrival batch, so the controller escalates
-  // straight to shed; recovery then walks back through degrade to normal.
+  // All three responses fired: shed, degrade (saw_degraded below) and
+  // recover. The burst lands in one arrival batch, so the controller
+  // escalates straight to shed; recovery then walks back through degrade
+  // to normal.
   EXPECT_GT(served->metrics.CounterOr("serve.state.shed_entered"), 0u);
   EXPECT_GT(served->metrics.CounterOr("serve.state.recovered"), 0u);
   EXPECT_EQ(served->final_state, OverloadState::kNormal);
@@ -236,7 +233,7 @@ TEST(ServeTest, OverloadBurstWithSubUnitShareStillAdmits) {
   auto served = server.Run();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_TRUE(served->shed.empty());
-  EXPECT_EQ(served->metrics.CounterOr("serve.admitted"), 10u);
+  EXPECT_EQ(served->admission_order.size(), 10u);
   for (const ServeOutcome& out : served->outcomes) {
     EXPECT_FALSE(out.shed);
     EXPECT_TRUE(out.status.ok()) << out.status.ToString();
@@ -476,7 +473,6 @@ TEST(ServeTest, OverloadNeverDegradesAWriteTransaction) {
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
   // The overload response fired on readers...
-  EXPECT_GT(served->metrics.CounterOr("serve.degraded"), 0u);
   bool reader_degraded = false;
   for (const ServeOutcome& out : served->outcomes) {
     if (!out.is_write) reader_degraded |= out.degraded;
@@ -568,7 +564,11 @@ TEST(ServeTest, ServingLoopSurvivesOneQuerysCorruption) {
     EXPECT_TRUE(out.status.ok()) << out.status.ToString();
     EXPECT_EQ(out.count, neighbor_counts[i]) << neighbors[i];
   }
-  EXPECT_EQ(served->metrics.CounterOr("serve.failed"), 1u);
+  EXPECT_EQ(std::count_if(served->outcomes.begin(), served->outcomes.end(),
+                          [](const ServeOutcome& o) {
+                            return !o.shed && !o.status.ok();
+                          }),
+            1);
 }
 
 }  // namespace

@@ -193,8 +193,33 @@ constexpr const char* kThroughputMix[] = {
     "/site/people/person/address/city",
 };
 
-/// Runs the workload_throughput mix under `policy`, through Run() or
+/// Runs the workload_throughput mix (XSchedule plans) through Run() or
 /// through the stepping interface with Run()'s FIFO admission.
+Result<WorkloadResult> RunThroughputMix(XMarkFixture* fixture,
+                                        const WorkloadOptions& options,
+                                        bool stepping) {
+  WorkloadExecutor executor(fixture->db(), fixture->doc(), options);
+  for (const char* q : kThroughputMix) {
+    NAVPATH_RETURN_NOT_OK(executor.Add(q, PaperPlan(PlanKind::kXSchedule)));
+  }
+  if (!stepping) return executor.Run();
+  NAVPATH_RETURN_NOT_OK(executor.BeginStepping(executor.size()));
+  std::size_t next = 0;
+  const auto admit = [&]() -> Status {
+    while (next < executor.size() && executor.CanAdmit(next)) {
+      NAVPATH_RETURN_NOT_OK(executor.ActivateJob(next++));
+    }
+    return Status::OK();
+  };
+  NAVPATH_RETURN_NOT_OK(admit());
+  while (executor.active_count() > 0) {
+    NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, executor.StepOnce());
+    if (done != WorkloadExecutor::kNoJob) NAVPATH_RETURN_NOT_OK(admit());
+  }
+  return executor.EndStepping();
+}
+
+/// Digests of the workload_throughput mix's schedule under `policy`.
 Result<ScheduleDigests> DigestSchedule(XMarkFixture* fixture,
                                        WorkloadPolicy policy,
                                        bool stepping) {
@@ -208,29 +233,8 @@ Result<ScheduleDigests> DigestSchedule(XMarkFixture* fixture,
     pulls.Add(job_index);
     pulls.Add(active_size);
   };
-  WorkloadExecutor executor(fixture->db(), fixture->doc(), options);
-  for (const char* q : kThroughputMix) {
-    NAVPATH_RETURN_NOT_OK(executor.Add(q, PaperPlan(PlanKind::kXSchedule)));
-  }
-  WorkloadResult result;
-  if (!stepping) {
-    NAVPATH_ASSIGN_OR_RETURN(result, executor.Run());
-  } else {
-    NAVPATH_RETURN_NOT_OK(executor.BeginStepping(executor.size()));
-    std::size_t next = 0;
-    const auto admit = [&]() -> Status {
-      while (next < executor.size() && executor.CanAdmit(next)) {
-        NAVPATH_RETURN_NOT_OK(executor.ActivateJob(next++));
-      }
-      return Status::OK();
-    };
-    NAVPATH_RETURN_NOT_OK(admit());
-    while (executor.active_count() > 0) {
-      NAVPATH_ASSIGN_OR_RETURN(const std::size_t done, executor.StepOnce());
-      if (done != WorkloadExecutor::kNoJob) NAVPATH_RETURN_NOT_OK(admit());
-    }
-    NAVPATH_ASSIGN_OR_RETURN(result, executor.EndStepping());
-  }
+  NAVPATH_ASSIGN_OR_RETURN(const WorkloadResult result,
+                           RunThroughputMix(fixture, options, stepping));
   d.on_pull = pulls.h;
   Fnv1a finished;
   for (const WorkloadQueryResult& q : result.queries) {
@@ -278,6 +282,34 @@ TEST(WorkloadExecutorTest, SimulatedScheduleMatchesRecordedDigests) {
       EXPECT_EQ(*digests, e.digests)
           << WorkloadPolicyName(e.policy)
           << (stepping ? " (stepping)" : " (Run)");
+    }
+  }
+}
+
+TEST(WorkloadExecutorTest, DecisionCountIsTheSumOfPulls) {
+  // The scheduler report's sched.decisions is the executor's decision
+  // count: every decision pulls one job once, and samples the pool depth.
+  auto fixture = XMarkFixture::Create(0.02);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  for (const WorkloadPolicy policy :
+       {WorkloadPolicy::kRoundRobin, WorkloadPolicy::kShortestRemainingCost,
+        WorkloadPolicy::kHybrid}) {
+    for (const bool stepping : {false, true}) {
+      SCOPED_TRACE(std::string(WorkloadPolicyName(policy)) +
+                   (stepping ? " (stepping)" : " (Run)"));
+      WorkloadOptions options;
+      options.policy = policy;
+      options.stats = &(*fixture)->stats();
+      auto result = RunThroughputMix(fixture->get(), options, stepping);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::uint64_t pulls = 0;
+      for (const WorkloadQueryResult& q : result->queries) pulls += q.pulls;
+      EXPECT_GT(pulls, 0u);
+      EXPECT_EQ(result->scheduler.CounterOr("sched.decisions"), pulls);
+      const HistogramSummary* depth =
+          result->scheduler.FindHistogram("sched.pool_depth");
+      ASSERT_NE(depth, nullptr);
+      EXPECT_EQ(depth->count, pulls);
     }
   }
 }
