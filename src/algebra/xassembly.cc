@@ -11,6 +11,7 @@ Status XAssembly::Open() {
   s_.clear();
   s_size_ = 0;
   pending_.clear();
+  pending_head_ = 0;
   return producer_->Open();
 }
 
@@ -43,43 +44,51 @@ void XAssembly::TriggerFallback() {
 
 Status XAssembly::Reach(const PathInstance& inst) {
   // Iterative closure; each work item carries the provenance left end.
-  // The stack is a member so that arrivals do not allocate; clearing it
-  // first drops whatever a failed earlier call left behind.
+  // The stack holds only what S releases, popped last in first out; it is
+  // a member so that arrivals do not allocate, and clearing it first
+  // drops whatever a failed earlier call left behind.
   worklist_.clear();
-  worklist_.push_back(inst);
+  NAVPATH_RETURN_NOT_OK(ReachOne(inst));
   while (!worklist_.empty()) {
     const PathInstance item = worklist_.back();
     worklist_.pop_back();
-    const PathEnd& e = item.right;
+    NAVPATH_RETURN_NOT_OK(ReachOne(item));
+  }
+  return Status::OK();
+}
 
-    if (options_.first_step_reaches_all && e.step == 0 && e.border) {
-      // Implicitly reachable; nothing is ever stored under step-0 ends.
-      continue;
-    }
-    db_->clock()->ChargeCpu(db_->costs().set_op);
-    ++db_->metrics()->r_set_probes;
-    if (!r_.insert(e.Key())) continue;  // already known
+Status XAssembly::ReachOne(const PathInstance& item) {
+  const PathEnd& e = item.right;
+  if (options_.first_step_reaches_all && e.step == 0 && e.border) {
+    // Implicitly reachable; nothing is ever stored under step-0 ends.
+    return Status::OK();
+  }
+  db_->clock()->ChargeCpu(db_->costs().set_op);
+  ++db_->metrics()->r_set_probes;
+  if (!r_.insert(e.Key())) return Status::OK();  // already known
 
-    if (!e.border) {
+  if (!e.border) {
 #if NAVPATH_OBSERVE_ENABLED
-      // Speculatively assembled rows went uncounted at their XStep
-      // emission (the left end was an unvalidated border); count them at
-      // the step where the closure proved them reachable.
-      if (shared_->profiler != nullptr &&
-          !(item.left_complete() && item.left.step == 0)) {
-        shared_->profiler->CountStepRow(static_cast<std::size_t>(e.step));
-      }
-#endif
-      if (e.step == static_cast<std::int32_t>(options_.path_length)) {
-        ++db_->metrics()->instances_full;
-        pending_.push_back(item);
-      }
-      // Core ends below full length never carry closure info: XStep
-      // chains extend them inline, so nothing is stored under them.
-      continue;
+    // Speculatively assembled rows went uncounted at their XStep
+    // emission (the left end was an unvalidated border); count them at
+    // the step where the closure proved them reachable.
+    if (shared_->profiler != nullptr &&
+        !(item.left_complete() && item.left.step == 0)) {
+      shared_->profiler->CountStepRow(static_cast<std::size_t>(e.step));
     }
+#endif
+    if (e.step == static_cast<std::int32_t>(options_.path_length)) {
+      ++db_->metrics()->instances_full;
+      pending_.push_back(item);
+    }
+    // Core ends below full length never carry closure info: XStep
+    // chains extend them inline, so nothing is stored under them.
+    return Status::OK();
+  }
 
-    // A border end became reachable: consult speculative knowledge...
+  // A border end became reachable: consult speculative knowledge (the
+  // probe is charged only on a hit, so an empty S needs no lookup)...
+  if (s_size_ != 0) {
     auto it = s_.find(e.Key());
     if (it != s_.end()) {
       db_->clock()->ChargeCpu(db_->costs().set_op);
@@ -91,14 +100,14 @@ Status XAssembly::Reach(const PathInstance& inst) {
       s_size_ -= it->second.size();
       s_.erase(it);
     }
-    // ...and/or schedule a visit of the target cluster.
-    if (schedule_ != nullptr) {
-      const bool covered_by_seeds =
-          options_.speculative && !shared_->fallback &&
-          shared_->visited_clusters.contains(e.node.page);
-      if (!covered_by_seeds) {
-        NAVPATH_RETURN_NOT_OK(schedule_->AddWork(PathInstance{item.left, e}));
-      }
+  }
+  // ...and/or schedule a visit of the target cluster.
+  if (schedule_ != nullptr) {
+    const bool covered_by_seeds =
+        options_.speculative && !shared_->fallback &&
+        shared_->visited_clusters.contains(e.node.page);
+    if (!covered_by_seeds) {
+      NAVPATH_RETURN_NOT_OK(schedule_->AddWork(PathInstance{item.left, e}));
     }
   }
   return Status::OK();
@@ -151,9 +160,12 @@ Status XAssembly::HandleArrival(const PathInstance& y) {
 
 Result<bool> XAssembly::Next(PathInstance* out) {
   for (;;) {
-    if (!pending_.empty()) {
-      *out = pending_.front();
-      pending_.pop_front();
+    if (pending_head_ < pending_.size()) {
+      *out = pending_[pending_head_++];
+      if (pending_head_ == pending_.size()) {
+        pending_.clear();
+        pending_head_ = 0;
+      }
       return true;
     }
     PathInstance y;

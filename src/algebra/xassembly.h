@@ -17,7 +17,6 @@
 #ifndef NAVPATH_ALGEBRA_XASSEMBLY_H_
 #define NAVPATH_ALGEBRA_XASSEMBLY_H_
 
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -64,6 +63,8 @@ class XAssembly : public PathOperator {
   /// reachable and cascades through S. `inst.left` rides along so that
   /// scheduled work items keep their provenance.
   Status Reach(const PathInstance& inst);
+  /// Registers one instance; the S entries it releases go on worklist_.
+  Status ReachOne(const PathInstance& item);
 
   Status HandleArrival(const PathInstance& y);
   void TriggerFallback();
@@ -80,8 +81,11 @@ class XAssembly : public PathOperator {
   FlatSet<std::uint64_t> r_;  // from the database's table pool while open
   std::unordered_map<std::uint64_t, std::vector<PathInstance>> s_;
   std::size_t s_size_ = 0;
-  std::deque<PathInstance> pending_;  // full instances awaiting emission
-  std::vector<PathInstance> worklist_;  // Reach's closure stack, reused
+  // Full instances awaiting emission, FIFO from pending_head_; both reset
+  // once drained, so the vector's capacity is reused.
+  std::vector<PathInstance> pending_;
+  std::size_t pending_head_ = 0;
+  std::vector<PathInstance> worklist_;  // S cascades of Reach, reused
 };
 
 }  // namespace navpath

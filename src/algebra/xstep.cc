@@ -13,8 +13,7 @@ Status XStep::Close() { return producer_->Close(); }
 Result<bool> XStep::Next(PathInstance* out) {
   for (;;) {
     if (active_) {
-      NAVPATH_ASSIGN_OR_RETURN(const bool produced, NextIntra(out));
-      if (produced) return true;
+      if (NextIntra(out)) return true;
       active_ = false;
     }
     if (fallback_active_) {
@@ -44,34 +43,25 @@ Result<bool> XStep::Next(PathInstance* out) {
   }
 }
 
-Result<bool> XStep::NextIntra(PathInstance* out) {
-  const ClusterView& view = shared_->cluster.view();
+bool XStep::NextIntra(PathInstance* out) {
+  // One scan per emitted instance: the cursor runs on to the next crossing
+  // or matching record and charges the hops and node tests on the way.
   NavEntry entry;
-  while (cursor_.Next(&entry)) {
-    if (entry.crossing) {
-      // Inter-cluster edge: do not traverse; emit a right-incomplete
-      // instance (S_R stays i-1) and keep enumerating locally.
-      db_->clock()->ChargeCpu(db_->costs().instance_op);
-      ++db_->metrics()->instances_created;
-      *out = current_;
-      out->right =
-          PathEnd{step_number_ - 1, view.IdOf(entry.slot), 0, true};
-      return true;
-    }
-    if (step_.test.kind == NodeTest::Kind::kName) {
-      if (!view.TagEquals(entry.slot, step_.test.tag)) continue;
-    } else {
-      view.ChargeTest();  // wildcard / node() match every element
-    }
-    db_->clock()->ChargeCpu(db_->costs().instance_op);
-    ++db_->metrics()->instances_created;
-    *out = current_;
-    out->right = PathEnd{step_number_, view.IdOf(entry.slot),
-                         view.OrderOf(entry.slot), false};
-    NAVPATH_PROFILE_STEP_ROW(shared_, step_number_, *out);
+  if (!cursor_.Scan(scan_tag_, &entry)) return false;
+  const ClusterView& view = shared_->cluster.view();
+  db_->clock()->ChargeCpu(db_->costs().instance_op);
+  ++db_->metrics()->instances_created;
+  *out = current_;
+  if (entry.crossing) {
+    // Inter-cluster edge: do not traverse; emit a right-incomplete
+    // instance (S_R stays i-1) and keep enumerating locally.
+    out->right = PathEnd{step_number_ - 1, view.IdOf(entry.slot), 0, true};
     return true;
   }
-  return false;
+  out->right = PathEnd{step_number_, view.IdOf(entry.slot),
+                       view.OrderOf(entry.slot), false};
+  NAVPATH_PROFILE_STEP_ROW(shared_, step_number_, *out);
+  return true;
 }
 
 Result<bool> XStep::NextFallback(PathInstance* out) {

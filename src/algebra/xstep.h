@@ -16,6 +16,8 @@
 #ifndef NAVPATH_ALGEBRA_XSTEP_H_
 #define NAVPATH_ALGEBRA_XSTEP_H_
 
+#include <optional>
+
 #include "algebra/operator.h"
 #include "store/cross_cursor.h"
 #include "xpath/location_path.h"
@@ -31,6 +33,9 @@ class XStep : public PathOperator {
         producer_(producer),
         step_number_(step_number),
         step_(std::move(step)),
+        scan_tag_(step_.test.kind == NodeTest::Kind::kName
+                      ? std::optional<TagId>(step_.test.tag)
+                      : std::nullopt),
         fallback_cursor_(db) {}
 
   Status Open() override;
@@ -38,7 +43,7 @@ class XStep : public PathOperator {
   Status Close() override;
 
  private:
-  Result<bool> NextIntra(PathInstance* out);
+  bool NextIntra(PathInstance* out);
   Result<bool> NextFallback(PathInstance* out);
 
   Database* db_;
@@ -46,6 +51,7 @@ class XStep : public PathOperator {
   PathOperator* producer_;
   int step_number_;
   LocationStep step_;
+  std::optional<TagId> scan_tag_;  // AxisCursor::Scan's test; empty: any
 
   bool active_ = false;
   PathInstance current_;

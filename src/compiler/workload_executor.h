@@ -147,8 +147,10 @@ struct WriteOp {
   NodeID parent;
   NodeID after = kInvalidNodeID;
   TagId tag = 0;
-  std::string text;
-  std::vector<DocumentUpdater::AttributeSpec> attrs;
+  // Initialized so that `WriteOp{parent, after, tag}` may stop short of
+  // them without -Wmissing-field-initializers.
+  std::string text{};
+  std::vector<DocumentUpdater::AttributeSpec> attrs{};
   Kind kind = Kind::kInsert;
 };
 

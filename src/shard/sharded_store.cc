@@ -102,54 +102,66 @@ Result<std::unique_ptr<ShardedStore>> ShardedStore::Build(
 
   auto store = std::unique_ptr<ShardedStore>(new ShardedStore());
   const std::uint64_t base_seed = options.db.faults.seed;
-
-  for (std::size_t k = 0; k < options.shards; ++k) {
+  const auto make_db = [&](std::size_t k) {
     DatabaseOptions db_options = options.db;
     db_options.faults.seed = ShardFaultSeed(base_seed, k);
-    ShardState state;
-    state.db = std::make_unique<Database>(db_options);
+    return std::make_unique<Database>(db_options);
+  };
 
-    const DomTree tree = options.source(state.db->tags());
-    if (tree.empty()) {
-      return Status::InvalidArgument("shard source produced an empty "
-                                     "document");
+  // Generate the document once, into shard 0's registry.
+  std::unique_ptr<Database> home_db = make_db(0);
+  const TagRegistry* names = home_db->tags();
+  const DomTree tree = options.source(home_db->tags());
+  if (tree.empty()) {
+    return Status::InvalidArgument("shard source produced an empty "
+                                   "document");
+  }
+  const std::size_t name_count = names->size();
+
+  // Partition it: depth-1 units in first-occurrence (document) order,
+  // weighted by exact subtree record bytes.
+  store->root_tag_ = tree.TagName(tree.root());
+  for (DomNodeId c = tree.node(tree.root()).first_child; c != kNilDomNode;
+       c = tree.node(c).next_sibling) {
+    const std::string& tag = tree.TagName(c);
+    auto [it, inserted] = store->owner_.emplace(tag, store->units_.size());
+    if (inserted) {
+      ShardUnit unit;
+      unit.tag = tag;
+      store->units_.push_back(std::move(unit));
     }
+    ShardUnit& unit = store->units_[it->second];
+    unit.weight += SubtreeWeight(tree, c);
+    ++unit.subtrees;
+  }
+  // LPT greedy: heaviest unit first (ties: earlier in document), placed
+  // on the least-loaded shard (ties: lowest id). Deterministic by
+  // construction, and at K=1 everything lands on shard 0.
+  std::vector<std::size_t> order(store->units_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return store->units_[a].weight >
+                            store->units_[b].weight;
+                   });
+  std::vector<std::uint64_t> load(options.shards, 0);
+  for (const std::size_t u : order) {
+    const std::size_t target = static_cast<std::size_t>(
+        std::min_element(load.begin(), load.end()) - load.begin());
+    store->units_[u].owner = target;
+    load[target] += store->units_[u].weight;
+  }
 
+  for (std::size_t k = 0; k < options.shards; ++k) {
+    ShardState state;
     if (k == 0) {
-      // Partition once, from the first generated copy: depth-1 units in
-      // first-occurrence (document) order, weighted by exact subtree
-      // record bytes.
-      store->root_tag_ = tree.TagName(tree.root());
-      for (DomNodeId c = tree.node(tree.root()).first_child;
-           c != kNilDomNode; c = tree.node(c).next_sibling) {
-        const std::string& tag = tree.TagName(c);
-        auto [it, inserted] =
-            store->owner_.emplace(tag, store->units_.size());
-        if (inserted) {
-          ShardUnit unit;
-          unit.tag = tag;
-          store->units_.push_back(std::move(unit));
-        }
-        ShardUnit& unit = store->units_[it->second];
-        unit.weight += SubtreeWeight(tree, c);
-        ++unit.subtrees;
-      }
-      // LPT greedy: heaviest unit first (ties: earlier in document),
-      // placed on the least-loaded shard (ties: lowest id). Deterministic
-      // by construction, and at K=1 everything lands on shard 0.
-      std::vector<std::size_t> order(store->units_.size());
-      std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return store->units_[a].weight >
-                                store->units_[b].weight;
-                       });
-      std::vector<std::uint64_t> load(options.shards, 0);
-      for (const std::size_t u : order) {
-        const std::size_t target = static_cast<std::size_t>(
-            std::min_element(load.begin(), load.end()) - load.begin());
-        store->units_[u].owner = target;
-        load[target] += store->units_[u].weight;
+      state.db = std::move(home_db);
+    } else {
+      // The same names under the same ids, so the pruned copy below
+      // keeps the tree's tag ids verbatim.
+      state.db = make_db(k);
+      for (TagId id = 0; id < name_count; ++id) {
+        NAVPATH_CHECK(state.db->tags()->Intern(names->Name(id)) == id);
       }
     }
 

@@ -58,11 +58,10 @@ struct ShardOptions {
   /// seed and re-derived per shard via ShardFaultSeed.
   DatabaseOptions db;
 
-  /// Deterministic document source, called once per shard with that
-  /// shard's tag registry. It must produce the same document every call:
-  /// same structure, same text, same order keys (generators driven by a
-  /// fixed seed qualify). Each shard imports a pruned copy holding the
-  /// root plus its owned depth-1 subtrees.
+  /// Document source, called once, with shard 0's tag registry. Each
+  /// shard imports a pruned copy of that one document holding the root
+  /// plus its owned depth-1 subtrees; the other shards' registries are
+  /// given the names the source interned, under the same ids.
   std::function<DomTree(TagRegistry*)> source;
 
   /// Clustering-policy factory; invoked once per shard import.
@@ -79,7 +78,7 @@ struct ShardUnit {
 
 class ShardedStore {
  public:
-  /// Generates the document once per shard, partitions its depth-1 units
+  /// Generates the document once, partitions its depth-1 units
   /// by weight (LPT greedy, deterministic tie-breaks: heavier first,
   /// earlier-in-document first among equals, lowest shard id among
   /// equally loaded shards), prunes each shard's copy to the root plus

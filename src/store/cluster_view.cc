@@ -92,138 +92,186 @@ AxisCursor::AxisCursor(const ClusterView& view, Axis axis, SlotId origin)
 }
 
 bool AxisCursor::Next(NavEntry* out) {
-  switch (mode_) {
-    case Mode::kDone:
-      return false;
-    case Mode::kEmitSelf:
-      mode_ = after_self_;
-      view_.ChargeHop();
-      out->slot = origin_;
-      out->crossing = false;
+  Tally tally;
+  const bool found = Advance(
+      [](SlotId, bool, Tally*) { return true; }, &tally, out);
+  view_.ChargeNavigation(tally.hops, tally.tests);
+  return found;
+}
+
+bool AxisCursor::Scan(std::optional<TagId> tag, NavEntry* out) {
+  const bool any = !tag.has_value();
+  const TagId want = tag.value_or(0);
+  Tally tally;
+  const bool found = Advance(
+      [this, any, want](SlotId slot, bool crossing, Tally* t) {
+        if (crossing) return true;
+        ++t->tests;
+        return any || view_.TagOf(slot) == want;
+      },
+      &tally, out);
+  view_.ChargeNavigation(tally.hops, tally.tests);
+  return found;
+}
+
+template <typename Accept>
+bool AxisCursor::Advance(const Accept& accept, Tally* tally, NavEntry* out) {
+  if (mode_ == Mode::kEmitSelf) {
+    mode_ = after_self_;
+    ++tally->hops;
+    if (accept(origin_, false, tally)) {
+      *out = NavEntry{origin_, false};
       return true;
-    case Mode::kChainForward:
-      return StepChain(out, /*forward=*/true);
-    case Mode::kChainReverse:
-      return StepChain(out, /*forward=*/false);
-    case Mode::kUpSingle:
-      return StepUp(out, /*single=*/true);
-    case Mode::kUpWalk:
-      return StepUp(out, /*single=*/false);
-    case Mode::kDfs:
-      return StepDfs(out);
-    case Mode::kAttrChain:
-      return StepAttrChain(out);
-  }
-  return false;
-}
-
-bool AxisCursor::StepAttrChain(NavEntry* out) {
-  const SlotId s = current_;
-  if (s == kInvalidSlot) {
-    mode_ = Mode::kDone;
-    return false;
-  }
-  view_.ChargeHop();
-  NAVPATH_DCHECK(view_.KindOf(s) == RecordKind::kAttribute);
-  current_ = view_.NextSiblingOf(s);
-  out->slot = s;
-  out->crossing = false;
-  return true;
-}
-
-bool AxisCursor::StepChain(NavEntry* out, bool forward) {
-  const SlotId s = current_;
-  if (s == kInvalidSlot || s == origin_) {
-    mode_ = Mode::kDone;
-    return false;
-  }
-  view_.ChargeHop();
-  const RecordKind k = view_.KindOf(s);
-  switch (k) {
-    case RecordKind::kCore:
-    case RecordKind::kBorderDown:
-      current_ = forward ? view_.NextSiblingOf(s) : view_.PrevSiblingOf(s);
-      out->slot = s;
-      out->crossing = (k == RecordKind::kBorderDown);
-      return true;
-    case RecordKind::kBorderUp:
-      // Chain terminal. For sibling axes the chain logically continues in
-      // the partner cluster; for the child axis the parent border is not a
-      // child, so the enumeration simply ends.
-      mode_ = Mode::kDone;
-      if (axis_ == Axis::kFollowingSibling ||
-          axis_ == Axis::kPrecedingSibling) {
-        out->slot = s;
-        out->crossing = true;
-        return true;
-      }
-      return false;
-    case RecordKind::kAttribute:
-      // Attributes never appear in child chains.
-      NAVPATH_DCHECK(false);
-      mode_ = Mode::kDone;
-      return false;
-  }
-  return false;
-}
-
-bool AxisCursor::StepUp(NavEntry* out, bool single) {
-  const SlotId s = current_;
-  if (s == kInvalidSlot) {
-    mode_ = Mode::kDone;
-    return false;
-  }
-  view_.ChargeHop();
-  const RecordKind k = view_.KindOf(s);
-  if (k == RecordKind::kBorderUp) {
-    // The ancestor chain leaves the cluster here.
-    mode_ = Mode::kDone;
-    out->slot = s;
-    out->crossing = true;
-    return true;
-  }
-  NAVPATH_DCHECK(k == RecordKind::kCore);
-  out->slot = s;
-  out->crossing = false;
-  if (single) {
-    mode_ = Mode::kDone;
-  } else {
-    current_ = view_.ParentOf(s);
-  }
-  return true;
-}
-
-bool AxisCursor::StepDfs(NavEntry* out) {
-  SlotId cur = current_;
-  // Descend if possible; down-borders are leaves within this cluster.
-  SlotId next = view_.KindOf(cur) == RecordKind::kBorderDown
-                    ? kInvalidSlot
-                    : view_.FirstChildOf(cur);
-  if (next == kInvalidSlot) {
-    // Move to the next sibling, climbing when chains end. Chains of a
-    // fragment root's children terminate at the up-border (== origin_ when
-    // resuming); interior chains terminate with kInvalidSlot.
-    for (;;) {
-      if (cur == origin_) {
-        mode_ = Mode::kDone;
-        return false;
-      }
-      const SlotId ns = view_.NextSiblingOf(cur);
-      view_.ChargeHop();
-      if (ns == kInvalidSlot || ns == origin_ ||
-          view_.KindOf(ns) == RecordKind::kBorderUp) {
-        cur = view_.ParentOf(cur);
-        continue;
-      }
-      next = ns;
-      break;
     }
   }
-  view_.ChargeHop();
-  current_ = next;
-  out->slot = next;
-  out->crossing = view_.KindOf(next) == RecordKind::kBorderDown;
-  return true;
+  switch (mode_) {
+    case Mode::kDone:
+    case Mode::kEmitSelf:  // never follows itself
+      return false;
+    case Mode::kChainForward:
+      return WalkChain(accept, /*forward=*/true, tally, out);
+    case Mode::kChainReverse:
+      return WalkChain(accept, /*forward=*/false, tally, out);
+    case Mode::kUpSingle:
+      return WalkUp(accept, /*single=*/true, tally, out);
+    case Mode::kUpWalk:
+      return WalkUp(accept, /*single=*/false, tally, out);
+    case Mode::kDfs:
+      return WalkDfs(accept, tally, out);
+    case Mode::kAttrChain:
+      return WalkAttrChain(accept, tally, out);
+  }
+  return false;
+}
+
+template <typename Accept>
+bool AxisCursor::WalkAttrChain(const Accept& accept, Tally* tally,
+                               NavEntry* out) {
+  const ClusterView view = view_;
+  SlotId s = current_;
+  while (s != kInvalidSlot) {
+    ++tally->hops;
+    NAVPATH_DCHECK(view.KindOf(s) == RecordKind::kAttribute);
+    const SlotId at = s;
+    s = view.NextSiblingOf(at);
+    if (accept(at, false, tally)) {
+      current_ = s;
+      *out = NavEntry{at, false};
+      return true;
+    }
+  }
+  mode_ = Mode::kDone;
+  return false;
+}
+
+template <typename Accept>
+bool AxisCursor::WalkChain(const Accept& accept, bool forward, Tally* tally,
+                           NavEntry* out) {
+  const ClusterView view = view_;
+  const SlotId origin = origin_;
+  SlotId s = current_;
+  while (s != kInvalidSlot && s != origin) {
+    ++tally->hops;
+    const RecordKind k = view.KindOf(s);
+    if (k == RecordKind::kCore || k == RecordKind::kBorderDown) {
+      const SlotId at = s;
+      const bool crossing = k == RecordKind::kBorderDown;
+      s = forward ? view.NextSiblingOf(at) : view.PrevSiblingOf(at);
+      if (accept(at, crossing, tally)) {
+        current_ = s;
+        *out = NavEntry{at, crossing};
+        return true;
+      }
+      continue;
+    }
+    // Attributes never appear in child chains.
+    NAVPATH_DCHECK(k == RecordKind::kBorderUp);
+    // Chain terminal. For sibling axes the chain logically continues in
+    // the partner cluster; for the child axis the parent border is not a
+    // child, so the enumeration simply ends.
+    if (k == RecordKind::kBorderUp &&
+        (axis_ == Axis::kFollowingSibling ||
+         axis_ == Axis::kPrecedingSibling) &&
+        accept(s, true, tally)) {
+      mode_ = Mode::kDone;
+      *out = NavEntry{s, true};
+      return true;
+    }
+    break;
+  }
+  mode_ = Mode::kDone;
+  return false;
+}
+
+template <typename Accept>
+bool AxisCursor::WalkUp(const Accept& accept, bool single, Tally* tally,
+                        NavEntry* out) {
+  const ClusterView view = view_;
+  SlotId s = current_;
+  while (s != kInvalidSlot) {
+    ++tally->hops;
+    const RecordKind k = view.KindOf(s);
+    if (k == RecordKind::kBorderUp) {
+      // The ancestor chain leaves the cluster here.
+      if (accept(s, true, tally)) {
+        mode_ = Mode::kDone;
+        *out = NavEntry{s, true};
+        return true;
+      }
+      break;
+    }
+    NAVPATH_DCHECK(k == RecordKind::kCore);
+    const SlotId at = s;
+    s = single ? kInvalidSlot : view.ParentOf(at);
+    if (accept(at, false, tally)) {
+      current_ = s;  // kInvalidSlot after a parent step: the next call ends
+      *out = NavEntry{at, false};
+      return true;
+    }
+  }
+  mode_ = Mode::kDone;
+  return false;
+}
+
+template <typename Accept>
+bool AxisCursor::WalkDfs(const Accept& accept, Tally* tally, NavEntry* out) {
+  const ClusterView view = view_;
+  const SlotId origin = origin_;
+  SlotId cur = current_;
+  // Down-borders are leaves within this cluster.
+  bool leaf = view.KindOf(cur) == RecordKind::kBorderDown;
+  for (;;) {
+    // Descend if possible.
+    SlotId next = leaf ? kInvalidSlot : view.FirstChildOf(cur);
+    if (next == kInvalidSlot) {
+      // Move to the next sibling, climbing when chains end. Chains of a
+      // fragment root's children terminate at the up-border (== origin
+      // when resuming); interior chains terminate with kInvalidSlot.
+      for (;;) {
+        if (cur == origin) {
+          mode_ = Mode::kDone;
+          return false;
+        }
+        const SlotId ns = view.NextSiblingOf(cur);
+        ++tally->hops;
+        if (ns == kInvalidSlot || ns == origin ||
+            view.KindOf(ns) == RecordKind::kBorderUp) {
+          cur = view.ParentOf(cur);
+          continue;
+        }
+        next = ns;
+        break;
+      }
+    }
+    ++tally->hops;
+    cur = next;
+    leaf = view.KindOf(cur) == RecordKind::kBorderDown;
+    if (accept(cur, leaf, tally)) {
+      current_ = cur;
+      *out = NavEntry{cur, leaf};
+      return true;
+    }
+  }
 }
 
 }  // namespace navpath

@@ -2,11 +2,12 @@
 //
 // ClusterView is a cheap value view over one *pinned* page that charges
 // simulated CPU cost for every link followed and node inspected. Its
-// AxisCursor enumerates, one node at a time, the nodes reachable from an
-// origin record along an XPath axis *using intra-cluster navigation only*:
-// core nodes are yielded as results, border records are yielded as
-// crossings whose partner NodeID names the cluster where the step
-// continues.
+// AxisCursor enumerates the nodes reachable from an origin record along
+// an XPath axis *using intra-cluster navigation only*: core nodes are
+// yielded as results, border records are yielded as crossings whose
+// partner NodeID names the cluster where the step continues. Next()
+// yields every entry; Scan() runs on to the next crossing or the next
+// record that passes a node test.
 //
 // The origin record may itself be a border record, in which case the
 // cursor enumerates the continuation of a partially evaluated step that
@@ -27,6 +28,8 @@
 #define NAVPATH_STORE_CLUSTER_VIEW_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 
 #include "common/metrics.h"
 #include "common/sim_clock.h"
@@ -70,19 +73,17 @@ class ClusterView {
 
   NodeID IdOf(SlotId slot) const { return NodeID{page_id_, slot}; }
 
-  /// Charged tag comparison (one node test).
-  bool TagEquals(SlotId slot, TagId tag) const {
-    ChargeTest();
-    return page_.TagOf(slot) == tag;
-  }
-
   void ChargeHop() const {
     clock_->ChargeCpu(costs_->record_hop);
     ++metrics_->intra_cluster_hops;
   }
-  void ChargeTest() const {
-    clock_->ChargeCpu(costs_->node_test);
-    ++metrics_->node_tests;
+  /// The same effect as `hops` ChargeHop()s and `tests` node tests
+  /// (`node_test` each): one ChargeCpu per cost kind, then the counters.
+  void ChargeNavigation(std::uint64_t hops, std::uint64_t tests) const {
+    clock_->ChargeCpu(hops * costs_->record_hop);
+    clock_->ChargeCpu(tests * costs_->node_test);
+    metrics_->intra_cluster_hops += hops;
+    metrics_->node_tests += tests;
   }
 
   // Raw link accessors (uncharged; cursors charge per hop themselves).
@@ -114,7 +115,16 @@ class AxisCursor {
   AxisCursor(const ClusterView& view, Axis axis, SlotId origin);
 
   /// Produces the next entry; false when the enumeration is exhausted.
+  /// Charges the hops that led to it before returning.
   bool Next(NavEntry* out);
+
+  /// Runs on to the next crossing or the next record whose tag is `tag`
+  /// (every record when `tag` is empty: `*` and `node()`); false when
+  /// the enumeration is exhausted first. Counts one node test per
+  /// non-crossing entry it passes over or stops at, and charges the
+  /// tests and the hops once, before returning: the totals of Next()
+  /// with a charged test of each non-crossing entry, in one call.
+  bool Scan(std::optional<TagId> tag, NavEntry* out);
 
   /// Re-points the cursor at a fresh view of the *same* page after the
   /// page was unfixed and fixed again (slot state stays valid; the buffer
@@ -133,10 +143,27 @@ class AxisCursor {
     kAttrChain,     // attribute chain of a core element
   };
 
-  bool StepChain(NavEntry* out, bool forward);
-  bool StepAttrChain(NavEntry* out);
-  bool StepUp(NavEntry* out, bool single);
-  bool StepDfs(NavEntry* out);
+  struct Tally {
+    std::uint64_t hops = 0;
+    std::uint64_t tests = 0;
+  };
+
+  // Each walk follows links until `accept(slot, crossing, &tally)` takes
+  // an entry, which it writes to `out`, or until the axis is exhausted.
+  // Hops go to the tally; the caller charges it. The walk state lives in
+  // locals and is written back once, when the walk returns.
+  template <typename Accept>
+  bool Advance(const Accept& accept, Tally* tally, NavEntry* out);
+  template <typename Accept>
+  bool WalkChain(const Accept& accept, bool forward, Tally* tally,
+                 NavEntry* out);
+  template <typename Accept>
+  bool WalkAttrChain(const Accept& accept, Tally* tally, NavEntry* out);
+  template <typename Accept>
+  bool WalkUp(const Accept& accept, bool single, Tally* tally,
+              NavEntry* out);
+  template <typename Accept>
+  bool WalkDfs(const Accept& accept, Tally* tally, NavEntry* out);
 
   ClusterView view_{nullptr, 0, kInvalidPageId, nullptr, nullptr, nullptr};
   Axis axis_ = Axis::kSelf;

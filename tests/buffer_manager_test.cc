@@ -503,7 +503,9 @@ TEST(BufferManagerTest, RandomOpsMatchBruteForceReference) {
             done = f.bm.PollAnyPrefetch();
           }
           ASSERT_TRUE(done.ok()) << done.status().ToString();
-          if (*done != kInvalidPageId) ASSERT_TRUE(ref.Complete(*done));
+          if (*done != kInvalidPageId) {
+            ASSERT_TRUE(ref.Complete(*done));
+          }
         }
       } else if (op < 92) {
         const bool ok = ref.Use(page);

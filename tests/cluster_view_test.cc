@@ -3,6 +3,7 @@
 // "continue a partially evaluated step inside the new cluster").
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "store/cluster_view.h"
@@ -175,6 +176,61 @@ TEST(AxisCursorTest, ChargesNavigationCosts) {
   f.Collect(Axis::kDescendant, f.up);
   EXPECT_GT(f.clock.now(), before);
   EXPECT_GT(f.metrics.intra_cluster_hops, 0u);
+}
+
+TEST(AxisCursorTest, NextChargesTheHopsToEachEntry) {
+  PageFixture f;
+  AxisCursor cursor(f.View(), Axis::kDescendant, f.up);
+  NavEntry entry;
+  // c1 and g1 are one descent each; bd takes g1's and c1's sibling links
+  // and the move; c2 one sibling link and the move; the end one sibling
+  // link back to U.
+  const std::uint64_t hops[] = {1, 2, 5, 7};
+  for (const std::uint64_t want : hops) {
+    ASSERT_TRUE(cursor.Next(&entry));
+    EXPECT_EQ(f.metrics.intra_cluster_hops, want) << "at slot " << entry.slot;
+    EXPECT_EQ(f.clock.now(), want * f.costs.record_hop);
+  }
+  EXPECT_FALSE(cursor.Next(&entry));
+  EXPECT_EQ(f.metrics.intra_cluster_hops, 8u);
+  EXPECT_EQ(f.metrics.node_tests, 0u);
+}
+
+TEST(AxisCursorTest, ScanSkipsFailingRecordsAndChargesOnce) {
+  PageFixture f;
+  const auto charged = [&f](std::uint64_t hops, std::uint64_t tests) {
+    EXPECT_EQ(f.metrics.intra_cluster_hops, hops);
+    EXPECT_EQ(f.metrics.node_tests, tests);
+    EXPECT_EQ(f.clock.now(),
+              hops * f.costs.record_hop + tests * f.costs.node_test);
+    EXPECT_EQ(f.clock.cpu_time(), f.clock.now());
+  };
+  AxisCursor cursor(f.View(), Axis::kDescendant, f.up);
+  NavEntry entry;
+  // c1 and g1 fail the test (tags 10 and 12); the crossing is returned
+  // untested.
+  ASSERT_TRUE(cursor.Scan(TagId{11}, &entry));
+  EXPECT_EQ(entry.slot, f.bd);
+  EXPECT_TRUE(entry.crossing);
+  charged(5, 2);
+  ASSERT_TRUE(cursor.Scan(TagId{11}, &entry));
+  EXPECT_EQ(entry.slot, f.c2);
+  EXPECT_FALSE(entry.crossing);
+  charged(7, 3);
+  EXPECT_FALSE(cursor.Scan(TagId{11}, &entry));
+  charged(8, 3);
+
+  // "Any" stops at every entry and tests each core record once.
+  PageFixture g;
+  AxisCursor any(g.View(), Axis::kChild, g.up);
+  std::vector<Entry> got;
+  while (any.Scan(std::nullopt, &entry)) {
+    got.emplace_back(entry.slot, entry.crossing);
+  }
+  EXPECT_EQ(got, (std::vector<Entry>{
+                     {g.c1, false}, {g.bd, true}, {g.c2, false}}));
+  EXPECT_EQ(g.metrics.intra_cluster_hops, 3u);
+  EXPECT_EQ(g.metrics.node_tests, 2u);
 }
 
 TEST(AxisCursorTest, RebindKeepsPosition) {

@@ -19,7 +19,9 @@
 #include "shard/shard_router.h"
 #include "shard/sharded_store.h"
 #include "storage/disk.h"
+#include "store/clustering.h"
 #include "txn/txn.h"
+#include "xmark/generator.h"
 
 namespace navpath {
 namespace {
@@ -135,6 +137,39 @@ TEST(ShardedStoreTest, SingleShardOwnsEverything) {
     EXPECT_EQ(unit.owner, 0u) << unit.tag;
   }
   ASSERT_NE((*store)->summary(0), nullptr);
+}
+
+TEST(ShardedStoreTest, GeneratesTheDocumentOnce) {
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    int calls = 0;
+    ShardOptions options;
+    options.shards = shards;
+    options.source = [&calls](TagRegistry* tags) {
+      ++calls;
+      XMarkOptions xmark;
+      xmark.scale = 0.01;
+      return GenerateXMark(xmark, tags);
+    };
+    const std::size_t page_size = options.db.page_size;
+    options.clustering = [page_size] {
+      return std::make_unique<SubtreeClusteringPolicy>(page_size -
+                                                       page_size / 8);
+    };
+    auto store = ShardedStore::Build(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(calls, 1) << shards << " shards";
+
+    // Every shard's registry lists shard 0's names under the same ids.
+    const TagRegistry& home = *(*store)->db(0)->tags();
+    ASSERT_GT(home.size(), 0u);
+    for (std::size_t k = 1; k < shards; ++k) {
+      const TagRegistry& tags = *(*store)->db(k)->tags();
+      ASSERT_EQ(tags.size(), home.size()) << "shard " << k;
+      for (TagId id = 0; id < home.size(); ++id) {
+        EXPECT_EQ(tags.Name(id), home.Name(id)) << "shard " << k;
+      }
+    }
+  }
 }
 
 TEST(ShardedStoreTest, RequiresPathSummary) {
