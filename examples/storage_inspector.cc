@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   for (PageId p = doc.first_page; p <= doc.last_page; ++p) {
     auto guard = db->buffer()->Fix(p);
     guard.status().AbortIfNotOk();
-    TreePage page(guard->data(), page_size);
+    const TreePage page = TreePage::ReadOnly(guard->data(), page_size);
     const std::size_t used = page_size - page.FreeBytes();
     used_bytes += used;
     ++fill_histogram[static_cast<int>(10.0 * used / page_size)];
@@ -65,7 +65,8 @@ int main(int argc, char** argv) {
         const NodeID partner = page.PartnerOf(s);
         auto partner_guard = db->buffer()->Fix(partner.page);
         partner_guard.status().AbortIfNotOk();
-        TreePage partner_page(partner_guard->data(), page_size);
+        const TreePage partner_page =
+            TreePage::ReadOnly(partner_guard->data(), page_size);
         if (partner.slot >= partner_page.slot_count() ||
             !partner_page.IsBorder(partner.slot) ||
             partner_page.PartnerOf(partner.slot) != (NodeID{p, s})) {

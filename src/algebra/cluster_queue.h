@@ -36,6 +36,8 @@ class ClusterQueue {
  public:
   /// Empties every FIFO and clears every ready flag; keeps the storage.
   void Clear();
+  /// Sizes the node pool for `instances` queued at once.
+  void Reserve(std::size_t instances) { nodes_.reserve(instances); }
 
   /// Instances queued over all pages.
   std::size_t size() const { return size_; }

@@ -4,6 +4,8 @@ namespace navpath {
 
 Status UnnestMap::Open() {
   active_ = false;
+  // Navigate the plan's snapshot, not the latest pages.
+  cursor_ = CrossClusterCursor(db_, shared_->cluster.translator());
   return producer_->Open();
 }
 

@@ -6,6 +6,8 @@ namespace navpath {
 
 Status XSchedule::Open() {
   q_.Clear();
+  // The pull loop fills Q to k instances before the first cluster visit.
+  q_.Reserve(options_.k);
   producer_done_ = false;
   ready_.clear();
   scanned_installs_ = db_->buffer()->installs();

@@ -5,6 +5,7 @@ namespace navpath {
 Status XStep::Open() {
   active_ = false;
   fallback_active_ = false;
+  fallback_cursor_ = CrossClusterCursor(db_, shared_->cluster.translator());
   return producer_->Open();
 }
 

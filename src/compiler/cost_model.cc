@@ -136,7 +136,7 @@ PathEstimate EstimateFromSummary(const DocumentStats& stats,
   // The touched-extent union is the page set any navigational plan can
   // be confined to — a hard bound, unlike balls-into-bins.
   const std::uint64_t extent_pages =
-      PathSummary::ExtentPages(summary.ExtentUnion(match.touched));
+      summary.ExtentUnionPages(match.touched);
   estimate.scan_pages = static_cast<double>(std::max<std::uint64_t>(
       1, extent_pages));
   // Same balls-into-bins shape as the stats path, but the candidate page

@@ -11,8 +11,11 @@ PageGuard::PageGuard(BufferManager* bm, std::size_t frame_idx)
 PageGuard::~PageGuard() { Release(); }
 
 PageGuard::PageGuard(PageGuard&& other) noexcept
-    : bm_(other.bm_), frame_idx_(other.frame_idx_) {
+    : bm_(other.bm_),
+      frame_idx_(other.frame_idx_),
+      writable_(other.writable_) {
   other.bm_ = nullptr;
+  other.writable_ = false;
 }
 
 PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
@@ -20,7 +23,9 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
     Release();
     bm_ = other.bm_;
     frame_idx_ = other.frame_idx_;
+    writable_ = other.writable_;
     other.bm_ = nullptr;
+    other.writable_ = false;
   }
   return *this;
 }
@@ -30,13 +35,17 @@ PageId PageGuard::page_id() const {
   return bm_->FramePage(frame_idx_);
 }
 
-std::byte* PageGuard::data() {
+const std::byte* PageGuard::data() const {
   NAVPATH_DCHECK(valid());
   return bm_->FrameData(frame_idx_);
 }
 
-const std::byte* PageGuard::data() const {
+std::byte* PageGuard::mutable_data() {
   NAVPATH_DCHECK(valid());
+  if (!writable_) {
+    writable_ = true;
+    bm_->BeginWrite(frame_idx_);
+  }
   return bm_->FrameData(frame_idx_);
 }
 
@@ -47,8 +56,9 @@ void PageGuard::MarkDirty() {
 
 void PageGuard::Release() {
   if (bm_ != nullptr) {
-    bm_->Unpin(frame_idx_);
+    bm_->Unpin(frame_idx_, writable_);
     bm_ = nullptr;
+    writable_ = false;
   }
 }
 
@@ -123,9 +133,28 @@ Status BufferManager::WritePageWithRetry(PageId id, const std::byte* data) {
   return last;
 }
 
-void BufferManager::Unpin(std::size_t frame_idx) {
+BufferManager::PageContent& BufferManager::ContentOf(PageId id) {
+  if (id >= contents_.size()) {
+    contents_.resize(static_cast<std::size_t>(id) + 1);
+  }
+  return contents_[id];
+}
+
+void BufferManager::BeginWrite(std::size_t frame_idx) {
+  PageContent& c = ContentOf(frames_[frame_idx].page_id);
+  ++c.generation;
+  ++c.writers;
+}
+
+void BufferManager::Unpin(std::size_t frame_idx, bool wrote) {
   Frame& f = frames_[frame_idx];
   NAVPATH_DCHECK(f.pin_count > 0);
+  if (wrote) {
+    PageContent& c = ContentOf(f.page_id);
+    NAVPATH_DCHECK(c.writers > 0);
+    ++c.generation;
+    --c.writers;
+  }
   --f.pin_count;
   if (f.pin_count == 0 && unpin_listener_) {
     unpin_listener_(f.page_id);
@@ -287,6 +316,7 @@ Result<PageGuard> BufferManager::NewPage() {
   const PageId id = disk_->AllocatePage();
   std::memset(scratch_.get(), 0, disk_->page_size());
   NAVPATH_ASSIGN_OR_RETURN(const std::size_t idx, InstallFromScratch(id));
+  BumpGeneration(id);
   Frame& f = frames_[idx];
   ++f.pin_count;
   f.dirty = true;
@@ -301,6 +331,7 @@ Result<PageGuard> BufferManager::AdoptPage(PageId id,
     std::memcpy(scratch_.get(), content, disk_->page_size());
     NAVPATH_ASSIGN_OR_RETURN(idx, InstallFromScratch(id));
   }
+  BumpGeneration(id);
   Frame& f = frames_[idx];
   if (resident) {
     std::memcpy(f.data.get(), content, disk_->page_size());
@@ -320,6 +351,9 @@ Status BufferManager::Discard(PageId id) {
   if (f.pin_count > 0) {
     return Status::InvalidArgument("cannot discard a pinned page");
   }
+  // A dirty frame dies without write-back, so a later read of `id` may
+  // return other bytes than the frame held.
+  BumpGeneration(id);
   Unmap(idx);
   f.dirty = false;
   f.claimed = false;

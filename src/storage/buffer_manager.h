@@ -43,7 +43,10 @@ struct RetryPolicy {
 };
 
 /// RAII pin on a buffer frame. While alive, the page cannot be evicted and
-/// `data()` stays valid. Movable, not copyable.
+/// `data()` stays valid. Movable, not copyable. Writers take the bytes
+/// through `mutable_data()`, which moves the page's content generation
+/// (BufferManager::ContentGeneration) when it first hands them out and
+/// again when the guard is released.
 class PageGuard {
  public:
   PageGuard() = default;
@@ -57,8 +60,10 @@ class PageGuard {
 
   bool valid() const { return bm_ != nullptr; }
   PageId page_id() const;
-  std::byte* data();
   const std::byte* data() const;
+  /// The page bytes for writing. Until this guard is released, every
+  /// cache derived from the page's bytes ignores what it holds for it.
+  std::byte* mutable_data();
 
   /// Marks the page dirty so eviction writes it back.
   void MarkDirty();
@@ -69,6 +74,7 @@ class PageGuard {
  private:
   BufferManager* bm_ = nullptr;
   std::size_t frame_idx_ = 0;
+  bool writable_ = false;  // mutable_data() was handed out
 };
 
 class BufferManager {
@@ -180,6 +186,35 @@ class BufferManager {
     unpin_listener_ = std::move(fn);
   }
 
+  // --- Content generations ----------------------------------------------
+  //
+  // Every page id has a content generation that moves whenever its bytes
+  // may change: when a PageGuard hands out mutable access and when that
+  // guard is released, on NewPage, AdoptPage and Discard (Discard drops a
+  // dirty frame without write-back). A hit, a prefetch, an install from
+  // disk, a clean or written-back eviction and const access leave it
+  // alone. A host-side cache of something derived from a page's bytes
+  // (the preorder navigation image) stays valid while the generation it
+  // was built at is current, across evictions and re-reads.
+
+  /// ContentStamp's value while a guard holding mutable access to the
+  /// page is alive: no cached derivation of the page may be trusted then.
+  static constexpr std::uint64_t kUnstableContent =
+      std::numeric_limits<std::uint64_t>::max();
+
+  /// The content generation of `id` (0 until its first event).
+  std::uint64_t ContentGeneration(PageId id) const {
+    return id < contents_.size() ? contents_[id].generation : 0;
+  }
+
+  /// ContentGeneration(id), or kUnstableContent while a guard that handed
+  /// out mutable access to `id` is alive.
+  std::uint64_t ContentStamp(PageId id) const {
+    if (id >= contents_.size()) return 0;
+    const PageContent& c = contents_[id];
+    return c.writers == 0 ? c.generation : kUnstableContent;
+  }
+
   /// Writes back all dirty pages (used after import).
   Status FlushAll();
 
@@ -187,7 +222,10 @@ class BufferManager {
   Status InvalidateAll();
 
   // Internal accessors used by PageGuard.
-  void Unpin(std::size_t frame_idx);
+  /// Drops one pin; `wrote` if the guard had handed out mutable access.
+  void Unpin(std::size_t frame_idx, bool wrote);
+  /// A guard on `frame_idx` hands out mutable access.
+  void BeginWrite(std::size_t frame_idx);
   PageId FramePage(std::size_t frame_idx) const {
     return frames_[frame_idx].page_id;
   }
@@ -219,6 +257,17 @@ class BufferManager {
     /// installs() right after this frame's page was installed.
     std::uint64_t installed_at = 0;
   };
+
+  /// Content generation of one page id and the number of live guards
+  /// that handed out mutable access to it.
+  struct PageContent {
+    std::uint64_t generation = 0;
+    std::uint32_t writers = 0;
+  };
+
+  /// The page's entry in contents_, growing the table to reach it.
+  PageContent& ContentOf(PageId id);
+  void BumpGeneration(PageId id) { ++ContentOf(id).generation; }
 
   /// One install: the page and installs() right after it. The entry is
   /// live while the page has stayed resident since (same frame stamp).
@@ -299,6 +348,9 @@ class BufferManager {
   // id seen and stays no larger than the disk.
   std::vector<std::uint32_t> page_table_;
   std::size_t pages_resident_ = 0;
+  // Content generations by page id; ids past the end are at generation 0
+  // with no writer. Grows on the first event of a page.
+  std::vector<PageContent> contents_;
   // The recency list: every resident frame, least recently used at the
   // head. A fix, install or adopt moves its frame to the tail, so walking
   // from the head visits frames in the order of their last use (a

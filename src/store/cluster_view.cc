@@ -71,17 +71,17 @@ AxisCursor::AxisCursor(const ClusterView& view, Axis axis, SlotId origin)
       break;
     case Axis::kDescendant:
       if (k == RecordKind::kCore || k == RecordKind::kBorderUp) {
-        mode_ = Mode::kDfs;
+        mode_ = Mode::kPreorder;
         current_ = origin;
       }
       break;
     case Axis::kDescendantOrSelf:
       if (k == RecordKind::kCore) {
         mode_ = Mode::kEmitSelf;
-        after_self_ = Mode::kDfs;
+        after_self_ = Mode::kPreorder;
         current_ = origin;
       } else if (k == RecordKind::kBorderUp) {
-        mode_ = Mode::kDfs;
+        mode_ = Mode::kPreorder;
         current_ = origin;
       } else if (k == RecordKind::kAttribute) {
         mode_ = Mode::kEmitSelf;  // an attribute's only "descendant"
@@ -93,33 +93,24 @@ AxisCursor::AxisCursor(const ClusterView& view, Axis axis, SlotId origin)
 
 bool AxisCursor::Next(NavEntry* out) {
   Tally tally;
-  const bool found = Advance(
-      [](SlotId, bool, Tally*) { return true; }, &tally, out);
+  const bool found = Advance(Filter{}, &tally, out);
   view_.ChargeNavigation(tally.hops, tally.tests);
   return found;
 }
 
 bool AxisCursor::Scan(std::optional<TagId> tag, NavEntry* out) {
-  const bool any = !tag.has_value();
-  const TagId want = tag.value_or(0);
   Tally tally;
   const bool found = Advance(
-      [this, any, want](SlotId slot, bool crossing, Tally* t) {
-        if (crossing) return true;
-        ++t->tests;
-        return any || view_.TagOf(slot) == want;
-      },
-      &tally, out);
+      Filter{/*scan=*/true, !tag.has_value(), tag.value_or(0)}, &tally, out);
   view_.ChargeNavigation(tally.hops, tally.tests);
   return found;
 }
 
-template <typename Accept>
-bool AxisCursor::Advance(const Accept& accept, Tally* tally, NavEntry* out) {
+bool AxisCursor::Advance(const Filter& filter, Tally* tally, NavEntry* out) {
   if (mode_ == Mode::kEmitSelf) {
     mode_ = after_self_;
     ++tally->hops;
-    if (accept(origin_, false, tally)) {
+    if (Takes(filter, origin_, false, tally)) {
       *out = NavEntry{origin_, false};
       return true;
     }
@@ -129,23 +120,22 @@ bool AxisCursor::Advance(const Accept& accept, Tally* tally, NavEntry* out) {
     case Mode::kEmitSelf:  // never follows itself
       return false;
     case Mode::kChainForward:
-      return WalkChain(accept, /*forward=*/true, tally, out);
+      return WalkChain(filter, /*forward=*/true, tally, out);
     case Mode::kChainReverse:
-      return WalkChain(accept, /*forward=*/false, tally, out);
+      return WalkChain(filter, /*forward=*/false, tally, out);
     case Mode::kUpSingle:
-      return WalkUp(accept, /*single=*/true, tally, out);
+      return WalkUp(filter, /*single=*/true, tally, out);
     case Mode::kUpWalk:
-      return WalkUp(accept, /*single=*/false, tally, out);
-    case Mode::kDfs:
-      return WalkDfs(accept, tally, out);
+      return WalkUp(filter, /*single=*/false, tally, out);
+    case Mode::kPreorder:
+      return ScanPreorder(filter, tally, out);
     case Mode::kAttrChain:
-      return WalkAttrChain(accept, tally, out);
+      return WalkAttrChain(filter, tally, out);
   }
   return false;
 }
 
-template <typename Accept>
-bool AxisCursor::WalkAttrChain(const Accept& accept, Tally* tally,
+bool AxisCursor::WalkAttrChain(const Filter& filter, Tally* tally,
                                NavEntry* out) {
   const ClusterView view = view_;
   SlotId s = current_;
@@ -154,7 +144,7 @@ bool AxisCursor::WalkAttrChain(const Accept& accept, Tally* tally,
     NAVPATH_DCHECK(view.KindOf(s) == RecordKind::kAttribute);
     const SlotId at = s;
     s = view.NextSiblingOf(at);
-    if (accept(at, false, tally)) {
+    if (Takes(filter, at, false, tally)) {
       current_ = s;
       *out = NavEntry{at, false};
       return true;
@@ -164,8 +154,7 @@ bool AxisCursor::WalkAttrChain(const Accept& accept, Tally* tally,
   return false;
 }
 
-template <typename Accept>
-bool AxisCursor::WalkChain(const Accept& accept, bool forward, Tally* tally,
+bool AxisCursor::WalkChain(const Filter& filter, bool forward, Tally* tally,
                            NavEntry* out) {
   const ClusterView view = view_;
   const SlotId origin = origin_;
@@ -177,7 +166,7 @@ bool AxisCursor::WalkChain(const Accept& accept, bool forward, Tally* tally,
       const SlotId at = s;
       const bool crossing = k == RecordKind::kBorderDown;
       s = forward ? view.NextSiblingOf(at) : view.PrevSiblingOf(at);
-      if (accept(at, crossing, tally)) {
+      if (Takes(filter, at, crossing, tally)) {
         current_ = s;
         *out = NavEntry{at, crossing};
         return true;
@@ -192,7 +181,7 @@ bool AxisCursor::WalkChain(const Accept& accept, bool forward, Tally* tally,
     if (k == RecordKind::kBorderUp &&
         (axis_ == Axis::kFollowingSibling ||
          axis_ == Axis::kPrecedingSibling) &&
-        accept(s, true, tally)) {
+        Takes(filter, s, true, tally)) {
       mode_ = Mode::kDone;
       *out = NavEntry{s, true};
       return true;
@@ -203,8 +192,7 @@ bool AxisCursor::WalkChain(const Accept& accept, bool forward, Tally* tally,
   return false;
 }
 
-template <typename Accept>
-bool AxisCursor::WalkUp(const Accept& accept, bool single, Tally* tally,
+bool AxisCursor::WalkUp(const Filter& filter, bool single, Tally* tally,
                         NavEntry* out) {
   const ClusterView view = view_;
   SlotId s = current_;
@@ -213,7 +201,7 @@ bool AxisCursor::WalkUp(const Accept& accept, bool single, Tally* tally,
     const RecordKind k = view.KindOf(s);
     if (k == RecordKind::kBorderUp) {
       // The ancestor chain leaves the cluster here.
-      if (accept(s, true, tally)) {
+      if (Takes(filter, s, true, tally)) {
         mode_ = Mode::kDone;
         *out = NavEntry{s, true};
         return true;
@@ -223,7 +211,7 @@ bool AxisCursor::WalkUp(const Accept& accept, bool single, Tally* tally,
     NAVPATH_DCHECK(k == RecordKind::kCore);
     const SlotId at = s;
     s = single ? kInvalidSlot : view.ParentOf(at);
-    if (accept(at, false, tally)) {
+    if (Takes(filter, at, false, tally)) {
       current_ = s;  // kInvalidSlot after a parent step: the next call ends
       *out = NavEntry{at, false};
       return true;
@@ -233,45 +221,57 @@ bool AxisCursor::WalkUp(const Accept& accept, bool single, Tally* tally,
   return false;
 }
 
-template <typename Accept>
-bool AxisCursor::WalkDfs(const Accept& accept, Tally* tally, NavEntry* out) {
-  const ClusterView view = view_;
-  const SlotId origin = origin_;
-  SlotId cur = current_;
-  // Down-borders are leaves within this cluster.
-  bool leaf = view.KindOf(cur) == RecordKind::kBorderDown;
-  for (;;) {
-    // Descend if possible.
-    SlotId next = leaf ? kInvalidSlot : view.FirstChildOf(cur);
-    if (next == kInvalidSlot) {
-      // Move to the next sibling, climbing when chains end. Chains of a
-      // fragment root's children terminate at the up-border (== origin
-      // when resuming); interior chains terminate with kInvalidSlot.
-      for (;;) {
-        if (cur == origin) {
-          mode_ = Mode::kDone;
-          return false;
-        }
-        const SlotId ns = view.NextSiblingOf(cur);
-        ++tally->hops;
-        if (ns == kInvalidSlot || ns == origin ||
-            view.KindOf(ns) == RecordKind::kBorderUp) {
-          cur = view.ParentOf(cur);
-          continue;
-        }
-        next = ns;
-        break;
-      }
-    }
-    ++tally->hops;
-    cur = next;
-    leaf = view.KindOf(cur) == RecordKind::kBorderDown;
-    if (accept(cur, leaf, tally)) {
-      current_ = cur;
-      *out = NavEntry{cur, leaf};
-      return true;
+bool AxisCursor::ScanPreorder(const Filter& filter, Tally* tally,
+                              NavEntry* out) {
+  // The link walk this replaces follows one link to arrive at each record
+  // it visits, and probes one next-sibling link as each record's subtree
+  // ends, the origin's excepted. Between preorder positions k and k + 1,
+  // d(k) - d(k + 1) + 1 subtrees end, so reaching position j from i costs
+  // 2(j - i) + d(i) - d(j) hops, and running past the origin's last
+  // subtree position E costs 2(E - i) + d(i) - d(origin).
+  const NavIndex& index = view_.Index();
+  const std::size_t root = index.PositionOf(origin_);
+  const std::size_t from = index.PositionOf(current_);
+  mode_ = Mode::kDone;
+  if (root == NavIndex::kNoPosition || from == NavIndex::kNoPosition) {
+    return false;  // no placed record: nothing below it in this page
+  }
+  const NavIndex::Entry* const e = index.entries();
+  const std::size_t n = index.size();
+  const unsigned top = e[root].depth;
+  if (from < root || (from != root && e[from].depth <= top)) return false;
+  std::size_t j = from + 1;
+  if (filter.scan && !filter.any) {
+    const TagId want = filter.want;
+    while (j < n && e[j].depth > top && e[j].key != want &&
+           e[j].key != NavIndex::kDownBorderKey) {
+      ++j;
     }
   }
+  const std::uint64_t passed = j - from - 1;  // entries the filter refused
+  if (j < n && e[j].depth > top) {
+    const bool crossing = e[j].key == NavIndex::kDownBorderKey;
+    NAVPATH_DCHECK(view_.IsLive(e[j].slot));
+    NAVPATH_DCHECK(crossing
+                       ? view_.KindOf(e[j].slot) == RecordKind::kBorderDown
+                       : view_.KindOf(e[j].slot) == RecordKind::kCore &&
+                             view_.TagOf(e[j].slot) == e[j].key);
+    tally->hops += 2 * (j - from) + e[from].depth - e[j].depth;
+    if (filter.scan) tally->tests += passed + (crossing ? 0 : 1);
+    mode_ = Mode::kPreorder;
+    current_ = e[j].slot;
+    *out = NavEntry{e[j].slot, crossing};
+    return true;
+  }
+  tally->hops += 2 * passed + e[from].depth - top;
+  if (filter.scan) tally->tests += passed;
+  return false;
+}
+
+const NavIndex& ClusterView::UnpooledIndex() const {
+  static thread_local NavIndex index;
+  index.Build(page_.bytes(), page_.page_size());
+  return index;
 }
 
 }  // namespace navpath

@@ -7,7 +7,9 @@
 // yielded as results, border records are yielded as crossings whose
 // partner NodeID names the cluster where the step continues. Next()
 // yields every entry; Scan() runs on to the next crossing or the next
-// record that passes a node test.
+// record that passes a node test. The descendant axes scan the page's
+// preorder image (NavIndex) instead of following links, and charge
+// exactly the hops the link walk would have followed.
 //
 // The origin record may itself be a border record, in which case the
 // cursor enumerates the continuation of a partially evaluated step that
@@ -35,6 +37,7 @@
 #include "common/sim_clock.h"
 #include "storage/cpu_cost_model.h"
 #include "store/axis.h"
+#include "store/nav_index.h"
 #include "store/node_id.h"
 #include "store/tree_page.h"
 
@@ -49,13 +52,21 @@ struct NavEntry {
 
 class ClusterView {
  public:
+  /// `images` and `physical_page` name where the page's preorder image is
+  /// kept (Database::MakeView); without them every descendant enumeration
+  /// step builds the image from the bytes (views of bytes outside the
+  /// buffer pool).
   ClusterView(const std::byte* data, std::size_t page_size, PageId page_id,
-              SimClock* clock, const CpuCostModel* costs, Metrics* metrics)
-      : page_(const_cast<std::byte*>(data), page_size),
+              SimClock* clock, const CpuCostModel* costs, Metrics* metrics,
+              NavIndexCache* images = nullptr,
+              PageId physical_page = kInvalidPageId)
+      : page_(TreePage::ReadOnly(data, page_size)),
         page_id_(page_id),
         clock_(clock),
         costs_(costs),
-        metrics_(metrics) {}
+        metrics_(metrics),
+        images_(images),
+        physical_page_(physical_page) {}
 
   PageId page_id() const { return page_id_; }
   std::uint16_t slot_count() const { return page_.slot_count(); }
@@ -98,12 +109,23 @@ class ClusterView {
   SlotId LastChildOf(SlotId slot) const { return page_.LastChildOf(slot); }
   SlotId FirstAttrOf(SlotId slot) const { return page_.FirstAttrOf(slot); }
 
+  /// The page's preorder image, valid until the next call on any view.
+  const NavIndex& Index() const {
+    return images_ != nullptr
+               ? images_->Get(physical_page_, page_.bytes(), page_.page_size())
+               : UnpooledIndex();
+  }
+
  private:
+  const NavIndex& UnpooledIndex() const;
+
   TreePage page_;
   PageId page_id_;
   SimClock* clock_;
   const CpuCostModel* costs_;
   Metrics* metrics_;
+  NavIndexCache* images_;
+  PageId physical_page_;
 };
 
 /// Streaming enumeration of one axis from one origin record. Holds the
@@ -139,7 +161,7 @@ class AxisCursor {
     kChainReverse,  // sibling-chain walk via prev pointers
     kUpSingle,      // parent
     kUpWalk,        // ancestor(-or-self)
-    kDfs,           // descendant(-or-self) preorder
+    kPreorder,      // descendant(-or-self): the preorder image
     kAttrChain,     // attribute chain of a core element
   };
 
@@ -148,22 +170,34 @@ class AxisCursor {
     std::uint64_t tests = 0;
   };
 
-  // Each walk follows links until `accept(slot, crossing, &tally)` takes
-  // an entry, which it writes to `out`, or until the axis is exhausted.
-  // Hops go to the tally; the caller charges it. The walk state lives in
-  // locals and is written back once, when the walk returns.
-  template <typename Accept>
-  bool Advance(const Accept& accept, Tally* tally, NavEntry* out);
-  template <typename Accept>
-  bool WalkChain(const Accept& accept, bool forward, Tally* tally,
+  // What a walk returns: every entry (Next), or, counting a node test per
+  // non-crossing entry it passes over or stops at, the next crossing or
+  // record whose tag is `want` (Scan; every record when `any`).
+  struct Filter {
+    bool scan = false;
+    bool any = true;
+    TagId want = 0;
+  };
+  bool Takes(const Filter& filter, SlotId slot, bool crossing,
+             Tally* tally) const {
+    if (!filter.scan || crossing) return true;
+    ++tally->tests;
+    return filter.any || view_.TagOf(slot) == filter.want;
+  }
+
+  // Each walk runs until it returns an entry the filter takes, which it
+  // writes to `out`, or until the axis is exhausted. Hops and tests go to
+  // the tally; the caller charges it. The link walks keep their state in
+  // locals and write it back once, when they return.
+  bool Advance(const Filter& filter, Tally* tally, NavEntry* out);
+  bool WalkChain(const Filter& filter, bool forward, Tally* tally,
                  NavEntry* out);
-  template <typename Accept>
-  bool WalkAttrChain(const Accept& accept, Tally* tally, NavEntry* out);
-  template <typename Accept>
-  bool WalkUp(const Accept& accept, bool single, Tally* tally,
+  bool WalkAttrChain(const Filter& filter, Tally* tally, NavEntry* out);
+  bool WalkUp(const Filter& filter, bool single, Tally* tally,
               NavEntry* out);
-  template <typename Accept>
-  bool WalkDfs(const Accept& accept, Tally* tally, NavEntry* out);
+  // The descendant walk: a scan of the preorder image from current_'s
+  // entry through the origin's subtree.
+  bool ScanPreorder(const Filter& filter, Tally* tally, NavEntry* out);
 
   ClusterView view_{nullptr, 0, kInvalidPageId, nullptr, nullptr, nullptr};
   Axis axis_ = Axis::kSelf;

@@ -14,6 +14,7 @@ Database::Database(const DatabaseOptions& options) : options_(options) {
                                             options_.buffer_pages,
                                             options_.cpu_costs, &clock_,
                                             &metrics_, options_.retry);
+  nav_images_ = std::make_unique<NavIndexCache>(buffer_.get());
 }
 
 Database::~Database() { DisableTracing(); }

@@ -92,8 +92,7 @@ class Database {
 
   /// Builds a cost-charging view over a pinned page.
   ClusterView MakeView(const PageGuard& guard) {
-    return ClusterView(guard.data(), options_.page_size, guard.page_id(),
-                       &clock_, &options_.cpu_costs, &metrics_);
+    return MakeView(guard, guard.page_id());
   }
 
   /// View over a pinned page that identifies itself by `logical_id`
@@ -102,8 +101,12 @@ class Database {
   /// the view must keep saying L or stored-id identity breaks.
   ClusterView MakeView(const PageGuard& guard, PageId logical_id) {
     return ClusterView(guard.data(), options_.page_size, logical_id, &clock_,
-                       &options_.cpu_costs, &metrics_);
+                       &options_.cpu_costs, &metrics_, nav_images_.get(),
+                       guard.page_id());
   }
+
+  /// The preorder images of the pages, kept across evictions (NavIndex).
+  NavIndexCache* nav_images() { return nav_images_.get(); }
 
   /// Cold-starts a measurement: drops the buffer, resets clock + metrics.
   Status ResetMeasurement();
@@ -120,6 +123,7 @@ class Database {
   std::unique_ptr<SimulatedDisk> disk_;
   std::unique_ptr<FaultInjector> fault_injector_;
   std::unique_ptr<BufferManager> buffer_;
+  std::unique_ptr<NavIndexCache> nav_images_;
   std::shared_ptr<const PathSummary> summary_;
   FlatSetPool<std::uint64_t> table_pool_;
   std::size_t imported_docs_ = 0;

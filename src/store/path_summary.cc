@@ -402,14 +402,14 @@ SummaryMatch PathSummary::Match(const LocationPath& path) const {
   return match;
 }
 
-std::vector<SummaryExtent> PathSummary::ExtentUnion(
-    const std::vector<std::uint32_t>& nodes) const {
+PageId PathSummary::FillCoverage(const std::vector<std::uint32_t>& nodes,
+                                 std::vector<std::uint64_t>* covered) const {
   // Coverage sweep: mark the pages every extent covers in a bitmap over
-  // the extents' page span, then read the maximal runs of marked pages
-  // back out. Sorting the concatenated extents and folding overlapping or
-  // adjacent ones yields exactly these runs, since no extent ends at
-  // kInvalidPageId (Decode refuses one), where "last + 1" would wrap. The
-  // sweep is linear in the extents plus span / 64 words.
+  // the extents' page span. Sorting the concatenated extents and folding
+  // overlapping or adjacent ones yields exactly the maximal runs of marked
+  // pages, since no extent ends at kInvalidPageId (Decode refuses one),
+  // where "last + 1" would wrap. The sweep is linear in the extents plus
+  // span / 64 words.
   PageId lo = kInvalidPageId;
   PageId hi = 0;
   for (const std::uint32_t s : nodes) {
@@ -419,10 +419,11 @@ std::vector<SummaryExtent> PathSummary::ExtentUnion(
       hi = std::max(hi, e.last);
     }
   }
-  std::vector<SummaryExtent> merged;
-  if (lo > hi) return merged;
+  covered->clear();
+  if (lo > hi) return kInvalidPageId;
   const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
-  std::vector<std::uint64_t> covered((span + 63) / 64, 0);
+  covered->assign((span + 63) / 64, 0);
+  std::uint64_t* words = covered->data();
   for (const std::uint32_t s : nodes) {
     for (const SummaryExtent& e : nodes_[s].extents) {
       const std::size_t a = e.first - lo;
@@ -430,37 +431,54 @@ std::vector<SummaryExtent> PathSummary::ExtentUnion(
       const std::uint64_t head = ~std::uint64_t{0} << (a % 64);
       const std::uint64_t tail = ~std::uint64_t{0} >> (63 - b % 64);
       if (a / 64 == b / 64) {
-        covered[a / 64] |= head & tail;
+        words[a / 64] |= head & tail;
       } else {
-        covered[a / 64] |= head;
-        std::fill(covered.begin() + static_cast<std::ptrdiff_t>(a / 64 + 1),
-                  covered.begin() + static_cast<std::ptrdiff_t>(b / 64),
-                  ~std::uint64_t{0});
-        covered[b / 64] |= tail;
+        words[a / 64] |= head;
+        std::fill(words + a / 64 + 1, words + b / 64, ~std::uint64_t{0});
+        words[b / 64] |= tail;
       }
     }
   }
-  // First bit at or after `from` that is set (or clear); bits past the
-  // span are clear, so a run always ends by covered.size() * 64.
-  const auto next = [&covered](std::size_t from, bool set) {
+  return lo;
+}
+
+std::vector<SummaryExtent> PathSummary::ExtentUnion(
+    const std::vector<std::uint32_t>& nodes) const {
+  std::vector<std::uint64_t> covered;
+  const PageId lo = FillCoverage(nodes, &covered);
+  // Read the maximal runs of marked pages back out. The first bit at or
+  // after `from` that is set (or clear); bits past the span are clear, so
+  // a run always ends by covered.size() * 64.
+  const std::size_t end = covered.size() * 64;
+  const auto next = [&covered, end](std::size_t from, bool set) {
     std::size_t w = from / 64;
-    if (w >= covered.size()) return covered.size() * 64;
+    if (w >= covered.size()) return end;
     std::uint64_t bits = (set ? covered[w] : ~covered[w]) &
                          (~std::uint64_t{0} << (from % 64));
     while (bits == 0) {
-      if (++w == covered.size()) return covered.size() * 64;
+      if (++w == covered.size()) return end;
       bits = set ? covered[w] : ~covered[w];
     }
     return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
   };
+  std::vector<SummaryExtent> merged;
   std::size_t first = next(0, true);
-  while (first < span) {
+  while (first < end) {
     const std::size_t past = next(first, false);  // one past the run
     merged.push_back(SummaryExtent{static_cast<PageId>(lo + first),
                                    static_cast<PageId>(lo + past - 1)});
     first = next(past, true);
   }
   return merged;
+}
+
+std::uint64_t PathSummary::ExtentUnionPages(
+    const std::vector<std::uint32_t>& nodes) const {
+  std::vector<std::uint64_t> covered;
+  FillCoverage(nodes, &covered);
+  std::uint64_t pages = 0;
+  for (const std::uint64_t word : covered) pages += std::popcount(word);
+  return pages;
 }
 
 std::uint64_t PathSummary::ExtentPages(

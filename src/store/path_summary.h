@@ -162,6 +162,10 @@ class PathSummary {
   /// some extent covers. Allocates a bitmap over the extents' page span.
   std::vector<SummaryExtent> ExtentUnion(
       const std::vector<std::uint32_t>& nodes) const;
+  /// ExtentPages(ExtentUnion(nodes)), counted from the same bitmap
+  /// without building the union.
+  std::uint64_t ExtentUnionPages(
+      const std::vector<std::uint32_t>& nodes) const;
 
   static std::uint64_t ExtentPages(const std::vector<SummaryExtent>& extents);
 
@@ -193,6 +197,12 @@ class PathSummary {
 
  private:
   PathSummary() = default;
+
+  /// Sets bit i of `covered` for every page lo + i that an extent of
+  /// `nodes` covers, and returns lo: kInvalidPageId, with `covered`
+  /// empty, when the nodes have no extent.
+  PageId FillCoverage(const std::vector<std::uint32_t>& nodes,
+                      std::vector<std::uint64_t>* covered) const;
 
   std::vector<Node> nodes_;
   std::uint64_t total_instances_ = 0;

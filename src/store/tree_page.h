@@ -62,6 +62,13 @@ class TreePage {
   TreePage(std::byte* data, std::size_t page_size)
       : data_(data), page_size_(page_size) {}
 
+  /// A view of bytes the caller may only read (a page guard's data()):
+  /// the setters cannot be called on it.
+  static const TreePage ReadOnly(const std::byte* data,
+                                 std::size_t page_size) {
+    return TreePage(const_cast<std::byte*>(data), page_size);
+  }
+
   /// Formats an empty page.
   static void Initialize(std::byte* data, std::size_t page_size);
 
@@ -74,6 +81,8 @@ class TreePage {
     return kBorderRecordBytes + kSlotEntryBytes;
   }
 
+  const std::byte* bytes() const { return data_; }
+  std::size_t page_size() const { return page_size_; }
   std::uint16_t slot_count() const { return LoadU16(0); }
   std::size_t FreeBytes() const;
 
@@ -185,6 +194,20 @@ class TreePage {
     NAVPATH_DCHECK(IsBorder(slot));
     StoreU16(RecordOffset(slot) + 16, v);
   }
+
+  /// A record's kind, tree links and tag, read through offsets checked
+  /// against the page size.
+  struct CheckedRecord {
+    RecordKind kind;
+    SlotId parent;
+    SlotId first_child;
+    SlotId next_sibling;
+    TagId tag;  // 0 for a border
+  };
+  /// Fills `out` for readers that must survive any byte pattern. False if
+  /// `slot` is dead, past the slot count, or its directory entry or record
+  /// lies outside the page, or the record's kind is unknown.
+  bool ReadChecked(SlotId slot, CheckedRecord* out) const;
 
   /// Validates structural invariants of the page (for tests/fsck):
   /// in-bounds offsets, link symmetry, border field sanity.

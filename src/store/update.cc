@@ -81,13 +81,13 @@ Result<PageId> DocumentUpdater::AppendPage() {
   PageId id;
   if (io_ == nullptr) {
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, db_->buffer()->NewPage());
-    TreePage::Initialize(guard.data(), db_->options().page_size);
+    TreePage::Initialize(guard.mutable_data(), db_->options().page_size);
     guard.MarkDirty();
     id = guard.page_id();
   } else {
     NAVPATH_ASSIGN_OR_RETURN(id, io_->AppendLogicalPage());
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, io_->FixMutable(id));
-    TreePage::Initialize(guard.data(), db_->options().page_size);
+    TreePage::Initialize(guard.mutable_data(), db_->options().page_size);
     guard.MarkDirty();
   }
   doc_->last_page = std::max(doc_->last_page, id);
@@ -98,7 +98,7 @@ Result<PageId> DocumentUpdater::AppendPage() {
 Result<NodeID> DocumentUpdater::UnlinkChainElement(PageGuard* guard,
                                                    PageId logical,
                                                    SlotId slot) {
-  TreePage page(guard->data(), db_->options().page_size);
+  TreePage page(guard->mutable_data(), db_->options().page_size);
   const SlotId ps = page.ParentOf(slot);
   NAVPATH_CHECK(ps != kInvalidSlot);
   const bool up = page.KindOf(ps) == RecordKind::kBorderUp;
@@ -179,7 +179,8 @@ Status DocumentUpdater::DeleteSubtree(NodeID node) {
     // Validate before touching any chain (and before delta collection
     // walks the subtree).
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, FixPage(node.page));
-    TreePage page(guard.data(), db_->options().page_size);
+    const TreePage page =
+        TreePage::ReadOnly(guard.data(), db_->options().page_size);
     if (node.slot >= page.slot_count() || !page.IsLive(node.slot) ||
         page.KindOf(node.slot) != RecordKind::kCore) {
       return Status::InvalidArgument("not a live element: " +
@@ -207,7 +208,7 @@ Status DocumentUpdater::DeleteSubtree(NodeID node) {
     guard.Release();
     while (emptied.valid()) {
       NAVPATH_ASSIGN_OR_RETURN(PageGuard up_guard, FixPage(emptied.page));
-      TreePage up_page(up_guard.data(), db_->options().page_size);
+      TreePage up_page(up_guard.mutable_data(), db_->options().page_size);
       const NodeID partner = up_page.PartnerOf(emptied.slot);
       up_page.RemoveRecord(emptied.slot);
       up_guard.MarkDirty();
@@ -218,7 +219,7 @@ Status DocumentUpdater::DeleteSubtree(NodeID node) {
       NAVPATH_ASSIGN_OR_RETURN(
           emptied,
           UnlinkChainElement(&down_guard, partner.page, partner.slot));
-      TreePage down_page(down_guard.data(), db_->options().page_size);
+      TreePage down_page(down_guard.mutable_data(), db_->options().page_size);
       down_page.RemoveRecord(partner.slot);
       down_guard.MarkDirty();
       touched.insert(partner.page);
@@ -232,7 +233,7 @@ Status DocumentUpdater::DeleteSubtree(NodeID node) {
     const NodeID root = work.back();
     work.pop_back();
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, FixPage(root.page));
-    TreePage page(guard.data(), db_->options().page_size);
+    TreePage page(guard.mutable_data(), db_->options().page_size);
     for (const SlotId s : CollectLocalSubtree(page, root.slot)) {
       switch (page.KindOf(s)) {
         case RecordKind::kCore:
@@ -256,7 +257,7 @@ Status DocumentUpdater::DeleteSubtree(NodeID node) {
 
   for (const PageId pid : touched) {
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, FixPage(pid));
-    TreePage page(guard.data(), db_->options().page_size);
+    TreePage page(guard.mutable_data(), db_->options().page_size);
     page.Compact();
     guard.MarkDirty();
   }
@@ -365,7 +366,7 @@ Result<std::uint64_t> DocumentUpdater::RedistributeOrderKeys(
       break;
     }
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, FixPage(cur.page));
-    TreePage page(guard.data(), page_size);
+    const TreePage page = TreePage::ReadOnly(guard.data(), page_size);
     std::uint64_t attrs = 0;
     for (SlotId a = page.FirstAttrOf(cur.slot); a != kInvalidSlot;
          a = page.NextSiblingOf(a)) {
@@ -399,7 +400,7 @@ Result<std::uint64_t> DocumentUpdater::RedistributeOrderKeys(
   const std::uint64_t new_succ_order = key;
   for (const RunNode& rn : run) {
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, FixPage(rn.id.page));
-    TreePage page(guard.data(), page_size);
+    TreePage page(guard.mutable_data(), page_size);
     page.SetOrder(rn.id.slot, key);
     std::uint64_t attr_key = key;
     for (SlotId a = page.FirstAttrOf(rn.id.slot); a != kInvalidSlot;
@@ -417,7 +418,7 @@ Status DocumentUpdater::EvacuateSubtree(PageId pid,
                                         std::size_t needed_bytes) {
   NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, FixPage(pid));
   const std::size_t page_size = db_->options().page_size;
-  TreePage page(guard.data(), page_size);
+  TreePage page(guard.mutable_data(), page_size);
   const std::unordered_set<SlotId> protected_slots(protect.begin(),
                                                    protect.end());
 
@@ -524,7 +525,7 @@ Status DocumentUpdater::EvacuateSubtree(PageId pid,
     summary_remaps_.push_back(SummaryPageRemap{pid, new_pid});
   }
   NAVPATH_ASSIGN_OR_RETURN(PageGuard new_guard, FixPage(new_pid));
-  TreePage new_page(new_guard.data(), page_size);
+  TreePage new_page(new_guard.mutable_data(), page_size);
   NAVPATH_ASSIGN_OR_RETURN(const SlotId up_slot,
                            new_page.AddBorderRecord(RecordKind::kBorderUp));
   std::unordered_map<SlotId, SlotId> remap;
@@ -585,7 +586,7 @@ Status DocumentUpdater::EvacuateSubtree(PageId pid,
     if (page.KindOf(s) != RecordKind::kBorderDown) continue;
     const NodeID target = page.PartnerOf(s);
     NAVPATH_ASSIGN_OR_RETURN(PageGuard target_guard, FixPage(target.page));
-    TreePage target_page(target_guard.data(), page_size);
+    TreePage target_page(target_guard.mutable_data(), page_size);
     target_page.SetPartner(target.slot, NodeID{new_pid, remap.at(s)});
     target_guard.MarkDirty();
   }
@@ -731,7 +732,7 @@ Result<InsertedNode> DocumentUpdater::InsertElement(
 
   for (int attempt = 0; attempt < 2; ++attempt) {
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, FixPage(pid));
-    TreePage page(guard.data(), page_size);
+    TreePage page(guard.mutable_data(), page_size);
 
     // Chain context.
     SlotId ps;
@@ -764,7 +765,7 @@ Result<InsertedNode> DocumentUpdater::InsertElement(
       // New single-element fragment behind a border pair.
       NAVPATH_ASSIGN_OR_RETURN(const PageId new_pid, AppendPage());
       NAVPATH_ASSIGN_OR_RETURN(PageGuard new_guard, FixPage(new_pid));
-      TreePage new_page(new_guard.data(), page_size);
+      TreePage new_page(new_guard.mutable_data(), page_size);
       NAVPATH_ASSIGN_OR_RETURN(
           const SlotId up_slot,
           new_page.AddBorderRecord(RecordKind::kBorderUp));

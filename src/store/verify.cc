@@ -17,7 +17,7 @@ Result<VerifyReport> VerifyStore(Database* db, const ImportedDocument& doc) {
   const bool empty = doc.page_count() == 0;
   for (PageId p = doc.first_page; !empty && p <= doc.last_page; ++p) {
     NAVPATH_ASSIGN_OR_RETURN(PageGuard guard, db->buffer()->Fix(p));
-    TreePage page(guard.data(), page_size);
+    const TreePage page = TreePage::ReadOnly(guard.data(), page_size);
     NAVPATH_RETURN_NOT_OK(page.Validate());
     ++report.pages;
     for (SlotId s = 0; s < page.slot_count(); ++s) {
@@ -38,7 +38,8 @@ Result<VerifyReport> VerifyStore(Database* db, const ImportedDocument& doc) {
       }
       NAVPATH_ASSIGN_OR_RETURN(PageGuard partner_guard,
                                db->buffer()->Fix(partner.page));
-      TreePage partner_page(partner_guard.data(), page_size);
+      const TreePage partner_page =
+          TreePage::ReadOnly(partner_guard.data(), page_size);
       if (partner.slot >= partner_page.slot_count() ||
           !partner_page.IsLive(partner.slot) ||
           !partner_page.IsBorder(partner.slot)) {

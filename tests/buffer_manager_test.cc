@@ -101,7 +101,7 @@ TEST(BufferManagerTest, DirtyPageWrittenBackOnEviction) {
   {
     auto guard = f.bm.Fix(a);
     ASSERT_TRUE(guard.ok());
-    guard->data()[0] = static_cast<std::byte>(0x77);
+    guard->mutable_data()[0] = static_cast<std::byte>(0x77);
     guard->MarkDirty();
   }
   { auto g = f.bm.Fix(b); ASSERT_TRUE(g.ok()); }  // evicts dirty a
@@ -118,7 +118,7 @@ TEST(BufferManagerTest, NewPageAllocatesAndPins) {
   auto guard = f.bm.NewPage();
   ASSERT_TRUE(guard.ok());
   EXPECT_EQ(guard->page_id(), 0u);
-  std::memset(guard->data(), 0x42, kPage);
+  std::memset(guard->mutable_data(), 0x42, kPage);
   guard->MarkDirty();
   guard->Release();
   ASSERT_TRUE(f.bm.FlushAll().ok());
@@ -587,7 +587,7 @@ TEST(BufferManagerTest, RandomOpsKeepEveryFrameImageExact) {
         ASSERT_TRUE(guard.ok()) << guard.status().ToString();
         if (rng.NextBool(0.4)) {
           RandomImage(&rng, &image);
-          std::memcpy(guard->data(), image.data(), kPage);
+          std::memcpy(guard->mutable_data(), image.data(), kPage);
           guard->MarkDirty();
           written[page] = image;
         }
@@ -712,6 +712,101 @@ TEST(BufferManagerTest, CorruptAsyncCompletionInstallsTheCleanReread) {
     EXPECT_TRUE(SameBytes(other->data(), f.disk.RawPage(0)));
     EXPECT_TRUE(SameBytes(guard->data(), f.disk.RawPage(3)));
   }
+}
+
+// --- Content generations ----------------------------------------------------
+
+// Each event that may change a page's bytes moves its content generation.
+TEST(BufferManagerTest, GenerationMovesOnEveryContentEvent) {
+  BufferFixture f(4);
+  const PageId p = f.NewDiskPage(1);
+  std::uint64_t g = f.bm.ContentGeneration(p);
+  auto moved = [&](const char* event) {
+    const std::uint64_t now = f.bm.ContentGeneration(p);
+    EXPECT_GT(now, g) << event;
+    g = now;
+  };
+  {
+    auto guard = f.bm.Fix(p);
+    ASSERT_TRUE(guard.ok());
+    guard->mutable_data()[0] = std::byte{2};
+    moved("mutable access handed out");
+    guard->MarkDirty();
+  }
+  moved("mutable guard released");
+
+  auto fresh = f.bm.NewPage();
+  ASSERT_TRUE(fresh.ok());
+  const PageId q = fresh->page_id();
+  EXPECT_GT(f.bm.ContentGeneration(q), 0u) << "NewPage";
+  fresh->Release();
+
+  const std::vector<std::byte> content(kPage, std::byte{9});
+  {
+    auto adopted = f.bm.AdoptPage(p, content.data());  // resident
+    ASSERT_TRUE(adopted.ok());
+  }
+  moved("AdoptPage over a resident frame");
+  ASSERT_TRUE(f.bm.Discard(p).ok());
+  moved("Discard");
+  {
+    auto adopted = f.bm.AdoptPage(p, content.data());  // not resident
+    ASSERT_TRUE(adopted.ok());
+  }
+  moved("AdoptPage of an id with no frame");
+}
+
+// A hit, a clean eviction, a written-back eviction, a prefetch and its
+// claim, and const access leave the generation alone.
+TEST(BufferManagerTest, GenerationHoldsWithoutContentEvents) {
+  BufferFixture f(2);
+  const PageId a = f.NewDiskPage(1);
+  const PageId b = f.NewDiskPage(2);
+  const PageId c = f.NewDiskPage(3);
+  {
+    auto guard = f.bm.Fix(a);  // miss
+    ASSERT_TRUE(guard.ok());
+    guard->mutable_data()[0] = std::byte{7};
+    guard->MarkDirty();
+  }
+  const std::uint64_t ga = f.bm.ContentGeneration(a);
+  const std::uint64_t gb = f.bm.ContentGeneration(b);
+  const std::uint64_t gc = f.bm.ContentGeneration(c);
+  {
+    auto guard = f.bm.Fix(a);  // hit
+    ASSERT_TRUE(guard.ok());
+    EXPECT_EQ(guard->data()[0], std::byte{7});  // const access
+  }
+  ASSERT_TRUE(f.bm.Fix(b).ok());
+  ASSERT_TRUE(f.bm.Fix(c).ok());  // evicts the dirty `a`, written back
+  ASSERT_TRUE(f.bm.Fix(a).ok());  // evicts the clean `b`
+  ASSERT_TRUE(f.bm.Prefetch(b, /*owner=*/1).ok());
+  ASSERT_TRUE(f.bm.WaitAnyPrefetch().ok());
+  ASSERT_TRUE(f.bm.Prefetch(b, /*owner=*/2).ok());  // claim, resident
+  EXPECT_EQ(f.bm.ContentGeneration(a), ga);
+  EXPECT_EQ(f.bm.ContentGeneration(b), gb);
+  EXPECT_EQ(f.bm.ContentGeneration(c), gc);
+  EXPECT_EQ(f.metrics.buffer_evictions, 3u);
+}
+
+// While any guard holding mutable access to a page is alive, its stamp
+// says no derived cache may be trusted; moving the guard keeps that.
+TEST(BufferManagerTest, StampIsUnstableWhileAWriterLives) {
+  BufferFixture f(4);
+  const PageId p = f.NewDiskPage(1);
+  EXPECT_EQ(f.bm.ContentStamp(p), f.bm.ContentGeneration(p));
+  auto reader = f.bm.Fix(p);
+  ASSERT_TRUE(reader.ok());
+  auto writer = f.bm.Fix(p);
+  ASSERT_TRUE(writer.ok());
+  writer->mutable_data();
+  EXPECT_EQ(f.bm.ContentStamp(p), BufferManager::kUnstableContent);
+  PageGuard moved = std::move(*writer);
+  EXPECT_EQ(f.bm.ContentStamp(p), BufferManager::kUnstableContent);
+  reader->Release();
+  EXPECT_EQ(f.bm.ContentStamp(p), BufferManager::kUnstableContent);
+  moved.Release();
+  EXPECT_EQ(f.bm.ContentStamp(p), f.bm.ContentGeneration(p));
 }
 
 }  // namespace

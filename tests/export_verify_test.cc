@@ -159,7 +159,7 @@ TEST(VerifyTest, DetectsBrokenPartnerPointer) {
   for (PageId p = doc->first_page; p <= doc->last_page && !corrupted; ++p) {
     auto guard = db.buffer()->Fix(p);
     ASSERT_TRUE(guard.ok());
-    TreePage page(guard->data(), db.options().page_size);
+    TreePage page(guard->mutable_data(), db.options().page_size);
     for (SlotId s = 0; s < page.slot_count(); ++s) {
       if (page.IsBorder(s)) {
         NodeID partner = page.PartnerOf(s);

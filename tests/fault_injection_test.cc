@@ -295,7 +295,7 @@ TEST(FaultInjectionTest, DirtyWriteBackRetriesTransientWriteFaults) {
   for (int i = 0; i < 8; ++i) {
     auto guard = bm.NewPage();
     ASSERT_TRUE(guard.ok()) << guard.status().ToString();
-    guard->data()[0] = static_cast<std::byte>(i + 1);
+    guard->mutable_data()[0] = static_cast<std::byte>(i + 1);
     guard->MarkDirty();
   }
   ASSERT_TRUE(bm.FlushAll().ok());

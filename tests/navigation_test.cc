@@ -1,13 +1,16 @@
 // Property tests for the navigational primitives: for random documents,
 // random clusterings, every axis and every context node, cross-cluster
 // navigation over the paged store must produce exactly the nodes the DOM
-// oracle produces, in the same order.
+// oracle produces, in the same order; and the descendant axes, which scan
+// each page's preorder image, must return and charge exactly what the
+// link walk they replaced did.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "store/update.h"
 #include "tests/test_util.h"
 #include "xpath/oracle.h"
 
@@ -17,7 +20,9 @@ namespace {
 struct NavCase {
   std::string policy;
   std::uint64_t seed;
-  std::size_t nodes;
+  std::uint32_t nodes;
+  /// Random DocumentUpdater inserts and deletes applied after the import.
+  std::uint32_t updates = 0;
 };
 
 DatabaseOptions CaseOptions() {
@@ -48,10 +53,105 @@ std::string CaseName(const ::testing::TestParamInfo<NavCase>& info) {
   std::string name = info.param.policy + "_" +
                      std::to_string(info.param.nodes) + "_s" +
                      std::to_string(info.param.seed);
+  if (info.param.updates > 0) {
+    name += "_u" + std::to_string(info.param.updates);
+  }
   for (auto& c : name) {
     if (c == '-') c = '_';
   }
   return name;
+}
+
+// Builds every page's preorder image, then applies `count` random inserts
+// and deletes (of subtrees under 8 elements) to the store in place through
+// a DocumentUpdater and mirrors each in `tree`: the oracle then answers for
+// the updated document, and an image the updates left stale would show.
+void ApplyMirroredUpdates(Database* db, ImportedDocument* doc, DomTree* tree,
+                          std::uint32_t count, std::uint64_t seed) {
+  if (count == 0) return;
+  for (PageId page = doc->first_page; page <= doc->last_page; ++page) {
+    auto guard = db->buffer()->Fix(page);
+    guard.status().AbortIfNotOk();
+    db->MakeView(*guard).Index();
+  }
+  DocumentUpdater updater(db, doc);
+  Random rng(seed);
+  const TagId tags[] = {db->tags()->Intern("t0"), db->tags()->Intern("u")};
+  auto small = [tree](DomNodeId node) {
+    std::vector<DomNodeId> stack{node};
+    for (std::size_t seen = 0; !stack.empty(); ++seen) {
+      if (seen == 8) return false;
+      const DomNodeId n = stack.back();
+      stack.pop_back();
+      for (DomNodeId c = tree->node(n).first_child; c != kNilDomNode;
+           c = tree->node(c).next_sibling) {
+        stack.push_back(c);
+      }
+    }
+    return true;
+  };
+  for (std::uint32_t step = 0; step < count; ++step) {
+    // A page split moves records: resolve NodeIDs by order key each time.
+    auto ids = MapOrderToNodeID(db, *doc, *tree);
+    ids.status().AbortIfNotOk();
+    std::vector<DomNodeId> elements;
+    for (const DomNodeId n : LiveDomNodes(*tree)) {
+      if (tree->node(n).kind == DomNodeKind::kElement) elements.push_back(n);
+    }
+    const DomNodeId node = elements[rng.NextBounded(elements.size())];
+    const NodeID id = ids->at(tree->node(node).order);
+    if (node != tree->root() && rng.NextBool(0.4) && small(node)) {
+      updater.DeleteSubtree(id).AbortIfNotOk();
+      tree->RemoveSubtree(node);
+      continue;
+    }
+    const TagId tag = tags[rng.NextBounded(2)];
+    const char* text = rng.NextBool(0.5) ? "inserted text" : "";
+    auto inserted = updater.InsertElement(id, kInvalidNodeID, tag, text);
+    inserted.status().AbortIfNotOk();
+    const DomNodeId fresh = tree->InsertChild(node, kNilDomNode, tag);
+    tree->AppendText(fresh, text);
+    tree->SetOrder(fresh, inserted->order);
+  }
+}
+
+// Enumerates `axis` from `origin` across clusters with AxisCursor::Scan,
+// following each crossing into the partner cluster as XStep and XAssembly
+// do between them, and returns the order keys of the matches.
+std::vector<std::uint64_t> ScanAcrossClusters(Database* db, Axis axis,
+                                              NodeID origin,
+                                              std::optional<TagId> tag) {
+  struct Level {
+    PageId page;
+    AxisCursor cursor;
+  };
+  std::vector<Level> stack;
+  std::vector<std::uint64_t> orders;
+  auto push = [&](NodeID at) {
+    auto guard = db->buffer()->Fix(at.page);
+    guard.status().AbortIfNotOk();
+    stack.push_back(
+        Level{at.page, AxisCursor(db->MakeView(*guard), axis, at.slot)});
+  };
+  push(origin);
+  while (!stack.empty()) {
+    // Only the scanning level's page is pinned, and only while it scans.
+    auto guard = db->buffer()->Fix(stack.back().page);
+    guard.status().AbortIfNotOk();
+    const ClusterView view = db->MakeView(*guard);
+    stack.back().cursor.Rebind(view);
+    NavEntry entry;
+    if (!stack.back().cursor.Scan(tag, &entry)) {
+      stack.pop_back();
+    } else if (entry.crossing) {
+      const NodeID partner = view.PartnerOf(entry.slot);
+      guard->Release();
+      push(partner);
+    } else {
+      orders.push_back(view.OrderOf(entry.slot));
+    }
+  }
+  return orders;
 }
 
 class AxisNavigation : public ::testing::TestWithParam<NavCase> {};
@@ -59,9 +159,10 @@ class AxisNavigation : public ::testing::TestWithParam<NavCase> {};
 TEST_P(AxisNavigation, MatchesOracleOnEveryNodeAndAxis) {
   const NavCase& param = GetParam();
   Database db(CaseOptions());
-  const DomTree tree = CaseTree(param, db.tags());
+  DomTree tree = CaseTree(param, db.tags());
   auto doc = db.Import(tree, CasePolicy(param).get());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ApplyMirroredUpdates(&db, &*doc, &tree, param.updates, param.seed);
 
   auto mapping = MapOrderToNodeID(&db, *doc, tree);
   ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
@@ -75,7 +176,7 @@ TEST_P(AxisNavigation, MatchesOracleOnEveryNodeAndAxis) {
   };
 
   CrossClusterCursor cursor(&db);
-  for (DomNodeId ctx = 0; ctx < tree.size(); ++ctx) {
+  for (const DomNodeId ctx : LiveDomNodes(tree)) {
     for (const Axis axis : kAxes) {
       LocationStep step{axis, NodeTest::AnyNode(), {}};
       const std::vector<DomNodeId> expected = OracleStep(tree, ctx, step);
@@ -103,6 +204,41 @@ TEST_P(AxisNavigation, MatchesOracleOnEveryNodeAndAxis) {
           << "axis " << AxisName(axis) << " at node order "
           << tree.node(ctx).order << " (policy " << param.policy << ")";
     }
+    // The descendant axes under a name test of each tag, and "any",
+    // through Scan (as XStep enumerates) and through a filtered Next.
+    const NodeID origin = mapping->at(tree.node(ctx).order);
+    for (const Axis axis : {Axis::kDescendant, Axis::kDescendantOrSelf}) {
+      for (TagId t = 0; t <= db.tags()->size(); ++t) {
+        const bool any = t == db.tags()->size();
+        const std::optional<TagId> tag =
+            any ? std::nullopt : std::optional<TagId>(t);
+        const LocationStep step{
+            axis,
+            any ? NodeTest::AnyNode() : NodeTest::Name(db.tags()->Name(t), t),
+            {}};
+        std::vector<std::uint64_t> expected_orders;
+        for (const DomNodeId n : OracleStep(tree, ctx, step)) {
+          expected_orders.push_back(tree.node(n).order);
+        }
+        const std::string what = std::string(AxisName(axis)) + "::" +
+                                 (any ? "node()" : db.tags()->Name(t)) +
+                                 " at node order " +
+                                 std::to_string(tree.node(ctx).order);
+        ASSERT_EQ(ScanAcrossClusters(&db, axis, origin, tag),
+                  expected_orders)
+            << "Scan of " << what;
+        ASSERT_TRUE(cursor.Start(axis, origin).ok());
+        std::vector<std::uint64_t> next_orders;
+        LogicalNode node;
+        for (;;) {
+          auto more = cursor.Next(&node);
+          ASSERT_TRUE(more.ok()) << more.status().ToString();
+          if (!*more) break;
+          if (any || node.tag == t) next_orders.push_back(node.order);
+        }
+        ASSERT_EQ(next_orders, expected_orders) << "Next of " << what;
+      }
+    }
   }
 }
 
@@ -115,10 +251,13 @@ INSTANTIATE_TEST_SUITE_P(
                       NavCase{"round-robin", 15, 300},
                       NavCase{"round-robin", 16, 500},
                       NavCase{"random", 17, 60},
-                      NavCase{"subtree", 18, 1200}),
+                      NavCase{"subtree", 18, 1200},
+                      NavCase{"subtree", 19, 300, 40},
+                      NavCase{"random", 20, 300, 40},
+                      NavCase{"round-robin", 21, 300, 40}),
     CaseName);
 
-// --- AxisCursor::Scan against a filtered Next ------------------------------
+// --- AxisCursor::Scan and Next against their references ------------------
 
 // One return of an enumeration and everything charged up to it. The
 // exhausted return is recorded too, with kInvalidSlot.
@@ -132,14 +271,15 @@ struct ScanReturn {
   bool operator==(const ScanReturn&) const = default;
 };
 
-// A view of `data` that charges a clock and counters of its own.
+// A view of pinned page `page` (bytes at `data`) that takes its preorder
+// image from `db` and charges a clock and counters of its own.
 struct ChargedView {
   SimClock clock;
   Metrics metrics;
   ClusterView view;
-  ChargedView(const std::byte* data, const Database& db, PageId page)
-      : view(data, db.options().page_size, page, &clock,
-             &db.options().cpu_costs, &metrics) {}
+  ChargedView(const std::byte* data, Database* db, PageId page)
+      : view(data, db->options().page_size, page, &clock,
+             &db->options().cpu_costs, &metrics, db->nav_images(), page) {}
   ScanReturn Record(SlotId slot, bool crossing) const {
     return ScanReturn{slot,          crossing,
                       clock.now(),   clock.cpu_time(),
@@ -179,13 +319,88 @@ std::vector<ScanReturn> Scanned(ChargedView* v, Axis axis, SlotId origin,
   return returns;
 }
 
+std::vector<ScanReturn> NextReturns(ChargedView* v, Axis axis,
+                                    SlotId origin) {
+  AxisCursor cursor(v->view, axis, origin);
+  std::vector<ScanReturn> returns;
+  NavEntry entry;
+  while (cursor.Next(&entry)) {
+    returns.push_back(v->Record(entry.slot, entry.crossing));
+  }
+  returns.push_back(v->Record(kInvalidSlot, false));
+  return returns;
+}
+
+// The reference for the descendant axes: the link walk AxisCursor made
+// before the preorder image. It follows first-child and next-sibling
+// links, charging one hop to arrive at each record and one per
+// next-sibling probe; climbing is free. As Next (`scan` false) it returns
+// every entry; as Scan it counts a node test per non-crossing entry and
+// returns crossings and records whose tag is `tag` (every record when
+// `tag` is empty). Each return charges what was counted since the last,
+// in one ChargeNavigation, as the cursor does.
+std::vector<ScanReturn> ReferenceDescendants(ChargedView* v, Axis axis,
+                                             SlotId origin,
+                                             std::optional<TagId> tag,
+                                             bool scan) {
+  const ClusterView& view = v->view;
+  std::vector<ScanReturn> returns;
+  std::uint64_t hops = 0;
+  std::uint64_t tests = 0;
+  auto visit = [&](SlotId slot, bool crossing) {
+    if (scan && !crossing) {
+      ++tests;
+      if (tag.has_value() && view.TagOf(slot) != *tag) return;
+    }
+    view.ChargeNavigation(hops, tests);
+    hops = 0;
+    tests = 0;
+    returns.push_back(v->Record(slot, crossing));
+  };
+  const RecordKind kind = view.KindOf(origin);
+  if (axis == Axis::kDescendantOrSelf &&
+      (kind == RecordKind::kCore || kind == RecordKind::kAttribute)) {
+    ++hops;
+    visit(origin, false);
+  }
+  if (kind == RecordKind::kCore || kind == RecordKind::kBorderUp) {
+    SlotId cur = origin;
+    bool leaf = false;  // down-borders are leaves in this cluster
+    for (;;) {
+      SlotId next = leaf ? kInvalidSlot : view.FirstChildOf(cur);
+      // Move to the next sibling, climbing when chains end. Chains of a
+      // fragment root's children end at the up-border.
+      while (next == kInvalidSlot && cur != origin) {
+        const SlotId ns = view.NextSiblingOf(cur);
+        ++hops;
+        if (ns == kInvalidSlot || ns == origin ||
+            view.KindOf(ns) == RecordKind::kBorderUp) {
+          cur = view.ParentOf(cur);
+        } else {
+          next = ns;
+        }
+      }
+      if (next == kInvalidSlot) break;
+      ++hops;
+      cur = next;
+      leaf = view.KindOf(cur) == RecordKind::kBorderDown;
+      visit(cur, leaf);
+    }
+  }
+  view.ChargeNavigation(hops, tests);
+  returns.push_back(v->Record(kInvalidSlot, false));
+  return returns;
+}
+
 class ScanDifferential : public ::testing::TestWithParam<NavCase> {};
 
 TEST_P(ScanDifferential, ScanMatchesFilteredNextOnEveryOriginAxisAndTest) {
   Database db(CaseOptions());
-  auto doc = db.Import(CaseTree(GetParam(), db.tags()),
-                       CasePolicy(GetParam()).get());
+  DomTree tree = CaseTree(GetParam(), db.tags());
+  auto doc = db.Import(tree, CasePolicy(GetParam()).get());
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ApplyMirroredUpdates(&db, &*doc, &tree, GetParam().updates,
+                       GetParam().seed);
 
   // Every element and attribute name, and "any" (the scan's `*` and
   // `node()`).
@@ -212,11 +427,24 @@ TEST_P(ScanDifferential, ScanMatchesFilteredNextOnEveryOriginAxisAndTest) {
       if (!layout.IsLive(origin)) continue;
       ++origins[static_cast<int>(layout.KindOf(origin))];
       for (const Axis axis : kAxes) {
+        const bool descendant = axis == Axis::kDescendant ||
+                                axis == Axis::kDescendantOrSelf;
+        if (descendant) {
+          ChargedView reference(data, &db, page);
+          ChargedView next(data, &db, page);
+          ASSERT_EQ(NextReturns(&next, axis, origin),
+                    ReferenceDescendants(&reference, axis, origin,
+                                         std::nullopt, /*scan=*/false))
+              << "Next: page " << page << " origin " << origin << " axis "
+              << AxisName(axis);
+        }
         for (const std::optional<TagId>& tag : tests) {
-          ChargedView reference(data, db, page);
-          ChargedView scan(data, db, page);
+          ChargedView reference(data, &db, page);
+          ChargedView scan(data, &db, page);
           const std::vector<ScanReturn> want =
-              FilteredNext(&reference, costs, axis, origin, tag);
+              descendant ? ReferenceDescendants(&reference, axis, origin, tag,
+                                                /*scan=*/true)
+                         : FilteredNext(&reference, costs, axis, origin, tag);
           const std::vector<ScanReturn> got =
               Scanned(&scan, axis, origin, tag);
           ASSERT_EQ(got, want)
@@ -240,7 +468,10 @@ INSTANTIATE_TEST_SUITE_P(
     PoliciesAndSeeds, ScanDifferential,
     ::testing::Values(NavCase{"subtree", 31, 400},
                       NavCase{"random", 32, 400},
-                      NavCase{"round-robin", 33, 400}),
+                      NavCase{"round-robin", 33, 400},
+                      NavCase{"subtree", 34, 300, 60},
+                      NavCase{"random", 35, 300, 60},
+                      NavCase{"round-robin", 36, 300, 60}),
     CaseName);
 
 TEST(NavigationTest, NameTestsFilterByTag) {

@@ -441,6 +441,9 @@ TEST(PathSummaryTest, ExtentUnionMatchesSortReferenceOnRandomExtents) {
           << "seed " << seed << " trial " << trial << ": got "
           << ExtentsToString(actual) << ", want "
           << ExtentsToString(expected);
+      ASSERT_EQ((*summary)->ExtentUnionPages(nodes),
+                PathSummary::ExtentPages(actual))
+          << "seed " << seed << " trial " << trial;
     }
   }
 }
@@ -470,11 +473,18 @@ TEST(PathSummaryTest, ExtentUnionMatchesSortReferenceOnXMark) {
     EXPECT_EQ(summary.ExtentUnion(match.final_nodes),
               ReferenceExtentUnion(summary, match.final_nodes))
         << text;
+    for (const auto* nodes : {&match.touched, &match.final_nodes}) {
+      EXPECT_EQ(summary.ExtentUnionPages(*nodes),
+                PathSummary::ExtentPages(summary.ExtentUnion(*nodes)))
+          << text;
+    }
   }
   std::vector<std::uint32_t> all(summary.size());
   for (std::uint32_t s = 0; s < summary.size(); ++s) all[s] = s;
   const auto everything = summary.ExtentUnion(all);
   EXPECT_EQ(everything, ReferenceExtentUnion(summary, all));
+  EXPECT_EQ(summary.ExtentUnionPages(all),
+            PathSummary::ExtentPages(everything));
   EXPECT_FALSE(everything.empty());
 }
 

@@ -91,7 +91,8 @@ TEST_P(ImportRoundTrip, LogicalTreeSurvivesMaterialization) {
   for (PageId p = doc->first_page; p <= doc->last_page; ++p) {
     auto guard = db.buffer()->Fix(p);
     ASSERT_TRUE(guard.ok());
-    TreePage page(guard->data(), db.options().page_size);
+    const TreePage page =
+        TreePage::ReadOnly(guard->data(), db.options().page_size);
     ASSERT_TRUE(page.Validate().ok()) << "page " << p;
     // Border partner symmetry: target(target(x)) == x (Sec. 3.4).
     for (SlotId s = 0; s < page.slot_count(); ++s) {
@@ -99,7 +100,8 @@ TEST_P(ImportRoundTrip, LogicalTreeSurvivesMaterialization) {
       const NodeID partner = page.PartnerOf(s);
       auto partner_guard = db.buffer()->Fix(partner.page);
       ASSERT_TRUE(partner_guard.ok());
-      TreePage partner_page(partner_guard->data(), db.options().page_size);
+      const TreePage partner_page = TreePage::ReadOnly(
+          partner_guard->data(), db.options().page_size);
       ASSERT_LT(partner.slot, partner_page.slot_count());
       ASSERT_TRUE(partner_page.IsBorder(partner.slot));
       EXPECT_NE(partner_page.KindOf(partner.slot), page.KindOf(s));
@@ -191,7 +193,8 @@ TEST(ImportTest, TextCapTruncatesStoredText) {
   ASSERT_TRUE(doc.ok());
   auto guard = db.buffer()->Fix(doc->root.page);
   ASSERT_TRUE(guard.ok());
-  TreePage page(guard->data(), options.page_size);
+  const TreePage page =
+      TreePage::ReadOnly(guard->data(), options.page_size);
   EXPECT_EQ(page.TextOf(doc->root.slot), "01234567");
 }
 

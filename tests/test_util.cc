@@ -4,6 +4,27 @@
 
 namespace navpath {
 
+std::vector<DomNodeId> LiveDomNodes(const DomTree& tree) {
+  std::vector<DomNodeId> live;
+  std::vector<DomNodeId> stack{tree.root()};
+  while (!stack.empty()) {
+    const DomNodeId n = stack.back();
+    stack.pop_back();
+    live.push_back(n);
+    for (DomNodeId a = tree.node(n).first_attr; a != kNilDomNode;
+         a = tree.node(a).next_sibling) {
+      live.push_back(a);
+    }
+    std::vector<DomNodeId> children;
+    for (DomNodeId c = tree.node(n).first_child; c != kNilDomNode;
+         c = tree.node(c).next_sibling) {
+      children.push_back(c);
+    }
+    stack.insert(stack.end(), children.rbegin(), children.rend());
+  }
+  return live;
+}
+
 Result<std::unordered_map<std::uint64_t, NodeID>> MapOrderToNodeID(
     Database* db, const ImportedDocument& doc, const DomTree& tree) {
   std::unordered_map<std::uint64_t, NodeID> by_order;
@@ -34,11 +55,11 @@ Result<std::unordered_map<std::uint64_t, NodeID>> MapOrderToNodeID(
       queue.push_back(child);
     }
   }
-  if (by_order.size() != tree.size()) {
+  const std::size_t live = LiveDomNodes(tree).size();
+  if (by_order.size() != live) {
     return Status::Corruption("store walk found " +
                               std::to_string(by_order.size()) +
-                              " nodes, DOM has " +
-                              std::to_string(tree.size()));
+                              " nodes, DOM has " + std::to_string(live));
   }
   return by_order;
 }

@@ -106,9 +106,13 @@ class ExplicitClusteringPolicy : public ClusteringPolicy {
   ClusterAssignment assignment_;
 };
 
+/// The nodes of `tree` reachable from its root, elements and attributes,
+/// in preorder (RemoveSubtree unlinks a subtree but keeps its nodes).
+std::vector<DomNodeId> LiveDomNodes(const DomTree& tree);
+
 /// Maps every node's order key (elements AND attributes) to its NodeID by
 /// walking the paged store from the root. Fails if the physical tree
-/// disagrees structurally with `tree`.
+/// disagrees structurally with `tree` (its live nodes).
 Result<std::unordered_map<std::uint64_t, NodeID>> MapOrderToNodeID(
     Database* db, const ImportedDocument& doc, const DomTree& tree);
 

@@ -13,6 +13,7 @@
 #include "store/scan_export.h"
 #include "store/update.h"
 #include "store/verify.h"
+#include "txn/txn.h"
 #include "tests/test_util.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -424,6 +425,110 @@ TEST(UpdateTest, QueriesSeeUpdates) {
     ASSERT_TRUE(result.ok()) << PlanKindName(kind);
     EXPECT_EQ(result->count, 5u) << PlanKindName(kind);
   }
+}
+
+// Runs //tag for every interned tag under all three plan kinds, navigating
+// (no summary), and checks each count against the oracle on `tree`.
+void ExpectEveryTagCount(Database* db, const ImportedDocument& doc,
+                         const DomTree& tree, const std::string& when,
+                         const PageTranslator* translator = nullptr) {
+  for (TagId t = 0; t < db->tags()->size(); ++t) {
+    const std::string q = "//" + db->tags()->Name(t);
+    auto query = ParseQuery(q, db->tags());
+    ASSERT_TRUE(query.ok()) << q;
+    const std::uint64_t expected = OracleCount(tree, *query, tree.root());
+    for (const PlanKind kind :
+         {PlanKind::kSimple, PlanKind::kXSchedule, PlanKind::kXScan}) {
+      ExecuteOptions exec;
+      exec.plan.kind = kind;
+      exec.plan.use_summary = false;
+      exec.plan.translator = translator;
+      auto result = ExecuteQuery(db, doc, *query, exec);
+      ASSERT_TRUE(result.ok()) << q << " " << result.status().ToString();
+      EXPECT_EQ(result->count, expected)
+          << q << " with " << PlanKindName(kind) << " " << when;
+    }
+  }
+}
+
+// The descendant axes read each page's cached preorder image: queries
+// before and after every in-place update, and after every page was
+// evicted and fixed again, count what the updated DOM holds.
+TEST(UpdateTest, DescendantQueriesSeeEveryUpdateAndEviction) {
+  Mirror m(
+      "<r><a><b>t1</b><c/></a><d><e><f>t2</f></e></d><g/>"
+      "<h><i/><j>t3</j></h></r>");
+  Random rng(77);
+  const char* tags[] = {"b", "f", "u"};
+  ExpectEveryTagCount(&m.db, m.doc, m.tree, "after import");
+  for (int step = 0; step < 24; ++step) {
+    std::vector<DomNodeId> live;
+    for (const auto& [node, id] : m.ids) {
+      if (m.tree.node(node).kind == DomNodeKind::kElement) {
+        live.push_back(node);
+      }
+    }
+    std::sort(live.begin(), live.end());
+    const DomNodeId node = live[rng.NextBounded(live.size())];
+    if (node != m.tree.root() && step % 3 == 2) {
+      std::vector<DomNodeId> doomed{node};
+      for (std::size_t i = 0; i < doomed.size(); ++i) {
+        for (DomNodeId c = m.tree.node(doomed[i]).first_child;
+             c != kNilDomNode; c = m.tree.node(c).next_sibling) {
+          doomed.push_back(c);
+        }
+      }
+      m.Delete(node);
+      for (const DomNodeId d : doomed) m.ids.erase(d);
+    } else {
+      m.Insert(node, kNilDomNode, tags[rng.NextBounded(3)], "x");
+    }
+    ExpectEveryTagCount(&m.db, m.doc, m.tree,
+                        "after update " + std::to_string(step));
+  }
+  const std::uint64_t builds = m.db.nav_images()->builds();
+  ASSERT_TRUE(m.db.ResetMeasurement().ok());
+  ExpectEveryTagCount(&m.db, m.doc, m.tree, "after eviction");
+  EXPECT_EQ(m.db.nav_images()->builds(), builds);
+}
+
+// The same under MVCC: every commit, and a shadow page id that was
+// reclaimed (Discard) and then recycled (AdoptPage) with new content.
+TEST(UpdateTest, DescendantQueriesSeeCommitsAndRecycledShadowIds) {
+  const char* xml = "<r><a><b/></a><c><b/><d/></c></r>";
+  Database db(SmallDb());
+  auto parsed = ParseXml(xml, db.tags());
+  ASSERT_TRUE(parsed.ok());
+  DomTree tree = std::move(*parsed);
+  RandomClusteringPolicy policy(SmallDb().page_size - 64, 17);
+  ImportedDocument doc = *db.Import(tree, &policy);
+  TxnManager mgr(&db, &doc);
+  auto check = [&](const std::string& when) {
+    auto snap = mgr.OpenSnapshot();
+    ExpectEveryTagCount(&db, snap->doc(), tree, when, snap.get());
+  };
+  auto commit_insert = [&](const char* name) {
+    const TagId tag = db.tags()->Intern(name);
+    auto writer = mgr.BeginWrite();
+    ASSERT_TRUE(writer->updater()
+                    ->InsertElement(writer->doc()->root, kInvalidNodeID, tag,
+                                    "")
+                    .ok());
+    ASSERT_TRUE(writer->Commit().ok());
+    tree.InsertChild(tree.root(), kNilDomNode, tag);
+  };
+  check("at genesis");
+  auto pin = mgr.OpenSnapshot();
+  commit_insert("b");
+  check("after the first commit");
+  commit_insert("u");  // retires the first commit's shadow of the root page
+  check("after the second commit");
+  pin.reset();  // the retired shadow is reclaimed: its frame is discarded
+  ASSERT_GT(mgr.versions_reclaimed(), 0u);
+  const std::size_t pages = db.disk()->num_pages();
+  commit_insert("b");  // the reclaimed id is adopted with new content
+  EXPECT_EQ(db.disk()->num_pages(), pages);
+  check("after a commit that recycled a shadow id");
 }
 
 }  // namespace
