@@ -6,7 +6,7 @@
 // document fits.
 #include <cstdio>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 
 int main() {
   using namespace navpath;

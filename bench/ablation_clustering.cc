@@ -7,7 +7,7 @@
 // the adversarial worst case where nearly every edge crosses clusters.
 #include <cstdio>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 
 int main() {
   using namespace navpath;

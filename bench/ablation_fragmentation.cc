@@ -8,7 +8,7 @@
 // placement).
 #include <cstdio>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 
 int main() {
   using namespace navpath;

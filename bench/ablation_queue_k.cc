@@ -7,7 +7,7 @@
 // verifies that claim.
 #include <cstdio>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 
 int main() {
   using namespace navpath;

@@ -7,7 +7,7 @@
 // speculation CPU against repeated visits.
 #include <cstdio>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 #include "xpath/parser.h"
 
 int main() {

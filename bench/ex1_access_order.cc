@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 
 int main() {
   using namespace navpath;

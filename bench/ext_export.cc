@@ -4,7 +4,7 @@
 // document instances are assembled from one sequential pass.
 #include <cstdio>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 #include "store/export.h"
 #include "store/scan_export.h"
 

@@ -9,7 +9,7 @@
 // the Q15 shape.
 #include <cstdio>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 #include "xpath/parser.h"
 
 int main() {

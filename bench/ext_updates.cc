@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 #include "common/random.h"
 #include "store/update.h"
 #include "store/verify.h"

@@ -593,35 +593,7 @@ int main() {
   json.EndObject();
   json.EndObject();
 
-  // Splice the section into the trajectory workload_throughput writes;
-  // stand alone when it has not run yet.
-  const std::string path = BenchTrajectoryPath("BENCH_workload.json");
-  std::string doc;
-  if (auto existing = ReadTextFile(path); existing.ok()) {
-    doc = *std::move(existing);
-    while (!doc.empty() && (doc.back() == '\n' || doc.back() == ' ')) {
-      doc.pop_back();
-    }
-    if (const std::size_t at = doc.find(",\"mixed\":");
-        at != std::string::npos) {
-      doc.resize(at);
-      doc += "}";
-    }
-  }
-  if (!doc.empty() && doc.back() == '}') {
-    doc.pop_back();
-    doc += ",\"mixed\":" + json.str() + "}\n";
-  } else {
-    doc = "{\"bench\":\"workload_mixed\",\"schema_version\":1,\"mixed\":" +
-          json.str() + "}\n";
-  }
-  const Status wrote = WriteTextFile(path, doc);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "trajectory: %s\n", wrote.ToString().c_str());
-    ok = false;
-  } else {
-    std::printf("wrote %s (mixed section)\n", path.c_str());
-  }
+  ok = WriteWorkloadSection("mixed", json.str()) && ok;
 
   std::printf("workload mixed: %s\n", ok ? "ok" : "FAILED");
   return ok ? 0 : 1;

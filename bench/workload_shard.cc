@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 #include "compiler/workload_executor.h"
 #include "shard/shard_executor.h"
 #include "shard/sharded_store.h"
@@ -273,33 +273,7 @@ int main() {
   json.EndArray();
   json.EndObject();
 
-  const std::string path = BenchTrajectoryPath("BENCH_workload.json");
-  std::string doc;
-  if (auto existing = ReadTextFile(path); existing.ok()) {
-    doc = *std::move(existing);
-    while (!doc.empty() && (doc.back() == '\n' || doc.back() == ' ')) {
-      doc.pop_back();
-    }
-    if (const std::size_t at = doc.find(",\"shard\":");
-        at != std::string::npos) {
-      doc.resize(at);
-      doc += "}";
-    }
-  }
-  if (!doc.empty() && doc.back() == '}') {
-    doc.pop_back();
-    doc += ",\"shard\":" + json.str() + "}\n";
-  } else {
-    doc = "{\"bench\":\"workload_shard\",\"schema_version\":1,"
-          "\"shard\":" + json.str() + "}\n";
-  }
-  const Status wrote = WriteTextFile(path, doc);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "trajectory: %s\n", wrote.ToString().c_str());
-    ok = false;
-  } else {
-    std::printf("wrote %s (shard section)\n", path.c_str());
-  }
+  ok = WriteWorkloadSection("shard", json.str()) && ok;
 
   std::printf("workload shard: %s\n", ok ? "ok" : "FAILED");
   return ok ? 0 : 1;

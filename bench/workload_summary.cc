@@ -15,7 +15,7 @@
 #include <string>
 #include <tuple>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 #include "compiler/executor.h"
 
 namespace {
@@ -167,35 +167,7 @@ int main() {
     ok = false;
   }
 
-  // Splice the section into the trajectory workload_throughput writes;
-  // stand alone when it has not run yet.
-  const std::string path = BenchTrajectoryPath("BENCH_workload.json");
-  std::string doc;
-  if (auto existing = ReadTextFile(path); existing.ok()) {
-    doc = *std::move(existing);
-    while (!doc.empty() && (doc.back() == '\n' || doc.back() == ' ')) {
-      doc.pop_back();
-    }
-    if (const std::size_t at = doc.find(",\"summary\":");
-        at != std::string::npos) {
-      doc.resize(at);
-      doc += "}";
-    }
-  }
-  if (!doc.empty() && doc.back() == '}') {
-    doc.pop_back();
-    doc += ",\"summary\":" + json.str() + "}\n";
-  } else {
-    doc = "{\"bench\":\"workload_summary\",\"schema_version\":1,"
-          "\"summary\":" + json.str() + "}\n";
-  }
-  const Status wrote = WriteTextFile(path, doc);
-  if (!wrote.ok()) {
-    std::fprintf(stderr, "trajectory: %s\n", wrote.ToString().c_str());
-    ok = false;
-  } else {
-    std::printf("wrote %s (summary section)\n", path.c_str());
-  }
+  ok = WriteWorkloadSection("summary", json.str()) && ok;
 
   std::printf("workload summary: %s\n", ok ? "ok" : "FAILED");
   return ok ? 0 : 1;

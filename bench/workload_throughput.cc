@@ -8,14 +8,17 @@
 // slot) against cooperative interleaving under each scheduling policy.
 // Interleaving pools every query's pending asynchronous reads in the
 // disk's elevator: the pending pool deepens, seeks shorten, duplicate
-// reads across queries merge into single submissions.
+// reads across queries merge into single submissions. A last section
+// runs a pair of queries over disjoint regions of the document, where the
+// head ping-pongs between the two areas and interleaving gains little.
 //
 // Emits the machine-readable trajectory BENCH_workload.json (schema note
 // in DESIGN.md, "The workload layer") for later PRs to diff against.
 #include <cmath>
 #include <cstdio>
+#include <span>
 
-#include "benchlib/experiments.h"
+#include "benchlib/harness.h"
 #include "common/random.h"
 #include "compiler/workload_executor.h"
 #include "observe/metrics_registry.h"
@@ -35,7 +38,8 @@ constexpr const char* kWorkloadQueries[] = {
     "/site/people/person/address/city",
 };
 
-Result<WorkloadResult> RunWorkload(XMarkFixture* fixture, std::size_t n,
+Result<WorkloadResult> RunWorkload(XMarkFixture* fixture,
+                                   std::span<const char* const> queries,
                                    std::size_t max_concurrent,
                                    WorkloadPolicy policy) {
   WorkloadOptions options;
@@ -49,9 +53,9 @@ Result<WorkloadResult> RunWorkload(XMarkFixture* fixture, std::size_t n,
   // Same reason: summary-exact estimates are benched by workload_summary.
   options.summary = false;
   WorkloadExecutor executor(fixture->db(), fixture->doc(), options);
-  for (std::size_t i = 0; i < n; ++i) {
-    NAVPATH_RETURN_NOT_OK(executor.Add(kWorkloadQueries[i],
-                                       PaperPlan(PlanKind::kXSchedule)));
+  for (const char* query : queries) {
+    NAVPATH_RETURN_NOT_OK(
+        executor.Add(query, PaperPlan(PlanKind::kXSchedule)));
   }
   return executor.Run();
 }
@@ -163,8 +167,9 @@ int main() {
   bool hybrid_ok = true;
   double rr8_seconds = 0.0;
   for (const std::size_t n : {1u, 2u, 4u, 8u}) {
+    const auto queries = std::span(kWorkloadQueries).first(n);
     auto sequential =
-        RunWorkload(fixture->get(), n, 1, WorkloadPolicy::kRoundRobin);
+        RunWorkload(fixture->get(), queries, 1, WorkloadPolicy::kRoundRobin);
     sequential.status().AbortIfNotOk();
     RecordRun(&json, n, "sequential", WorkloadPolicy::kRoundRobin,
               *sequential);
@@ -179,7 +184,8 @@ int main() {
     double p50[kPolicies] = {};
     WorkloadResult rr;
     for (int p = 0; p < kPolicies; ++p) {
-      auto interleaved = RunWorkload(fixture->get(), n, 0, policies[p]);
+      auto interleaved =
+          RunWorkload(fixture->get(), queries, 0, policies[p]);
       interleaved.status().AbortIfNotOk();
       RecordRun(&json, n, "interleaved", policies[p], *interleaved);
       seconds[p] = interleaved->total_seconds();
@@ -293,6 +299,42 @@ int main() {
   }
   json.EndArray();
   json.EndObject();
+
+  // Two queries over disjoint regions: the head ping-pongs between the
+  // two areas, so interleaving gains little or loses (the N=2 rows above
+  // are a same-region pair). Runs last, because a run on this store
+  // starts where the previous one left the drive head.
+  constexpr const char* kDisjointPair[] = {"/site/regions//item",
+                                           "/site/people/person/email"};
+  json.Key("disjoint_pair").BeginObject();
+  json.Key("queries").BeginArray();
+  for (const char* q : kDisjointPair) json.Value(q);
+  json.EndArray();
+  json.Key("runs").BeginArray();
+  auto pair_sequential = RunWorkload(fixture->get(), kDisjointPair, 1,
+                                     WorkloadPolicy::kRoundRobin);
+  pair_sequential.status().AbortIfNotOk();
+  RecordRun(&json, 2, "sequential", WorkloadPolicy::kRoundRobin,
+            *pair_sequential);
+  auto pair_interleaved = RunWorkload(fixture->get(), kDisjointPair, 0,
+                                      WorkloadPolicy::kRoundRobin);
+  pair_interleaved.status().AbortIfNotOk();
+  RecordRun(&json, 2, "interleaved", WorkloadPolicy::kRoundRobin,
+            *pair_interleaved);
+  json.EndArray();
+  json.EndObject();
+  std::printf("\ndisjoint pair %s with %s (round-robin): back-to-back "
+              "%.2f s, interleaved %.2f s (%.2fx), merged %llu, depth "
+              "%.1f->%.1f\n",
+              kDisjointPair[0], kDisjointPair[1],
+              pair_sequential->total_seconds(),
+              pair_interleaved->total_seconds(),
+              pair_sequential->total_seconds() /
+                  pair_interleaved->total_seconds(),
+              static_cast<unsigned long long>(
+                  pair_interleaved->metrics.requests_merged),
+              pair_sequential->mean_elevator_depth(),
+              pair_interleaved->mean_elevator_depth());
 
   json.EndObject();
   const std::string path = BenchTrajectoryPath("BENCH_workload.json");

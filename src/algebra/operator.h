@@ -200,12 +200,15 @@ struct PlanSharedState {
 /// l_{b,i} per (border record b, step i < path_length), in slot order.
 /// `*slot` and `*step` are the enumeration's position, which the caller
 /// zeroes on entering a cluster. Writes the next seed to `out` and
-/// returns true, or returns false once the cluster has none left.
+/// returns true, or returns false once the cluster has none left. The
+/// border records are the page's preorder image's, which reads the slot
+/// directory through checked offsets only.
 inline bool NextClusterSeed(Database* db, const ClusterView& view,
                             int path_length, SlotId* slot, int* step,
                             PathInstance* out) {
+  const NavIndex& image = view.Index();
   while (*slot < view.slot_count()) {
-    if (view.IsLive(*slot) && view.IsBorder(*slot) && *step < path_length) {
+    if (*step < path_length && image.IsBorder(*slot)) {
       *out = PathInstance::Seed(view.IdOf(*slot), *step);
       ++*step;
       db->clock()->ChargeCpu(db->costs().instance_op);

@@ -2,6 +2,28 @@
 
 namespace navpath {
 
+Result<bool> NextUnnestedInstance(Database* db,
+                                  [[maybe_unused]] PlanSharedState* shared,
+                                  CrossClusterCursor* cursor,
+                                  const LocationStep& step, int step_number,
+                                  const PathInstance& current,
+                                  PathInstance* out) {
+  LogicalNode node;
+  for (;;) {
+    NAVPATH_ASSIGN_OR_RETURN(const bool found, cursor->Next(&node));
+    if (!found) return false;
+    db->clock()->ChargeCpu(db->costs().node_test);
+    ++db->metrics()->node_tests;
+    if (!step.test.Matches(node.tag)) continue;
+    db->clock()->ChargeCpu(db->costs().instance_op);
+    ++db->metrics()->instances_created;
+    *out = current;
+    out->right = PathEnd{step_number, node.id, node.order, false};
+    NAVPATH_PROFILE_STEP_ROW(shared, step_number, *out);
+    return true;
+  }
+}
+
 Status UnnestMap::Open() {
   active_ = false;
   // Navigate the plan's snapshot, not the latest pages.
@@ -14,19 +36,11 @@ Status UnnestMap::Close() { return producer_->Close(); }
 Result<bool> UnnestMap::Next(PathInstance* out) {
   for (;;) {
     if (active_) {
-      LogicalNode node;
-      NAVPATH_ASSIGN_OR_RETURN(const bool found, cursor_.Next(&node));
-      if (found) {
-        db_->clock()->ChargeCpu(db_->costs().node_test);
-        ++db_->metrics()->node_tests;
-        if (!step_.test.Matches(node.tag)) continue;
-        db_->clock()->ChargeCpu(db_->costs().instance_op);
-        ++db_->metrics()->instances_created;
-        *out = current_;
-        out->right = PathEnd{step_number_, node.id, node.order, false};
-        NAVPATH_PROFILE_STEP_ROW(shared_, step_number_, *out);
-        return true;
-      }
+      NAVPATH_ASSIGN_OR_RETURN(
+          const bool produced,
+          NextUnnestedInstance(db_, shared_, &cursor_, step_, step_number_,
+                               current_, out));
+      if (produced) return true;
       active_ = false;
     }
     NAVPATH_ASSIGN_OR_RETURN(const bool have, producer_->Pull(&current_));

@@ -15,6 +15,17 @@
 
 namespace navpath {
 
+/// The per-node body of Unnest-Map, shared with XStep's fallback mode:
+/// runs `cursor` on to the next node that passes `step`'s node test and
+/// writes `current` extended by that node (S_R := step_number) to `out`.
+/// Charges a node test per node the cursor yields and an instance op per
+/// match. Returns false once the cursor is exhausted.
+Result<bool> NextUnnestedInstance(Database* db, PlanSharedState* shared,
+                                  CrossClusterCursor* cursor,
+                                  const LocationStep& step, int step_number,
+                                  const PathInstance& current,
+                                  PathInstance* out);
+
 class UnnestMap : public PathOperator {
  public:
   /// `step_number` is i (1-based); consumes instances with S_R == i-1.

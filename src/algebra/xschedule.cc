@@ -27,6 +27,12 @@ void XSchedule::MarkReady(PageId page) {
 
 Status XSchedule::Enqueue(const PathInstance& inst) {
   const PageId cluster = inst.right.node.page;
+  // The id comes from a border's partner bytes and sizes Q's page array.
+  // Logical ids, like physical ones, name pages the drive holds.
+  if (cluster >= db_->disk()->num_pages()) {
+    return Status::Corruption("cluster " + std::to_string(cluster) +
+                              " lies past the drive's last page");
+  }
   db_->clock()->ChargeCpu(db_->costs().set_op);
   q_.Push(cluster, inst);
   // The queue and ready set stay in logical page ids; only the

@@ -1,5 +1,7 @@
 #include "algebra/xstep.h"
 
+#include "algebra/unnest_map.h"
+
 namespace navpath {
 
 Status XStep::Open() {
@@ -18,7 +20,10 @@ Result<bool> XStep::Next(PathInstance* out) {
       active_ = false;
     }
     if (fallback_active_) {
-      NAVPATH_ASSIGN_OR_RETURN(const bool produced, NextFallback(out));
+      NAVPATH_ASSIGN_OR_RETURN(
+          const bool produced,
+          NextUnnestedInstance(db_, shared_, &fallback_cursor_, step_,
+                               step_number_, current_, out));
       if (produced) return true;
       fallback_active_ = false;
     }
@@ -63,23 +68,6 @@ bool XStep::NextIntra(PathInstance* out) {
                        view.OrderOf(entry.slot), false};
   NAVPATH_PROFILE_STEP_ROW(shared_, step_number_, *out);
   return true;
-}
-
-Result<bool> XStep::NextFallback(PathInstance* out) {
-  LogicalNode node;
-  for (;;) {
-    NAVPATH_ASSIGN_OR_RETURN(const bool found, fallback_cursor_.Next(&node));
-    if (!found) return false;
-    db_->clock()->ChargeCpu(db_->costs().node_test);
-    ++db_->metrics()->node_tests;
-    if (!step_.test.Matches(node.tag)) continue;
-    db_->clock()->ChargeCpu(db_->costs().instance_op);
-    ++db_->metrics()->instances_created;
-    *out = current_;
-    out->right = PathEnd{step_number_, node.id, node.order, false};
-    NAVPATH_PROFILE_STEP_ROW(shared_, step_number_, *out);
-    return true;
-  }
 }
 
 }  // namespace navpath

@@ -44,7 +44,6 @@ class XStep : public PathOperator {
 
  private:
   bool NextIntra(PathInstance* out);
-  Result<bool> NextFallback(PathInstance* out);
 
   Database* db_;
   PlanSharedState* shared_;

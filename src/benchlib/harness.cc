@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 
 #include "xpath/parser.h"
 
@@ -59,8 +61,13 @@ Result<std::unique_ptr<XMarkFixture>> XMarkFixture::Create(
   const std::unique_ptr<ClusteringPolicy> policy = factory();
   NAVPATH_ASSIGN_OR_RETURN(fixture->doc_,
                            fixture->db_.Import(tree, policy.get()));
+  // The import's path summary already holds every count; only a fixture
+  // imported without one tallies the tree.
+  const PathSummary* summary = fixture->db_.summary();
   fixture->stats_ =
-      DocumentStats::Build(tree, fixture->doc_, options.db.page_size);
+      summary != nullptr
+          ? DocumentStats::FromSummary(*summary, fixture->doc_)
+          : DocumentStats::Build(tree, fixture->doc_, options.db.page_size);
   return fixture;
 }
 
@@ -125,6 +132,20 @@ PlanOptions PaperPlan(PlanKind kind) {
   // queries without navigating. Keep paper-series benches byte-identical.
   options.use_summary = false;
   return options;
+}
+
+std::vector<double> PaperScaleFactors() {
+  return {0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0};
+}
+
+bool FastBenchMode() {
+  const char* env = std::getenv("NAVPATH_BENCH_FAST");
+  return env != nullptr && env[0] == '1';
+}
+
+std::vector<double> ActiveScaleFactors() {
+  if (FastBenchMode()) return {0.1, 0.25, 0.5};
+  return PaperScaleFactors();
 }
 
 void PrintTableHeader(const std::string& title,
@@ -288,23 +309,6 @@ Status WriteTraceCapture(Database* db, const std::string& name) {
   return WriteTextFile(path, db->tracer()->ToJson());
 }
 
-Result<std::string> ReadTextFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open " + path + " for reading");
-  }
-  std::string content;
-  char buf[4096];
-  std::size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(buf, got);
-  }
-  const bool error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (error) return Status::IOError("read error on " + path);
-  return content;
-}
-
 Status WriteTextFile(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -317,6 +321,37 @@ Status WriteTextFile(const std::string& path, const std::string& content) {
     return Status::IOError("short write to " + path);
   }
   return Status::OK();
+}
+
+bool WriteWorkloadSection(const std::string& section,
+                          const std::string& json) {
+  const std::string path = BenchTrajectoryPath("BENCH_workload.json");
+  const std::string key = "\"" + section + "\":";
+  std::string doc;
+  if (std::ifstream in(path, std::ios::binary); in) {
+    doc.assign(std::istreambuf_iterator<char>(in), {});
+    while (!doc.empty() && (doc.back() == '\n' || doc.back() == ' ')) {
+      doc.pop_back();
+    }
+    if (const std::size_t at = doc.find("," + key); at != std::string::npos) {
+      doc.resize(at);
+      doc += "}";
+    }
+  }
+  if (!doc.empty() && doc.back() == '}') {
+    doc.pop_back();
+    doc += "," + key + json + "}\n";
+  } else {
+    doc = "{\"bench\":\"workload_" + section + "\",\"schema_version\":1," +
+          key + json + "}\n";
+  }
+  const Status wrote = WriteTextFile(path, doc);
+  if (!wrote.ok()) {
+    std::fprintf(stderr, "trajectory: %s\n", wrote.ToString().c_str());
+    return false;
+  }
+  std::printf("wrote %s (%s section)\n", path.c_str(), section.c_str());
+  return true;
 }
 
 }  // namespace navpath

@@ -78,6 +78,15 @@ class XMarkFixture {
 /// with speculative=false, matching Sec. 6.2.
 PlanOptions PaperPlan(PlanKind kind);
 
+/// The paper's scale-factor sweep (Sec. 6.2).
+std::vector<double> PaperScaleFactors();
+
+/// Reduced sweep for quick smoke runs (honors NAVPATH_BENCH_FAST=1).
+std::vector<double> ActiveScaleFactors();
+
+/// True when the environment asks for a reduced benchmark run.
+bool FastBenchMode();
+
 /// Sharded variant of XMarkFixture: the same deterministic XMark document
 /// (same scale, same generator seed) path-partitioned across `shards`
 /// drives. Per-shard DatabaseOptions come from `options.db` verbatim —
@@ -137,9 +146,13 @@ std::string BenchTrajectoryPath(const std::string& name);
 /// Writes `content` to `path` (overwriting).
 Status WriteTextFile(const std::string& path, const std::string& content);
 
-/// Reads `path` fully; NotFound when it does not exist. Lets benches
-/// splice their section into a trajectory file another bench wrote.
-Result<std::string> ReadTextFile(const std::string& path);
+/// Splices `json` into the BENCH_workload.json that workload_throughput
+/// writes, as the value of key `section`, dropping that section and every
+/// later one from an earlier run; writes a stand-alone document
+/// "workload_<section>" when the file is missing. Prints where it wrote,
+/// or the error to stderr, and returns whether the write succeeded.
+bool WriteWorkloadSection(const std::string& section,
+                          const std::string& json);
 
 // --- Trace capture --------------------------------------------------------
 //

@@ -72,7 +72,6 @@ class ClusterView {
   std::uint16_t slot_count() const { return page_.slot_count(); }
 
   RecordKind KindOf(SlotId slot) const { return page_.KindOf(slot); }
-  bool IsBorder(SlotId slot) const { return page_.IsBorder(slot); }
   /// False for slots whose record was removed by an update.
   bool IsLive(SlotId slot) const { return page_.IsLive(slot); }
   TagId TagOf(SlotId slot) const { return page_.TagOf(slot); }

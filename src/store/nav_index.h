@@ -60,6 +60,11 @@ class NavIndex {
   std::uint16_t PositionOf(SlotId slot) const {
     return slot < positions_.size() ? positions_[slot] : kNoPosition;
   }
+  /// Whether `slot` holds a placed border record, up or down.
+  bool IsBorder(SlotId slot) const {
+    const std::uint16_t at = PositionOf(slot);
+    return at != kNoPosition && entries_[at].key >= kUpBorderKey;
+  }
 
  private:
   std::vector<Entry> entries_;

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "compiler/executor.h"
+#include "store/tree_page.h"
 #include "tests/test_util.h"
 #include "xml/parser.h"
 #include "xpath/oracle.h"
@@ -101,6 +102,34 @@ TEST(XScheduleTest, NonSpeculativeRevisitsClusters) {
   // Speculation's purpose: no cluster is visited twice (Sec. 5.4.4).
   EXPECT_LT(on->metrics.clusters_visited, off->metrics.clusters_visited);
   EXPECT_GT(on->metrics.speculative_instances, 0u);
+}
+
+TEST(XScheduleTest, PartnerPastTheDriveIsCorruption) {
+  // XSchedule queues a crossing at the page its border's partner names,
+  // an id read from page bytes. Point every down-border's partner just
+  // past the drive's last page: the plan must fail with Corruption
+  // before Q's page array grows to that id.
+  AlgebraFixture f(705);
+  const PageId past = f.db.disk()->num_pages();
+  std::size_t corrupted = 0;
+  for (PageId p = f.doc.first_page; p <= f.doc.last_page; ++p) {
+    auto guard = f.db.buffer()->Fix(p);
+    ASSERT_TRUE(guard.ok());
+    TreePage page(guard->mutable_data(), f.db.options().page_size);
+    for (SlotId s = 0; s < page.slot_count(); ++s) {
+      if (page.KindOf(s) != RecordKind::kBorderDown) continue;
+      page.SetPartner(s, NodeID{past, page.PartnerOf(s).slot});
+      ++corrupted;
+    }
+    guard->MarkDirty();
+  }
+  ASSERT_GT(corrupted, 0u);
+  ASSERT_TRUE(f.db.buffer()->FlushAll().ok());
+  PlanOptions plan;
+  plan.kind = PlanKind::kXSchedule;
+  auto result = f.Run("//t1", plan);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
 }
 
 TEST(XScanTest, ReadsEveryPageExactlyOnceSequentially) {

@@ -2,8 +2,8 @@
 // Metrics report.
 #include <gtest/gtest.h>
 
-#include "benchlib/experiments.h"
 #include "benchlib/harness.h"
+#include "tests/test_util.h"
 
 namespace navpath {
 namespace {
@@ -18,6 +18,30 @@ TEST(HarnessTest, FixtureBuildsAndRunsPaperQueries) {
   auto result = (*fixture)->Run(kQ6Prime, PaperPlan(PlanKind::kXSchedule));
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->count, 0u);
+}
+
+TEST(HarnessTest, FixtureStatisticsEqualBuildOnTheRegeneratedTree) {
+  // The fixture takes its statistics from the import's path summary;
+  // DocumentStats::Build tallies the generated tree a second time.
+  constexpr double kScale = 0.02;
+  auto fixture = XMarkFixture::Create(kScale);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  Database* db = (*fixture)->db();
+  ASSERT_NE(db->summary(), nullptr);
+  XMarkOptions xmark;
+  xmark.scale = kScale;
+  const DomTree tree = GenerateXMark(xmark, db->tags());
+  const DocumentStats& stats = (*fixture)->stats();
+  const DocumentStats built = DocumentStats::Build(
+      tree, (*fixture)->doc(), db->options().page_size);
+  EXPECT_GT(stats.node_count(), 1000u);
+  EXPECT_EQ(StatsDifferences(stats, built,
+                             static_cast<TagId>(db->tags()->size())),
+            "");
+  EXPECT_EQ(stats.tags(), built.tags());
+  EXPECT_EQ(stats.page_count(), built.page_count());
+  EXPECT_EQ(stats.border_records(), built.border_records());
+  EXPECT_EQ(stats.crossing_probability(), built.crossing_probability());
 }
 
 TEST(HarnessTest, RejectsUnknownClusteringPolicy) {

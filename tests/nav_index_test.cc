@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "algebra/operator.h"
 #include "common/random.h"
 #include "store/cluster_view.h"
 #include "store/database.h"
@@ -206,6 +207,37 @@ TEST(NavIndexTest, DirectoryAndRecordsOutsideThePageArePassedOver) {
   std::memcpy(p.bytes.data(), &huge, sizeof(huge));
   index.Build(p.bytes.data(), kPage);
   ExpectWellFormed(index, huge);
+}
+
+TEST(NavIndexTest, SeedsComeOnlyFromPlacedBorders) {
+  // XScan's seed loop asks the image which slots hold border records. Add
+  // an up-border (the root of a second fragment), a down-border no chain
+  // reaches, and one whose directory entry points past the page.
+  SmallPage p;
+  const SlotId up = *p.page.AddBorderRecord(RecordKind::kBorderUp);
+  p.page.AddBorderRecord(RecordKind::kBorderDown).status().AbortIfNotOk();
+  const SlotId outside = *p.page.AddBorderRecord(RecordKind::kBorderDown);
+  const std::uint16_t off = kPage;  // the first byte past the page
+  std::memcpy(p.bytes.data() + TreePage::kHeaderBytes +
+                  outside * TreePage::kSlotEntryBytes,
+              &off, sizeof(off));
+  Database db(DatabaseOptions{});
+  const ClusterView view(p.bytes.data(), kPage, 3, db.clock(), &db.costs(),
+                         db.metrics());
+  SlotId slot = 0;
+  int step = 0;
+  PathInstance seed;
+  std::vector<std::pair<SlotId, int>> seeds;
+  while (NextClusterSeed(&db, view, 2, &slot, &step, &seed)) {
+    EXPECT_EQ(seed.right.node.page, 3u);
+    seeds.emplace_back(seed.right.node.slot, seed.right.step);
+  }
+  const std::vector<std::pair<SlotId, int>> want = {
+      {p.b, 0}, {p.b, 1}, {up, 0}, {up, 1}};
+  EXPECT_EQ(seeds, want);
+  // One hop per slot passed over, placed or not.
+  EXPECT_EQ(db.metrics()->intra_cluster_hops, p.page.slot_count());
+  EXPECT_EQ(db.metrics()->speculative_instances, want.size());
 }
 
 // --- The cache in a Database ------------------------------------------------

@@ -474,6 +474,44 @@ INSTANTIATE_TEST_SUITE_P(
                       NavCase{"round-robin", 36, 300, 60}),
     CaseName);
 
+// XScan's seed loop takes a page's border records from its preorder image
+// (NavIndex::IsBorder). On a well-formed page, before and after updates,
+// the image places exactly the live border slots.
+class ImageBorders : public ::testing::TestWithParam<NavCase> {};
+
+TEST_P(ImageBorders, PlacedBordersAreTheLiveBorderSlots) {
+  Database db(CaseOptions());
+  DomTree tree = CaseTree(GetParam(), db.tags());
+  auto doc = db.Import(tree, CasePolicy(GetParam()).get());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  ApplyMirroredUpdates(&db, &*doc, &tree, GetParam().updates,
+                       GetParam().seed);
+  std::uint64_t borders = 0;
+  for (PageId page = doc->first_page; page <= doc->last_page; ++page) {
+    auto guard = db.buffer()->Fix(page);
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    const TreePage bytes =
+        TreePage::ReadOnly(guard->data(), db.options().page_size);
+    const NavIndex& image = db.MakeView(*guard).Index();
+    for (SlotId s = 0; s < bytes.slot_count(); ++s) {
+      const bool live_border = bytes.IsLive(s) && bytes.IsBorder(s);
+      ASSERT_EQ(image.IsBorder(s), live_border)
+          << "page " << page << " slot " << s;
+      borders += live_border;
+    }
+  }
+  EXPECT_GT(borders, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndSeeds, ImageBorders,
+    ::testing::Values(NavCase{"subtree", 41, 300, 200},
+                      NavCase{"random", 42, 300, 200},
+                      NavCase{"round-robin", 43, 300, 200},
+                      NavCase{"random", 44, 500, 100},
+                      NavCase{"subtree", 45, 500}),
+    CaseName);
+
 TEST(NavigationTest, NameTestsFilterByTag) {
   DatabaseOptions options;
   options.page_size = 512;
