@@ -2,53 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "common/flat_set.h"
+#include <utility>
 
 namespace navpath {
 namespace {
-
-/// Runs one prepared plan to exhaustion, deduplicating result nodes.
-/// `stop_after` > 0 stops pulling once that many distinct results exist
-/// (existence queries need just one).
-Status DrainPlan(Database* db, PathPlan* plan, bool collect_nodes,
-                 std::uint64_t* count, std::vector<LogicalNode>* nodes,
-                 std::uint64_t stop_after = 0) {
-  NAVPATH_RETURN_NOT_OK(plan->root()->Open());
-  FlatSet<std::uint64_t> seen = db->table_pool()->Take();
-  std::uint64_t produced = 0;
-  bool stopped_early = false;
-  PathInstance inst;
-  for (;;) {
-    NAVPATH_ASSIGN_OR_RETURN(const bool have, plan->root()->Pull(&inst));
-    if (!have) break;
-    // Final duplicate elimination (required for the Simple method; a
-    // cheap re-check for XAssembly plans, whose R already deduplicates).
-    db->clock()->ChargeCpu(db->costs().set_op);
-    if (!seen.insert(inst.right.node.Pack())) continue;
-    ++*count;
-    ++produced;
-    if (collect_nodes) {
-      nodes->push_back(LogicalNode{inst.right.node, 0, inst.right.order});
-    }
-    if (stop_after != 0 && produced >= stop_after) {
-      stopped_early = true;
-      break;
-    }
-  }
-  db->table_pool()->GiveBack(std::move(seen));
-  NAVPATH_RETURN_NOT_OK(plan->root()->Close());
-  // An early stop (existence queries) abandons the plan's speculative
-  // prefetches mid-flight; drain them so the database stays reusable and
-  // the device-busy tail is accounted for (same contract as
-  // WorkloadExecutor::EndStepping).
-  if (stopped_early) {
-    while (db->buffer()->HasPrefetchInFlight()) {
-      (void)db->buffer()->WaitAnyPrefetch();
-    }
-  }
-  return Status::OK();
-}
 
 /// String value of a node (element text or attribute value). `id` is
 /// logical; `translator` (nullable) supplies the MVCC page mapping.
@@ -126,65 +83,10 @@ Result<bool> StorePredicateHolds(Database* db, NodeID context,
   return !pred.has_value;
 }
 
-/// Evaluates a predicated path by splitting it into predicate-free
-/// segments, each run through the chosen physical plan, with predicate
-/// filtering between segments (the "more expressive algebra" around the
-/// paper's operators).
-Result<std::vector<LogicalNode>> EvaluateWithPredicates(
-    Database* db, const ImportedDocument& doc, const LocationPath& path,
-    std::vector<LogicalNode> contexts, const PlanOptions& plan_options) {
-  if (path.absolute) {
-    contexts.assign(1, LogicalNode{doc.root, 0, doc.root_order});
-  }
-  std::size_t begin = 0;
-  bool first_segment = true;
-  while (begin < path.steps.size()) {
-    // Segment = maximal run ending at a predicated step (or path end).
-    std::size_t end = begin;
-    while (end < path.steps.size() &&
-           path.steps[end].predicates.empty()) {
-      ++end;
-    }
-    const bool segment_has_predicates = end < path.steps.size();
-    if (segment_has_predicates) ++end;  // include the predicated step
-
-    LocationPath segment;
-    segment.absolute = first_segment && path.absolute;
-    for (std::size_t i = begin; i < end; ++i) {
-      LocationStep step = path.steps[i];
-      step.predicates.clear();
-      segment.steps.push_back(std::move(step));
-    }
-    NAVPATH_ASSIGN_OR_RETURN(
-        PathPlan plan,
-        BuildPlan(db, doc, segment, contexts, plan_options));
-    std::vector<LogicalNode> nodes;
-    std::uint64_t count = 0;
-    NAVPATH_RETURN_NOT_OK(DrainPlan(db, &plan, /*collect_nodes=*/true,
-                                    &count, &nodes));
-
-    if (segment_has_predicates) {
-      const LocationStep& predicated = path.steps[end - 1];
-      std::vector<LogicalNode> kept;
-      for (const LogicalNode& node : nodes) {
-        NAVPATH_ASSIGN_OR_RETURN(
-            const bool keep,
-            StepSatisfiesPredicates(db, node, predicated,
-                                    plan_options.translator));
-        if (keep) kept.push_back(node);
-      }
-      nodes = std::move(kept);
-    }
-    contexts = std::move(nodes);
-    begin = end;
-    first_segment = false;
-    if (contexts.empty()) break;
-  }
-  return contexts;
-}
-
-}  // namespace
-
+/// Assembles the estimated-vs-actual report for one executed plan. The
+/// actual side reads the plan's profiler (null-safe: without profiling
+/// only the aggregate fields are filled); `window` carries the metrics
+/// delta of the run.
 PathExplain BuildPathExplain(Database* db, const LocationPath& path,
                              const PathPlan& plan,
                              const PlanOptions& plan_options,
@@ -258,6 +160,46 @@ PathExplain BuildPathExplain(Database* db, const LocationPath& path,
   return explain;
 }
 
+/// What an operand of `n` distinct nodes adds to the query's count: n, or
+/// 0/1 for exists(), whose operands all start at count 0 (a hit before
+/// one settles the query).
+std::uint64_t OperandCount(const PathQuery& query, std::uint64_t n) {
+  if (query.mode != PathQuery::Mode::kExists) return n;
+  return n > 0 ? 1 : 0;
+}
+
+/// Steps one non-cooperative lifecycle through `query` after a cold
+/// start.
+Result<QueryRunResult> RunToCompletion(Database* db,
+                                       const ImportedDocument& doc,
+                                       PathQuery query,
+                                       const ExecuteOptions& options,
+                                       bool summary_answer) {
+  if (query.paths.empty()) {
+    return Status::InvalidArgument("query without paths");
+  }
+  NAVPATH_RETURN_NOT_OK(db->ResetMeasurement());
+  QueryLifecycle lifecycle(db, doc, std::move(query), options,
+                           /*owner_id=*/0, /*cooperative=*/false,
+                           summary_answer);
+  NAVPATH_RETURN_NOT_OK(lifecycle.Start());
+  QueryLifecycle::Step step = QueryLifecycle::Step::kResult;
+  do {
+    NAVPATH_ASSIGN_OR_RETURN(step, lifecycle.Advance());
+  } while (step != QueryLifecycle::Step::kQueryDone);
+  QueryRunResult result;
+  result.count = lifecycle.count();
+  result.nodes = std::move(*lifecycle.mutable_nodes());
+  result.explain = lifecycle.explain();
+  result.total_time = db->clock()->now();
+  result.cpu_time = db->clock()->cpu_time();
+  result.metrics = *db->metrics();
+  return result;
+}
+
+/// Document-order sort (Sec. 5.5) of collected result nodes: charges
+/// n·max(1, log2 n)·sort_op, then sorts by order key. Order keys travel
+/// with instances, so no I/O is needed. Fewer than two nodes cost nothing.
 void SortDocumentOrder(Database* db, std::vector<LogicalNode>* nodes) {
   if (nodes->size() < 2) return;
   const double n = static_cast<double>(nodes->size());
@@ -270,113 +212,226 @@ void SortDocumentOrder(Database* db, std::vector<LogicalNode>* nodes) {
             });
 }
 
-namespace {
+}  // namespace
 
-Result<QueryRunResult> ExecuteQueryImpl(Database* db,
-                                        const ImportedDocument& doc,
-                                        const PathQuery& query,
-                                        const ExecuteOptions& options,
-                                        bool allow_summary_answer) {
-  if (query.paths.empty()) {
-    return Status::InvalidArgument("query without paths");
+QueryLifecycle::QueryLifecycle(Database* db, const ImportedDocument& doc,
+                               PathQuery query, ExecuteOptions options,
+                               std::uint32_t owner_id, bool cooperative,
+                               bool summary_answer)
+    : db_(db),
+      query_(std::move(query)),
+      collect_(options.collect_nodes &&
+               query_.mode == PathQuery::Mode::kNodes),
+      doc_(&doc),
+      options_(std::move(options)),
+      owner_id_(owner_id),
+      cooperative_(cooperative),
+      summary_answer_(summary_answer),
+      summary_(PlanSummary(db, options_.plan)) {
+  if (options_.explain) {
+    options_.plan.profile = true;
+    explain_ = std::make_shared<QueryExplain>();
   }
-  const bool collect =
-      options.collect_nodes && query.mode == PathQuery::Mode::kNodes;
-  NAVPATH_RETURN_NOT_OK(db->ResetMeasurement());
-
-  PlanOptions plan_options = options.plan;
-  if (options.explain) plan_options.profile = true;
-
-  const PathSummary* summary = PlanSummary(db, plan_options);
-  const bool exists_mode = query.mode == PathQuery::Mode::kExists;
-
-  QueryRunResult result;
-  if (options.explain) result.explain = std::make_shared<QueryExplain>();
-  for (const LocationPath& path : query.paths) {
-    // exists(a)+exists(b) is the logical OR: one hit settles the query.
-    if (exists_mode && result.count > 0) break;
-    if (path.HasPredicates()) {
-      NAVPATH_ASSIGN_OR_RETURN(
-          const std::vector<LogicalNode> nodes,
-          EvaluateWithPredicates(db, doc, path, options.contexts,
-                                 plan_options));
-      if (exists_mode) {
-        if (!nodes.empty()) result.count = 1;
-      } else {
-        result.count += nodes.size();
-      }
-      if (collect) {
-        result.nodes.insert(result.nodes.end(), nodes.begin(), nodes.end());
-      }
-      continue;
-    }
-    // Navigation-free fast path: a predicate-free count()/exists() is
-    // answered from the path summary alone — exact, zero cluster accesses.
-    if (allow_summary_answer && summary != nullptr &&
-        query.mode != PathQuery::Mode::kNodes &&
-        PathSummary::Supports(path)) {
-      const SummaryMatch match = summary->Match(path);
-      if (match.applicable) {
-        const SimTime fast_t0 = db->clock()->now();
-        db->clock()->ChargeCpu(
-            static_cast<SimTime>(match.nodes_examined) *
-            db->costs().node_test);
-        if (exists_mode) {
-          if (match.result_count > 0) result.count = 1;
-        } else {
-          result.count += match.result_count;
-        }
-        if (result.explain != nullptr) {
-          PathExplain explain;
-          explain.query = path.ToString();
-          explain.plan_kind = "SummaryIndex";
-          explain.result_count = exists_mode
-                                     ? (match.result_count > 0 ? 1 : 0)
-                                     : match.result_count;
-          explain.total_time = db->clock()->now() - fast_t0;
-          for (std::size_t i = 0; i < path.steps.size(); ++i) {
-            ExplainStep step;
-            step.description = path.steps[i].ToString();
-            const std::uint64_t selected =
-                i < match.steps.size() ? match.steps[i].selected : 0;
-            step.estimated_rows = static_cast<double>(selected);
-            step.actual_rows = selected;
-            step.estimate_source = "summary-exact";
-            explain.steps.push_back(std::move(step));
-          }
-          result.explain->paths.push_back(std::move(explain));
-        }
-        continue;
-      }
-    }
-    const Metrics path_start = db->metrics()->Snapshot();
-    const SimTime path_t0 = db->clock()->now();
-    const SimTime path_io0 = db->clock()->io_wait_time();
-    const std::uint64_t count_before = result.count;
-    NAVPATH_ASSIGN_OR_RETURN(
-        PathPlan plan,
-        BuildPlan(db, doc, path, options.contexts, plan_options));
-    NAVPATH_RETURN_NOT_OK(
-        DrainPlan(db, &plan, collect, &result.count, &result.nodes,
-                  exists_mode ? 1 : 0));
-    if (result.explain != nullptr) {
-      result.explain->paths.push_back(BuildPathExplain(
-          db, path, plan, plan_options, options.stats,
-          result.count - count_before, db->clock()->now() - path_t0,
-          db->clock()->io_wait_time() - path_io0,
-          db->metrics()->Delta(path_start), summary));
-    }
-  }
-
-  SortDocumentOrder(db, &result.nodes);
-
-  result.total_time = db->clock()->now();
-  result.cpu_time = db->clock()->cpu_time();
-  result.metrics = *db->metrics();
-  return result;
 }
 
-}  // namespace
+QueryLifecycle::~QueryLifecycle() {
+  // A plan an error left open gives back its pins and tables.
+  if (plan_.root() != nullptr) {
+    db_->table_pool()->GiveBack(std::move(seen_));
+    (void)plan_.root()->Close();
+  }
+}
+
+Status QueryLifecycle::BeginOperand() {
+  const LocationPath& path = query_.paths[operand_];
+  operand_results_ = 0;
+  segmented_ = path.HasPredicates();
+  if (segmented_) {
+    segment_begin_ = 0;
+    return OpenSegment(options_.contexts);
+  }
+  // Navigation-free answer: a predicate-free count()/exists() operand is
+  // answered from the path summary alone — exact, zero cluster accesses.
+  if (summary_answer_ && summary_ != nullptr &&
+      query_.mode != PathQuery::Mode::kNodes &&
+      PathSummary::Supports(path)) {
+    phase_ = Phase::kAnswer;
+    return Status::OK();
+  }
+  if (explain_ != nullptr) {
+    explain_start_ = db_->metrics()->Snapshot();
+    explain_t0_ = db_->clock()->now();
+    explain_io0_ = db_->clock()->io_wait_time();
+    explain_count0_ = count_;
+  }
+  return OpenPlan(path, options_.contexts);
+}
+
+Status QueryLifecycle::OpenPlan(const LocationPath& path,
+                                std::vector<LogicalNode> contexts) {
+  NAVPATH_ASSIGN_OR_RETURN(
+      PathPlan plan,
+      BuildPlan(db_, *doc_, path, std::move(contexts), options_.plan));
+  plan.shared()->owner_id = owner_id_;
+  plan.shared()->cooperative = cooperative_;
+  NAVPATH_RETURN_NOT_OK(plan.root()->Open());
+  plan_ = std::move(plan);
+  // Each plan takes its dedup table (empty) and gives it back when it
+  // closes; a summary-answered query takes none.
+  seen_ = db_->table_pool()->Take();
+  phase_ = Phase::kPull;
+  return Status::OK();
+}
+
+Status QueryLifecycle::OpenSegment(std::vector<LogicalNode> contexts) {
+  // A segment is the maximal run of steps ending at a predicated step (or
+  // at the path's end), run with its predicates stripped; the filter
+  // applies them to the nodes it produces.
+  const LocationPath& path = query_.paths[operand_];
+  std::size_t end = segment_begin_;
+  while (end < path.steps.size() && path.steps[end].predicates.empty()) {
+    ++end;
+  }
+  if (end < path.steps.size()) ++end;
+  segment_end_ = end;
+  LocationPath segment;
+  segment.absolute = segment_begin_ == 0 && path.absolute;
+  for (std::size_t i = segment_begin_; i < end; ++i) {
+    LocationStep step = path.steps[i];
+    step.predicates.clear();
+    segment.steps.push_back(std::move(step));
+  }
+  segment_nodes_.clear();
+  return OpenPlan(segment, std::move(contexts));
+}
+
+Result<QueryLifecycle::Step> QueryLifecycle::Pull() {
+  NAVPATH_ASSIGN_OR_RETURN(const bool have, plan_.root()->Pull(&inst_));
+  if (!have) {
+    if (plan_.shared()->yielded) {
+      plan_.shared()->yielded = false;
+      return Step::kYield;
+    }
+    return EndPlan(/*stopped_early=*/false);
+  }
+  // Final duplicate elimination (required for the Simple method; a cheap
+  // re-check for XAssembly plans, whose R already deduplicates).
+  db_->clock()->ChargeCpu(db_->costs().set_op);
+  if (!seen_.insert(inst_.right.node.Pack())) return Step::kResult;
+  ++operand_results_;
+  const LogicalNode node{inst_.right.node, 0, inst_.right.order};
+  if (segmented_) {
+    segment_nodes_.push_back(node);
+    return Step::kResult;
+  }
+  ++count_;
+  if (collect_) nodes_.push_back(node);
+  // exists(a)+exists(b) is the logical OR: one hit settles the query.
+  if (query_.mode == PathQuery::Mode::kExists) {
+    return EndPlan(/*stopped_early=*/true);
+  }
+  return Step::kResult;
+}
+
+Result<QueryLifecycle::Step> QueryLifecycle::EndPlan(bool stopped_early) {
+  db_->table_pool()->GiveBack(std::move(seen_));
+  NAVPATH_RETURN_NOT_OK(plan_.root()->Close());
+  // An early stop abandons the plan's speculative prefetches mid-flight.
+  // Alone on the database, drain them so it stays reusable and the
+  // device-busy tail is accounted for; in a workload they are the
+  // drive's to finish, and EndStepping drains whatever is left.
+  if (stopped_early && !cooperative_) {
+    while (db_->buffer()->HasPrefetchInFlight()) {
+      (void)db_->buffer()->WaitAnyPrefetch();
+    }
+  }
+  const LocationPath& path = query_.paths[operand_];
+  if (!segmented_ && explain_ != nullptr) {
+    explain_->paths.push_back(BuildPathExplain(
+        db_, path, plan_, options_.plan, options_.stats,
+        count_ - explain_count0_, db_->clock()->now() - explain_t0_,
+        db_->clock()->io_wait_time() - explain_io0_,
+        db_->metrics()->Delta(explain_start_), summary_));
+  }
+  plan_ = PathPlan();
+  if (!segmented_) return FinishOperand();
+  if (!path.steps[segment_end_ - 1].predicates.empty() &&
+      !segment_nodes_.empty()) {
+    phase_ = Phase::kFilter;
+    filter_pos_ = 0;
+    kept_ = 0;
+    return Step::kOperandDone;
+  }
+  return EndSegment();
+}
+
+Result<QueryLifecycle::Step> QueryLifecycle::AnswerOrFilter() {
+  const LocationPath& path = query_.paths[operand_];
+  if (phase_ == Phase::kFilter) {
+    const LogicalNode node = segment_nodes_[filter_pos_++];
+    NAVPATH_ASSIGN_OR_RETURN(
+        const bool keep,
+        StepSatisfiesPredicates(db_, node, path.steps[segment_end_ - 1],
+                                options_.plan.translator));
+    if (keep) segment_nodes_[kept_++] = node;
+    if (filter_pos_ < segment_nodes_.size()) return Step::kResult;
+    segment_nodes_.resize(kept_);
+    return EndSegment();
+  }
+  const SummaryMatch match = summary_->Match(path);
+  const SimTime t0 = db_->clock()->now();
+  db_->clock()->ChargeCpu(static_cast<SimTime>(match.nodes_examined) *
+                          db_->costs().node_test);
+  const std::uint64_t answer = OperandCount(query_, match.result_count);
+  count_ += answer;
+  if (explain_ != nullptr) {
+    PathExplain explain;
+    explain.query = path.ToString();
+    explain.plan_kind = "SummaryIndex";
+    explain.result_count = answer;
+    explain.total_time = db_->clock()->now() - t0;
+    for (std::size_t i = 0; i < path.steps.size(); ++i) {
+      ExplainStep step;
+      step.description = path.steps[i].ToString();
+      const std::uint64_t selected =
+          i < match.steps.size() ? match.steps[i].selected : 0;
+      step.estimated_rows = static_cast<double>(selected);
+      step.actual_rows = selected;
+      step.estimate_source = "summary-exact";
+      explain.steps.push_back(std::move(step));
+    }
+    explain_->paths.push_back(std::move(explain));
+  }
+  return FinishOperand();
+}
+
+Result<QueryLifecycle::Step> QueryLifecycle::EndSegment() {
+  if (segment_end_ < query_.paths[operand_].steps.size() &&
+      !segment_nodes_.empty()) {
+    segment_begin_ = segment_end_;
+    NAVPATH_RETURN_NOT_OK(OpenSegment(std::move(segment_nodes_)));
+    return Step::kOperandDone;
+  }
+  // The last segment's nodes (none after an empty one) are the operand's
+  // result.
+  count_ += OperandCount(query_, segment_nodes_.size());
+  if (collect_) {
+    nodes_.insert(nodes_.end(), segment_nodes_.begin(), segment_nodes_.end());
+  }
+  return FinishOperand();
+}
+
+Result<QueryLifecycle::Step> QueryLifecycle::FinishOperand() {
+  ++operand_;
+  const bool settled =
+      query_.mode == PathQuery::Mode::kExists && count_ > 0;
+  if (operand_ < query_.paths.size() && !settled) {
+    NAVPATH_RETURN_NOT_OK(BeginOperand());
+    return Step::kOperandDone;
+  }
+  SortDocumentOrder(db_, &nodes_);
+  return Step::kQueryDone;
+}
 
 Result<QueryRunResult> ExecutePath(Database* db, const ImportedDocument& doc,
                                    const LocationPath& path,
@@ -389,15 +444,14 @@ Result<QueryRunResult> ExecutePath(Database* db, const ImportedDocument& doc,
   // its contract is "run this path", so the navigation-free summary answer
   // would bypass exactly what plan-level callers measure. Full queries go
   // through ExecuteQuery, where count()/exists() may skip navigation.
-  return ExecuteQueryImpl(db, doc, query, options,
-                          /*allow_summary_answer=*/false);
+  return RunToCompletion(db, doc, std::move(query), options,
+                         /*summary_answer=*/false);
 }
 
 Result<QueryRunResult> ExecuteQuery(Database* db, const ImportedDocument& doc,
                                     const PathQuery& query,
                                     const ExecuteOptions& options) {
-  return ExecuteQueryImpl(db, doc, query, options,
-                          /*allow_summary_answer=*/true);
+  return RunToCompletion(db, doc, query, options, /*summary_answer=*/true);
 }
 
 }  // namespace navpath

@@ -109,10 +109,6 @@ Status WorkloadExecutor::Add(const PathQuery& query, const PlanOptions& plan,
     return Status::InvalidArgument("query without paths");
   }
   for (const LocationPath& path : query.paths) {
-    if (path.HasPredicates()) {
-      return Status::InvalidArgument(
-          "workload executor supports predicate-free paths only");
-    }
     if (!path.absolute && contexts.empty()) {
       return Status::InvalidArgument("relative path without context nodes");
     }
@@ -127,7 +123,6 @@ Status WorkloadExecutor::Add(const PathQuery& query, const PlanOptions& plan,
   Job job;
   job.query = query;
   job.plan_options = plan;
-  if (options_.explain) job.plan_options.profile = true;
   job.contexts = std::move(contexts);
   job.arrival = arrival;
   job.deadline = deadline;
@@ -219,7 +214,7 @@ std::size_t WorkloadExecutor::FootprintFor(const Job& job) const {
   return std::min(static_bound, std::max<std::size_t>(3, derived));
 }
 
-Status WorkloadExecutor::StartNextPath(Job* job) {
+Status WorkloadExecutor::StartJob(Job* job) {
   if (job->is_write) {
     // Activation of a write transaction: open the writer against the
     // current version. The ops themselves are applied writer_batch per
@@ -230,7 +225,7 @@ Status WorkloadExecutor::StartNextPath(Job* job) {
     ++writers_active_;
     return Status::OK();
   }
-  if (options_.txn != nullptr && job->snapshot == nullptr) {
+  if (options_.txn != nullptr) {
     // Snapshot isolation: the query pins one committed version at
     // activation and every path of the query reads it, no matter what
     // commits mid-flight. Opening a snapshot is a host-side operation
@@ -239,42 +234,30 @@ Status WorkloadExecutor::StartNextPath(Job* job) {
     // like one without a TxnManager.
     job->snapshot = options_.txn->OpenSnapshot();
     job->result.snapshot_seq = job->snapshot->seq();
-  }
-  if (job->snapshot != nullptr) {
     job->plan_options.translator = job->snapshot.get();
     job->plan_options.snapshot_summary = job->snapshot->summary();
   }
-  const LocationPath& path = job->query.paths[job->path_index];
   // A snapshot-pinned query plans over its version's document (root and
   // scan bounds may differ from the canonical one after appends).
   const ImportedDocument& doc =
       job->snapshot != nullptr ? job->snapshot->doc() : *doc_;
-  NAVPATH_ASSIGN_OR_RETURN(
-      PathPlan plan,
-      BuildPlan(db_, doc, path, job->contexts, job->plan_options));
-  plan.shared()->owner_id = job->owner_id;
-  plan.shared()->cooperative = true;
-  job->plan = std::move(plan);
-  // The query's first path takes a dedup table from the database's pool;
-  // its later paths empty that one.
-  if (job->path_index == 0) {
-    job->seen = db_->table_pool()->Take();
-  } else {
-    job->seen.clear();
-  }
-  job->produced_in_path = 0;
-  // Fresh plan, fresh yield/block counters: restart the classification
-  // window so the new path's behavior is judged on its own pulls.
+  ExecuteOptions exec;
+  exec.plan = job->plan_options;
+  exec.contexts = std::move(job->contexts);
+  exec.collect_nodes = options_.collect_nodes;
+  exec.explain = options_.explain;
+  exec.stats = options_.stats;
+  job->lifecycle = std::make_unique<QueryLifecycle>(
+      db_, doc, std::move(job->query), std::move(exec), job->owner_id,
+      /*cooperative=*/true);
+  return job->lifecycle->Start();
+}
+
+void WorkloadExecutor::RestartWindow(Job* job) {
+  const PlanSharedState* shared = job->lifecycle->shared();
   job->window_pulls0 = job->result.pulls;
-  job->window_yields0 = 0;
-  job->window_blocks0 = 0;
-  if (options_.explain) {
-    job->path_metrics_start = db_->metrics()->Snapshot();
-    job->path_t0 = db_->clock()->now();
-    job->path_io0 = db_->clock()->io_wait_time();
-    job->path_count_before = job->result.count;
-  }
-  return job->plan.root()->Open();
+  job->window_yields0 = shared != nullptr ? shared->io_yields : 0;
+  job->window_blocks0 = shared != nullptr ? shared->io_blocks : 0;
 }
 
 Status WorkloadExecutor::ApplyWriteOp(Job* job, const WriteOp& op) {
@@ -313,49 +296,23 @@ Status WorkloadExecutor::ApplyWriteOp(Job* job, const WriteOp& op) {
   return Status::OK();
 }
 
-void WorkloadExecutor::FinishPath(Job* job) {
-  if (!options_.explain) return;
-  if (job->result.explain == nullptr) {
-    job->result.explain = std::make_shared<QueryExplain>();
-    job->result.explain->degraded = job->result.degraded;
-  }
-  job->result.explain->paths.push_back(BuildPathExplain(
-      db_, job->query.paths[job->path_index], job->plan, job->plan_options,
-      options_.stats, job->result.count - job->path_count_before,
-      db_->clock()->now() - job->path_t0,
-      db_->clock()->io_wait_time() - job->path_io0,
-      db_->metrics()->Delta(job->path_metrics_start)));
-}
-
-double WorkloadExecutor::RemainingCost(const Job& job) const {
-  if (job.path_costs.empty()) return 0.0;
+double WorkloadExecutor::Remaining(
+    const Job& job, const std::vector<double>& per_path) const {
+  if (per_path.empty()) return 0.0;
+  const std::size_t operand = job.lifecycle->operand();
   double remaining = 0.0;
-  // Completed paths (i < path_index) contribute zero by construction;
-  // the current path is discounted by produced-output progress with its
+  // Completed operands (i < operand) contribute zero by construction;
+  // the current one is discounted by produced-output progress with its
   // cardinality estimate clamped to >= 1 (EstimatedProgress), so
   // low-cardinality estimates shrink with progress instead of freezing
   // SJF into stamp-order tie-breaking.
-  for (std::size_t i = job.path_index; i < job.query.paths.size(); ++i) {
-    double cost = job.path_costs[i];
-    if (i == job.path_index) {
-      cost *=
-          1.0 - EstimatedProgress(job.produced_in_path, job.path_cards[i]);
+  for (std::size_t i = operand; i < per_path.size(); ++i) {
+    double share = per_path[i];
+    if (i == operand) {
+      share *= 1.0 - EstimatedProgress(job.lifecycle->operand_results(),
+                                       job.path_cards[i]);
     }
-    remaining += cost;
-  }
-  return remaining;
-}
-
-double WorkloadExecutor::RemainingClusters(const Job& job) const {
-  if (job.path_clusters.empty()) return 0.0;
-  double remaining = 0.0;
-  for (std::size_t i = job.path_index; i < job.query.paths.size(); ++i) {
-    double clusters = job.path_clusters[i];
-    if (i == job.path_index) {
-      clusters *=
-          1.0 - EstimatedProgress(job.produced_in_path, job.path_cards[i]);
-    }
-    remaining += clusters;
+    remaining += share;
   }
   return remaining;
 }
@@ -367,7 +324,10 @@ bool WorkloadExecutor::IoBound(const Job& job) const {
   if (job.is_write) return false;
   const std::size_t pending = db_->buffer()->PendingFor(job.owner_id);
   if (pending == 0) return false;  // nothing in flight: pure CPU work
-  const PlanSharedState* shared = job.plan.shared();
+  // No plan open: the next step answers from the summary or filters a
+  // node, CPU work either way.
+  const PlanSharedState* shared = job.lifecycle->shared();
+  if (shared == nullptr) return false;
   const std::uint64_t pulls = job.result.pulls - job.window_pulls0;
   const std::uint64_t waits = (shared->io_yields - job.window_yields0) +
                               (shared->io_blocks - job.window_blocks0);
@@ -377,7 +337,7 @@ bool WorkloadExecutor::IoBound(const Job& job) const {
   // More clusters still to load than it has on order: pulling it makes
   // it submit, deepening the elevator pool. A job whose in-flight set
   // already covers its remaining clusters is just consuming (CPU-bound).
-  return RemainingClusters(job) > static_cast<double>(pending);
+  return Remaining(job, job.path_clusters) > static_cast<double>(pending);
 }
 
 std::size_t WorkloadExecutor::RotatePick(
@@ -407,7 +367,7 @@ std::size_t WorkloadExecutor::SjfPick(
   std::uint64_t best_stamp = std::numeric_limits<std::uint64_t>::max();
   for (const std::size_t pos : candidates) {
     const Job& job = jobs_[active[pos]];
-    const double cost = RemainingCost(job);
+    const double cost = Remaining(job, job.path_costs);
     if (cost < best_cost ||
         (cost == best_cost && job.last_pull < best_stamp)) {
       best = pos;
@@ -462,8 +422,10 @@ std::size_t WorkloadExecutor::PickNext(
       if (options_.stats != nullptr) {
         std::sort(ranked.begin(), ranked.end(),
                   [&](std::size_t a, std::size_t b) {
-                    const double ca = RemainingCost(jobs_[active[a]]);
-                    const double cb = RemainingCost(jobs_[active[b]]);
+                    const Job& ja = jobs_[active[a]];
+                    const Job& jb = jobs_[active[b]];
+                    const double ca = Remaining(ja, ja.path_costs);
+                    const double cb = Remaining(jb, jb.path_costs);
                     if (ca != cb) return ca < cb;
                     return active[a] < active[b];
                   });
@@ -538,12 +500,19 @@ Status WorkloadExecutor::BeginStepping(std::size_t expected_jobs) {
 void WorkloadExecutor::FinishJob(std::size_t active_pos) {
   Job& job = jobs_[run_active_[active_pos]];
   job.result.finished_at = db_->clock()->now();
-  job.plan = PathPlan();
-  // Give the table back, not just empty it: a finished job must not hold
-  // one in jobs_ for the rest of the run.
-  db_->table_pool()->GiveBack(std::move(job.seen));
-  // Transaction state goes after the plan (the plan's translator points
-  // into the snapshot). Dropping the snapshot unpins its version for
+  if (job.lifecycle != nullptr) {
+    job.result.count = job.lifecycle->count();
+    job.result.nodes = std::move(*job.lifecycle->mutable_nodes());
+    job.result.explain = job.lifecycle->explain();
+    if (job.result.explain != nullptr) {
+      job.result.explain->degraded = job.result.degraded;
+    }
+    // Free it, not just its plan: a finished job must not hold a plan or
+    // a dedup table in jobs_ for the rest of the run.
+    job.lifecycle.reset();
+  }
+  // Transaction state goes after the lifecycle (its plans' translator
+  // points into the snapshot). Dropping the snapshot unpins its version for
   // reclamation; a writer still open here (insert failure path) was
   // already aborted. The writer slot frees for the next queued writer.
   job.snapshot.reset();
@@ -635,80 +604,39 @@ Result<std::size_t> WorkloadExecutor::StepOnce() {
   // Slide the classification window once it is full, so the hybrid
   // policy judges a job on its recent behavior, not its whole history.
   if (job.result.pulls - job.window_pulls0 >= kClassifyWindow) {
-    const PlanSharedState* window_shared = job.plan.shared();
-    job.window_pulls0 = job.result.pulls;
-    job.window_yields0 = window_shared->io_yields;
-    job.window_blocks0 = window_shared->io_blocks;
+    RestartWindow(&job);
   }
 
   // An I/O-bound query yields instead of blocking while siblings still
   // have CPU work — its pending reads keep pooling at the disk. Once a
   // full round of active queries yielded, everyone is I/O bound: let
   // this one block, serving the deepest possible pool.
-  PlanSharedState* shared = job.plan.shared();
-  shared->yield_on_block = run_active_.size() > 1 &&
-                           consecutive_yields_ < run_active_.size();
+  if (PlanSharedState* shared = job.lifecycle->shared()) {
+    shared->yield_on_block = run_active_.size() > 1 &&
+                             consecutive_yields_ < run_active_.size();
+  }
 
-  Result<bool> pulled = job.plan.root()->Pull(&step_inst_);
-  if (!pulled.ok()) {
-    // Per-query fault isolation: a pull that surfaces an error (e.g.
+  Result<QueryLifecycle::Step> stepped = job.lifecycle->Advance();
+  if (!stepped.ok()) {
+    // Per-query fault isolation: a step that surfaces an error (e.g.
     // Status::Corruption from a permanently bad page after retries)
     // fails this query alone. Its neighbors and the serving loop keep
     // running; the error is reported in the query's result status.
-    job.result.status = pulled.status();
-    (void)job.plan.root()->Close();  // best-effort resource release
+    job.result.status = stepped.status();
     FinishJob(pick);
     return job_index;
   }
-  const bool have = *pulled;
-  if (!have && shared->yielded) {
-    shared->yielded = false;
+  const QueryLifecycle::Step step = *stepped;
+  if (step == QueryLifecycle::Step::kYield) {
     ++consecutive_yields_;
     return kNoJob;
   }
   consecutive_yields_ = 0;
-  if (have) {
-    // Final duplicate elimination, as in single-query execution.
-    db_->clock()->ChargeCpu(db_->costs().set_op);
-    if (!job.seen.insert(step_inst_.right.node.Pack())) {
-      return kNoJob;
-    }
-    ++job.result.count;
-    ++job.produced_in_path;
-    if (options_.collect_nodes &&
-        job.query.mode == PathQuery::Mode::kNodes) {
-      job.result.nodes.push_back(
-          LogicalNode{step_inst_.right.node, 0, step_inst_.right.order});
-    }
-    return kNoJob;
-  }
-
-  const Status closed = job.plan.root()->Close();
-  if (!closed.ok()) {
-    job.result.status = closed;
-    FinishJob(pick);
-    return job_index;
-  }
-  FinishPath(&job);
-  ++job.path_index;
-  if (job.path_index < job.query.paths.size()) {
-    const Status started = StartNextPath(&job);
-    if (!started.ok()) {
-      job.result.status = started;
-      FinishJob(pick);
-      return job_index;
-    }
-    return kNoJob;
-  }
-
-  // Query finished: exists() answers the OR over its operand paths (every
-  // path still ran to exhaustion, so costs match a count()); order the
-  // results, free the plan and footprint, and let the driver top the
-  // active set back up.
-  if (job.query.mode == PathQuery::Mode::kExists) {
-    job.result.count = job.result.count > 0 ? 1 : 0;
-  }
-  SortDocumentOrder(db_, &job.result.nodes);
+  // A new plan is judged on its own pulls.
+  if (step == QueryLifecycle::Step::kOperandDone) RestartWindow(&job);
+  if (step != QueryLifecycle::Step::kQueryDone) return kNoJob;
+  // Free the lifecycle and footprint, and let the driver top the active
+  // set back up.
   FinishJob(pick);
   return job_index;
 }
@@ -719,8 +647,9 @@ Result<WorkloadResult> WorkloadExecutor::EndStepping() {
   }
   stepping_ = false;
   // Drain speculative reads no query consumed (cross-query completion
-  // stealing can leave a closed plan's prefetches in flight), so the
-  // database is reusable and the device-busy tail is accounted for.
+  // stealing and exists()'s early stop leave a closed plan's prefetches
+  // in flight), so the database is reusable and the device-busy tail is
+  // accounted for.
   while (db_->buffer()->HasPrefetchInFlight()) {
     (void)db_->buffer()->WaitAnyPrefetch();
   }
@@ -804,26 +733,20 @@ Status WorkloadExecutor::ActivateJob(std::size_t index) {
         "writer concurrency limit reached (max_writers writers active)");
   }
   job.activated = true;
-  const Status started = StartNextPath(&job);
+  const Status started = StartJob(&job);
   job.result.admitted_at = db_->clock()->now();
+  footprint_used_ += job.footprint;
+  // Keep the active set ascending by job id: the rotation picks
+  // (kRoundRobin, hybrid I/O set) rely on that order for fairness.
+  const auto pos = run_active_.insert(
+      std::lower_bound(run_active_.begin(), run_active_.end(), index),
+      index);
   if (!started.ok()) {
     // A plan that fails to open fails its query alone; the workload and
     // the serving loop keep running (per-query status isolation).
     job.result.status = started;
-    job.result.finished_at = db_->clock()->now();
-    job.plan = PathPlan();
-    db_->table_pool()->GiveBack(std::move(job.seen));
-    job.snapshot.reset();
-    job.done = true;
-    ++completed_;
-    return Status::OK();
+    FinishJob(static_cast<std::size_t>(pos - run_active_.begin()));
   }
-  footprint_used_ += job.footprint;
-  // Keep the active set ascending by job id: the rotation picks
-  // (kRoundRobin, hybrid I/O set) rely on that order for fairness.
-  run_active_.insert(
-      std::lower_bound(run_active_.begin(), run_active_.end(), index),
-      index);
   return Status::OK();
 }
 
@@ -850,7 +773,6 @@ Status WorkloadExecutor::RetierJob(std::size_t index,
         "cannot re-tier a job that already started");
   }
   job.plan_options = plan;
-  if (options_.explain) job.plan_options.profile = true;
   ComputeEstimates(&job);
   job.footprint = FootprintFor(job);
   job.result.degraded = true;
@@ -889,7 +811,7 @@ bool WorkloadExecutor::DeadlineUrgent(const Job& job) const {
   const SimTime now = db_->clock()->now();
   if (now >= job.deadline) return true;
   const double slack = static_cast<double>(job.deadline - now);
-  return slack < kDeadlineHeadroom * RemainingCost(job);
+  return slack < kDeadlineHeadroom * Remaining(job, job.path_costs);
 }
 
 }  // namespace navpath

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_set.h"
 #include "compiler/cost_model.h"
 #include "compiler/executor.h"
 #include "compiler/plan.h"
@@ -84,7 +83,8 @@ struct WorkloadOptions {
   /// cost charging, shortest-remaining-cost ordering) use the database's
   /// path-summary synopsis where a path is in its exactness domain; off
   /// reproduces pure DocumentStats estimates byte-for-byte. Summary use
-  /// inside each query's own plan stays governed by its PlanOptions.
+  /// inside each query (pruning, XScan restriction, the count()/exists()
+  /// answer) stays governed by its PlanOptions.
   bool summary = true;
 
   /// Produce an EXPLAIN ANALYZE report per query (forces plan profiling).
@@ -247,9 +247,12 @@ class WorkloadExecutor {
   WorkloadExecutor(const WorkloadExecutor&) = delete;
   WorkloadExecutor& operator=(const WorkloadExecutor&) = delete;
 
-  /// Admits a parsed query. Paths must be predicate-free (predicated
-  /// queries go through ExecuteQuery's segmented evaluation, which is not
-  /// pull-interleavable). Relative paths need `contexts`. `arrival` is
+  /// Admits a parsed query. At activation it gets the QueryLifecycle
+  /// ExecuteQuery runs (executor.h), stepped once per scheduling decision:
+  /// predicated paths run as segments with their filter steps between
+  /// them, a count()/exists() operand the summary covers is answered
+  /// without navigating when the plan options allow it, and exists()
+  /// stops at its first hit. Relative paths need `contexts`. `arrival` is
   /// the simulated time the query enters the system (open-system
   /// workloads); arrivals must be nondecreasing in Add() order, and a
   /// query is not admitted before its arrival. `deadline` (absolute
@@ -310,11 +313,11 @@ class WorkloadExecutor {
   /// Returned by StepOnce when no job completed on that decision.
   static constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
 
-  /// Activates job `index` (opens its plan, charges its footprint). The
-  /// job must have arrived and not yet have been activated. A plan that
-  /// fails to open fails the job individually (its result carries the
-  /// status) and still returns OK — the serving loop must survive one
-  /// query's bad plan.
+  /// Activates job `index` (builds its lifecycle, which opens its first
+  /// plan, and charges its footprint). The job must have arrived and not
+  /// yet have been activated. A plan that fails to open fails the job
+  /// individually (its result carries the status) and still returns
+  /// OK — the serving loop must survive one query's bad plan.
   Status ActivateJob(std::size_t index);
 
   /// Re-plans a not-yet-activated job onto different plan options (the
@@ -324,8 +327,9 @@ class WorkloadExecutor {
   Status RetierJob(std::size_t index, const PlanOptions& plan);
 
   /// Executes one scheduling decision over the activated jobs: picks per
-  /// policy, pulls once, and accounts. Handles yields, results, path
-  /// transitions, and completion (including footprint release). A pull
+  /// policy, steps the job once (a reader's lifecycle step, or a writer's
+  /// op batch or commit), and accounts. Handles yields, operand
+  /// transitions, and completion (including footprint release). A step
   /// that surfaces an error fails that job alone: the error lands in the
   /// job's result status and the driver keeps serving its neighbors.
   /// Returns the jobs_ index of the job that completed (or individually
@@ -353,6 +357,8 @@ class WorkloadExecutor {
 
  private:
   struct Job {
+    // A reader's query, plan options and contexts; the query and contexts
+    // move into its lifecycle at activation.
     PathQuery query;
     PlanOptions plan_options;
     std::vector<LogicalNode> contexts;
@@ -384,26 +390,19 @@ class WorkloadExecutor {
     /// Max estimated clusters touched by any operand path (0 = no stats).
     double clusters_touched = 0.0;
 
-    // Run state.
-    std::size_t path_index = 0;
-    PathPlan plan;
-    FlatSet<std::uint64_t> seen;  // dedup within current path
-    std::uint64_t produced_in_path = 0;
+    // Run state. A reader's lifecycle lives from activation to
+    // completion. Its EXPLAIN windows include time spent pulled away to
+    // other queries; per-operator attribution comes from the plan
+    // profiler instead.
+    std::unique_ptr<QueryLifecycle> lifecycle;
     std::uint64_t last_pull = 0;  // scheduler decision stamp (fair ties)
     // Classification window (kHybrid): snapshots of the job's pull count
     // and the plan's yield/block counters at the window start. Reset
-    // every kClassifyWindow pulls and whenever a new path plan opens.
+    // every kClassifyWindow pulls and whenever a step ends a plan or an
+    // operand.
     std::uint64_t window_pulls0 = 0;
     std::uint64_t window_yields0 = 0;
     std::uint64_t window_blocks0 = 0;
-    // Per-path measurement window (WorkloadOptions.explain only). With
-    // interleaving the window includes time spent pulled away to other
-    // queries; wall-clock attribution per operator comes from the plan
-    // profiler instead.
-    Metrics path_metrics_start;
-    SimTime path_t0 = 0;
-    SimTime path_io0 = 0;
-    std::uint64_t path_count_before = 0;
     WorkloadQueryResult result;
   };
 
@@ -413,8 +412,9 @@ class WorkloadExecutor {
   void ComputeEstimates(Job* job) const;
 
   /// Completion bookkeeping shared by the success and failure exits of
-  /// StepOnce: stamps finished_at, frees plan + footprint, and removes
-  /// the job from the active set.
+  /// StepOnce: stamps finished_at, takes count, nodes and EXPLAIN from the
+  /// lifecycle, frees it and the footprint, and removes the job from the
+  /// active set.
   void FinishJob(std::size_t active_pos);
 
   /// Admission footprint of `job`: the static prefetch-state bound,
@@ -422,33 +422,33 @@ class WorkloadExecutor {
   /// document statistics are available.
   std::size_t FootprintFor(const Job& job) const;
 
-  /// Builds and opens the plan for the job's next path.
-  Status StartNextPath(Job* job);
+  /// Activation: a writer opens its transaction; a reader opens its
+  /// snapshot (txn only), builds its lifecycle and starts it.
+  Status StartJob(Job* job);
+
+  /// Restarts an active reader's kHybrid classification window at its
+  /// pull count and its open plan's yield/block counters (zero without
+  /// one).
+  static void RestartWindow(Job* job);
 
   /// Applies one WriteOp through the job's open writer transaction
   /// (insert or last-child-by-tag delete), bumping the result counters.
   Status ApplyWriteOp(Job* job, const WriteOp& op);
 
-  /// Appends the finished path's EXPLAIN ANALYZE report (explain mode
-  /// only). Must run after Close() and before the plan is discarded.
-  void FinishPath(Job* job);
-
-  /// Expected remaining simulated cost of `job` under the cost model.
-  /// Completed paths contribute zero; the current path is discounted by
-  /// result-cardinality progress (cardinality clamped to ≥ 1, so
-  /// degenerate estimates still shrink as output is produced).
-  double RemainingCost(const Job& job) const;
-
-  /// Expected distinct clusters `job` still has to load, discounted like
-  /// RemainingCost. 0 without document statistics.
-  double RemainingClusters(const Job& job) const;
+  /// What an active `job` still has to spend of `per_path`, its per-path
+  /// cost or cluster estimates: completed operands contribute zero, and
+  /// the current one is discounted by result-cardinality progress
+  /// (cardinality clamped to ≥ 1, so degenerate estimates still shrink as
+  /// output is produced). 0 without document statistics.
+  double Remaining(const Job& job, const std::vector<double>& per_path) const;
 
   /// kHybrid classification. A job is I/O-bound when it has prefetches
   /// in flight and either its recent pulls mostly ended waiting on the
   /// drive (yield/block ratio over the classification window) or the
   /// cost model says it must still load more clusters than it has on
-  /// order — pulling it keeps the elevator pool deep. Everything else is
-  /// CPU-bound and competes on shortest remaining cost.
+  /// order — pulling it keeps the elevator pool deep. Everything else,
+  /// a job with no plan open included, is CPU-bound and competes on
+  /// shortest remaining cost.
   bool IoBound(const Job& job) const;
 
   /// Round-robin over `candidates` (positions into `active`) by stable
@@ -490,7 +490,6 @@ class WorkloadExecutor {
   /// driver-declared expected total (jobs may not all exist yet; Run()
   /// declares its job count).
   std::size_t n_total_ = 0;
-  PathInstance step_inst_;
   /// Aggregate admission footprint of the active set.
   std::size_t footprint_used_ = 0;
   /// Stable-id rotation cursors (jobs_ index of the last pick; SIZE_MAX

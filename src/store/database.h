@@ -111,8 +111,8 @@ class Database {
   /// Cold-starts a measurement: drops the buffer, resets clock + metrics.
   Status ResetMeasurement();
 
-  /// Idle per-query membership tables: XAssembly's R, the workload jobs'
-  /// and DrainPlan's result dedup sets take theirs here and give them back.
+  /// Idle per-query membership tables: XAssembly's R and each query
+  /// lifecycle's result dedup set take theirs here and give them back.
   FlatSetPool<std::uint64_t>* table_pool() { return &table_pool_; }
 
  private:

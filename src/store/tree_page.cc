@@ -154,28 +154,39 @@ Status TreePage::Validate() const {
       record_start() < dir_end) {
     return Status::Corruption("page header out of bounds");
   }
+  // First pass: every live record lies inside the page, whole, with a
+  // known kind. The link checks below read linked records, so none of
+  // them may run before every live slot is bounded.
+  for (SlotId s = 0; s < count; ++s) {
+    if (!IsLive(s)) continue;
+    const std::size_t off = RecordOffset(s);
+    if (off < record_start() || off + kBorderRecordBytes > page_size_) {
+      return Status::Corruption("record offset out of bounds");
+    }
+    const auto kind = KindOf(s);
+    if (kind == RecordKind::kCore || kind == RecordKind::kAttribute) {
+      if (off + kCoreRecordBase > page_size_ ||
+          off + kCoreRecordBase + TextOf(s).size() > page_size_) {
+        return Status::Corruption("core record overflows page");
+      }
+    } else if (kind != RecordKind::kBorderDown &&
+               kind != RecordKind::kBorderUp) {
+      return Status::Corruption("bad record kind");
+    }
+  }
+  // Second pass: links. A linked slot is live, so the first pass bounded
+  // its record.
   auto check_link = [&](SlotId s) {
     return s == kInvalidSlot || (s < count && IsLive(s));
   };
   for (SlotId s = 0; s < count; ++s) {
     if (!IsLive(s)) continue;
-    const std::size_t off = LoadU16(kHeaderBytes + s * kSlotEntryBytes);
-    if (off < record_start() || off + 10 > page_size_) {
-      return Status::Corruption("record offset out of bounds");
-    }
     const auto kind = KindOf(s);
-    if (kind != RecordKind::kCore && kind != RecordKind::kBorderDown &&
-        kind != RecordKind::kBorderUp && kind != RecordKind::kAttribute) {
-      return Status::Corruption("bad record kind");
-    }
     if (!check_link(ParentOf(s)) || !check_link(FirstChildOf(s)) ||
         !check_link(NextSiblingOf(s)) || !check_link(PrevSiblingOf(s))) {
       return Status::Corruption("dangling slot link");
     }
     if (kind == RecordKind::kCore || kind == RecordKind::kAttribute) {
-      if (off + kCoreRecordBase + TextOf(s).size() > page_size_) {
-        return Status::Corruption("core record overflows page");
-      }
       if (!check_link(FirstAttrOf(s))) {
         return Status::Corruption("dangling attribute link");
       }

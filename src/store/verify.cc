@@ -40,13 +40,16 @@ Result<VerifyReport> VerifyStore(Database* db, const ImportedDocument& doc) {
                                db->buffer()->Fix(partner.page));
       const TreePage partner_page =
           TreePage::ReadOnly(partner_guard.data(), page_size);
-      if (partner.slot >= partner_page.slot_count() ||
-          !partner_page.IsLive(partner.slot) ||
-          !partner_page.IsBorder(partner.slot)) {
+      // The partner page may not have been validated yet: read its record
+      // only through a bounds-checked offset.
+      TreePage::CheckedRecord record{};
+      if (!partner_page.ReadChecked(partner.slot, &record) ||
+          (record.kind != RecordKind::kBorderDown &&
+           record.kind != RecordKind::kBorderUp)) {
         return Status::Corruption("partner is not a border: " +
                                   partner.ToString());
       }
-      if (partner_page.KindOf(partner.slot) == page.KindOf(s)) {
+      if (record.kind == page.KindOf(s)) {
         return Status::Corruption("partner has same direction: " +
                                   partner.ToString());
       }

@@ -1,6 +1,7 @@
 // Tests for document export from the paged store and the store fsck.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
 #include "store/export.h"
@@ -174,6 +175,51 @@ TEST(VerifyTest, DetectsBrokenPartnerPointer) {
   ASSERT_TRUE(corrupted);
   ASSERT_TRUE(db.buffer()->FlushAll().ok());
   EXPECT_FALSE(VerifyStore(&db, *doc).ok());
+}
+
+TEST(VerifyTest, PartnerOutsideItsPageIsCorruptionNotARead) {
+  // A border's partner lives on a later page, which VerifyStore has not
+  // validated yet when it checks the pair; that page's directory entry
+  // for the partner slot points past the page.
+  Database db(SmallDb());
+  RandomTreeOptions tree_options;
+  tree_options.node_count = 300;
+  const DomTree tree = MakeRandomTree(tree_options, 323, db.tags());
+  RandomClusteringPolicy policy(448, 7);
+  auto doc = db.Import(tree, &policy);
+  ASSERT_TRUE(doc.ok());
+
+  const std::size_t page_size = db.options().page_size;
+  NodeID target = kInvalidNodeID;
+  for (PageId p = doc->first_page; p <= doc->last_page; ++p) {
+    auto guard = db.buffer()->Fix(p);
+    ASSERT_TRUE(guard.ok());
+    const TreePage page = TreePage::ReadOnly(guard->data(), page_size);
+    for (SlotId s = 0; s < page.slot_count(); ++s) {
+      if (page.IsLive(s) && page.IsBorder(s) && page.PartnerOf(s).page > p) {
+        target = page.PartnerOf(s);
+        break;
+      }
+    }
+    if (target.valid()) break;
+  }
+  ASSERT_TRUE(target.valid());
+  {
+    auto guard = db.buffer()->Fix(target.page);
+    ASSERT_TRUE(guard.ok());
+    const std::uint16_t past = static_cast<std::uint16_t>(page_size + 64);
+    std::memcpy(guard->mutable_data() + TreePage::kHeaderBytes +
+                    std::size_t{target.slot} * TreePage::kSlotEntryBytes,
+                &past, sizeof(past));
+    guard->MarkDirty();
+  }
+  ASSERT_TRUE(db.buffer()->FlushAll().ok());
+  const auto report = VerifyStore(&db, *doc);
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
+  EXPECT_NE(report.status().ToString().find("partner is not a border"),
+            std::string::npos)
+      << report.status().ToString();
 }
 
 }  // namespace

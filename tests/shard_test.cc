@@ -22,6 +22,8 @@
 #include "store/clustering.h"
 #include "txn/txn.h"
 #include "xmark/generator.h"
+#include "xpath/oracle.h"
+#include "xpath/parser.h"
 
 namespace navpath {
 namespace {
@@ -402,6 +404,257 @@ TEST(CrossDriverTest, ExistsAnswersMatchExecuteQuery) {
         << "Server: " << queries[i];
     EXPECT_EQ(sharded_run->queries[i].count, expected[i])
         << "K=2: " << queries[i];
+  }
+}
+
+// Predicated paths run as segments with filter steps in every driver's
+// one query lifecycle: ExecuteQuery, WorkloadExecutor::Run, the serving
+// layer and the sharded driver at K=1 (whose router sends predicated
+// queries to the home shard) must each give the DOM oracle's count and
+// document-order nodes, under every plan kind. The relative path needs
+// context nodes, which only the parsed-query Add() of ExecuteQuery and
+// Run() takes.
+TEST(CrossDriverTest, PredicatesMatchTheOracleInEveryDriver) {
+  constexpr double kScale = 0.02;
+  const std::vector<std::string> queries = {
+      "/site/regions//item[@id]/name",
+      "/site/people/person[@id=\"person0\"]/name",
+      "/site/people/person[profile[interest]]/name",
+      "count(/site/regions//item[@id]/name)",
+      "exists(/site/people/person[@id=\"person0\"])",
+      "exists(/site/people/person[@id=\"nobody\"])",
+  };
+  const std::string relative = "person[address[city]]/email";
+  auto fixture = XMarkFixture::Create(kScale);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  XMarkFixture* fx = fixture->get();
+  XMarkOptions xmark;
+  xmark.scale = kScale;
+  const DomTree tree = GenerateXMark(xmark, fx->db()->tags());
+
+  struct Expected {
+    std::uint64_t count = 0;
+    std::vector<std::uint64_t> orders;
+  };
+  const auto oracle = [&](const PathQuery& query, DomNodeId context) {
+    Expected e;
+    if (query.mode != PathQuery::Mode::kNodes) {
+      e.count = OracleCount(tree, query, context);
+      return e;
+    }
+    for (const DomNodeId n :
+         OracleEvaluate(tree, query.paths.front(), context)) {
+      e.orders.push_back(tree.node(n).order);
+    }
+    e.count = e.orders.size();
+    return e;
+  };
+  std::vector<PathQuery> parsed;
+  std::vector<Expected> expected;
+  for (const std::string& q : queries) {
+    auto query = ParseQuery(q, fx->db()->tags());
+    ASSERT_TRUE(query.ok()) << q << ": " << query.status().ToString();
+    expected.push_back(oracle(*query, tree.root()));
+    parsed.push_back(*std::move(query));
+  }
+  EXPECT_GT(expected[0].count, 0u);
+  EXPECT_EQ(expected[1].count, 1u);
+  EXPECT_GT(expected[2].count, 0u);
+  EXPECT_EQ(expected[4].count, 1u);
+  EXPECT_EQ(expected[5].count, 0u);
+
+  // The relative path's context: /site/people, in the store and the DOM.
+  auto people_path = ParsePath("/site/people", fx->db()->tags());
+  ASSERT_TRUE(people_path.ok());
+  const std::vector<DomNodeId> people_dom =
+      OracleEvaluate(tree, *people_path, tree.root());
+  ASSERT_EQ(people_dom.size(), 1u);
+  auto people = fx->Run("/site/people", PaperPlan(PlanKind::kXSchedule));
+  ASSERT_TRUE(people.ok()) << people.status().ToString();
+  ASSERT_EQ(people->nodes.size(), 1u);
+  auto relative_query = ParseQuery(relative, fx->db()->tags());
+  ASSERT_TRUE(relative_query.ok()) << relative_query.status().ToString();
+  const Expected relative_expected =
+      oracle(*relative_query, people_dom.front());
+  EXPECT_GT(relative_expected.count, 0u);
+
+  auto store = BuildSharded(kScale, 1);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  for (const PlanKind kind :
+       {PlanKind::kSimple, PlanKind::kXSchedule, PlanKind::kXScan}) {
+    const PlanOptions plan = PaperPlan(kind);
+    const std::string tag = PlanKindName(kind);
+    const auto check = [&](const std::string& driver, std::size_t i,
+                           std::uint64_t count,
+                           const std::vector<LogicalNode>& nodes) {
+      const Expected& e =
+          i < queries.size() ? expected[i] : relative_expected;
+      const std::string& q = i < queries.size() ? queries[i] : relative;
+      EXPECT_EQ(count, e.count) << driver << " " << tag << ": " << q;
+      EXPECT_EQ(OrdersOf(nodes), e.orders)
+          << driver << " " << tag << ": " << q;
+    };
+
+    for (std::size_t i = 0; i < parsed.size(); ++i) {
+      ExecuteOptions exec;
+      exec.plan = plan;
+      exec.collect_nodes = parsed[i].mode == PathQuery::Mode::kNodes;
+      auto solo = ExecuteQuery(fx->db(), fx->doc(), parsed[i], exec);
+      ASSERT_TRUE(solo.ok()) << queries[i] << ": "
+                             << solo.status().ToString();
+      check("ExecuteQuery", i, solo->count, solo->nodes);
+    }
+    ExecuteOptions exec;
+    exec.plan = plan;
+    exec.collect_nodes = true;
+    exec.contexts = people->nodes;
+    auto solo = ExecuteQuery(fx->db(), fx->doc(), *relative_query, exec);
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    check("ExecuteQuery", queries.size(), solo->count, solo->nodes);
+
+    WorkloadOptions options;
+    options.collect_nodes = true;
+    options.stats = &fx->stats();
+    WorkloadExecutor executor(fx->db(), fx->doc(), options);
+    for (const PathQuery& query : parsed) {
+      ASSERT_TRUE(executor.Add(query, plan).ok()) << query.ToString();
+    }
+    ASSERT_TRUE(executor.Add(*relative_query, plan, people->nodes).ok());
+    auto run = executor.Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    for (std::size_t i = 0; i < run->queries.size(); ++i) {
+      ASSERT_TRUE(run->queries[i].status.ok())
+          << run->queries[i].status.ToString();
+      check("Run", i, run->queries[i].count, run->queries[i].nodes);
+    }
+
+    ServeOptions serve;
+    serve.tenants.resize(1);
+    serve.tenants[0].name = "only";
+    serve.workload.stats = &fx->stats();
+    serve.workload.collect_nodes = true;
+    Server server(fx->db(), fx->doc(), serve);
+    for (const std::string& q : queries) {
+      ASSERT_TRUE(server.Submit(0, q, plan, 0).ok()) << q;
+    }
+    auto served = server.Run();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ASSERT_EQ(served->workload.queries.size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(served->outcomes[i].status.ok())
+          << served->outcomes[i].status.ToString();
+      check("Server", i, served->outcomes[i].count,
+            served->workload.queries[i].nodes);
+    }
+
+    WorkloadOptions shard_options;
+    shard_options.collect_nodes = true;
+    ShardedWorkloadExecutor sharded(store->get(), shard_options);
+    for (const std::string& q : queries) {
+      ASSERT_TRUE(sharded.Add(q, plan).ok()) << q;
+    }
+    auto sharded_run = sharded.Run();
+    ASSERT_TRUE(sharded_run.ok()) << sharded_run.status().ToString();
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(sharded_run->queries[i].status.ok())
+          << sharded_run->queries[i].status.ToString();
+      check("K=1", i, sharded_run->queries[i].count,
+            sharded_run->queries[i].nodes);
+    }
+  }
+}
+
+// A count()/exists() operand in the path summary's exactness domain is
+// answered from the summary by every driver when the plan options allow
+// it: the workload drivers give ExecuteQuery's answers without entering a
+// cluster or reading a page. With use_summary off the same queries still
+// navigate, and a workload's exists() stops at its first hit.
+TEST(CrossDriverTest, SummaryAnswersMatchExecuteQueryInEveryDriver) {
+  const std::vector<std::string> queries = {
+      kQ6Prime,
+      kQ7,
+      "count(/site/regions/item)",
+      "exists(/site//bold)",
+      "exists(/site/regions/nosuchtag)+exists(/site//keyword)",
+      "exists(/site/regions/nosuchtag)",
+      "count(/site//bold)",
+  };
+  auto fixture = XMarkFixture::Create(0.02);
+  ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
+  XMarkFixture* fx = fixture->get();
+  auto store = BuildSharded(0.02, 1);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+
+  for (const bool use_summary : {true, false}) {
+    PlanOptions plan = PaperPlan(PlanKind::kXSchedule);
+    plan.use_summary = use_summary;
+    const std::string arm = use_summary ? "summary on" : "summary off";
+
+    std::vector<std::uint64_t> expected;
+    for (const std::string& q : queries) {
+      auto solo = fx->Run(q, plan);
+      ASSERT_TRUE(solo.ok()) << q << ": " << solo.status().ToString();
+      EXPECT_EQ(solo->metrics.clusters_visited == 0, use_summary)
+          << arm << ": " << q;
+      expected.push_back(solo->count);
+    }
+    EXPECT_EQ(expected[2], 0u);
+    EXPECT_EQ(expected[3], 1u);
+    EXPECT_EQ(expected[4], 1u);
+    EXPECT_EQ(expected[5], 0u);
+
+    WorkloadOptions options;
+    options.stats = &fx->stats();
+    WorkloadExecutor executor(fx->db(), fx->doc(), options);
+    for (const std::string& q : queries) {
+      ASSERT_TRUE(executor.Add(q, plan).ok()) << q;
+    }
+    auto run = executor.Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+
+    ServeOptions serve;
+    serve.tenants.resize(1);
+    serve.tenants[0].name = "only";
+    serve.workload.stats = &fx->stats();
+    Server server(fx->db(), fx->doc(), serve);
+    for (const std::string& q : queries) {
+      ASSERT_TRUE(server.Submit(0, q, plan, 0).ok()) << q;
+    }
+    auto served = server.Run();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+
+    ShardedWorkloadExecutor sharded(store->get(), WorkloadOptions{});
+    for (const std::string& q : queries) {
+      ASSERT_TRUE(sharded.Add(q, plan).ok()) << q;
+    }
+    auto sharded_run = sharded.Run();
+    ASSERT_TRUE(sharded_run.ok()) << sharded_run.status().ToString();
+
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(run->queries[i].count, expected[i])
+          << arm << " Run: " << queries[i];
+      EXPECT_EQ(served->outcomes[i].count, expected[i])
+          << arm << " Server: " << queries[i];
+      EXPECT_EQ(sharded_run->queries[i].count, expected[i])
+          << arm << " K=1: " << queries[i];
+    }
+    // exists(/site//bold) takes one pull per bold node when it runs to
+    // exhaustion, as count(/site//bold) does.
+    if (!use_summary) {
+      EXPECT_LT(run->queries[3].pulls * 4, run->queries[6].pulls);
+    }
+    const Metrics* windows[] = {&run->metrics, &served->workload.metrics,
+                                &sharded_run->metrics};
+    for (const Metrics* m : windows) {
+      if (use_summary) {
+        EXPECT_EQ(m->clusters_visited, 0u) << arm;
+        EXPECT_EQ(m->disk_reads, 0u) << arm;
+      } else {
+        EXPECT_GT(m->clusters_visited, 0u) << arm;
+        EXPECT_GT(m->disk_reads, 0u) << arm;
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for the on-page record format.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "store/tree_page.h"
@@ -111,6 +112,24 @@ TEST(TreePageTest, ValidateRejectsDanglingLink) {
   ASSERT_TRUE(core.ok());
   f.page.SetFirstChild(*core, 55);  // out of range
   EXPECT_FALSE(f.page.Validate().ok());
+}
+
+TEST(TreePageTest, ValidateBoundsEveryRecordBeforeFollowingLinks) {
+  // Slot 0 links to slot 1, whose directory entry points past the page:
+  // checking slot 0's links must not read slot 1's record through it.
+  PageFixture f;
+  auto parent = f.page.AddCoreRecord(1, 0, "x");
+  auto child = f.page.AddCoreRecord(2, 1, "y");
+  ASSERT_TRUE(parent.ok() && child.ok());
+  f.page.SetFirstChild(*parent, *child);
+  f.page.SetParent(*child, *parent);
+  ASSERT_TRUE(f.page.Validate().ok());
+  const std::uint16_t past = kPage + 64;
+  std::memcpy(f.bytes.data() + TreePage::kHeaderBytes +
+                  std::size_t{*child} * TreePage::kSlotEntryBytes,
+              &past, sizeof(past));
+  const Status status = f.page.Validate();
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
 }
 
 TEST(TreePageTest, ValidateRejectsBorderWithoutPartner) {

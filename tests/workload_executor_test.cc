@@ -17,6 +17,7 @@
 #include "storage/page.h"
 #include "tests/test_util.h"
 #include "xmark/generator.h"
+#include "xpath/oracle.h"
 #include "xpath/parser.h"
 
 namespace navpath {
@@ -604,10 +605,23 @@ TEST(WorkloadExecutorTest, RejectsInvalidWorkloads) {
   ASSERT_TRUE(fixture.ok()) << fixture.status().ToString();
   WorkloadExecutor executor((*fixture)->db(), (*fixture)->doc());
   EXPECT_TRUE(executor.Run().status().IsInvalidArgument());  // empty
-  EXPECT_TRUE(executor
-                  .Add("/site/regions/europe/item[quantity]",
-                       PaperPlan(PlanKind::kXSchedule))
-                  .IsInvalidArgument());  // predicates unsupported
+  // A predicated query is accepted and matches the oracle.
+  const char* const predicated = "/site/regions/europe/item[quantity]";
+  ASSERT_TRUE(
+      executor.Add(predicated, PaperPlan(PlanKind::kXSchedule)).ok());
+  auto run = executor.Run();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->queries[0].status.ok())
+      << run->queries[0].status.ToString();
+  XMarkOptions xmark;
+  xmark.scale = 0.005;
+  const DomTree tree = GenerateXMark(xmark, (*fixture)->db()->tags());
+  auto path = ParsePath(predicated, (*fixture)->db()->tags());
+  ASSERT_TRUE(path.ok());
+  const std::size_t expected =
+      OracleEvaluate(tree, *path, tree.root()).size();
+  EXPECT_GT(expected, 0u);
+  EXPECT_EQ(run->queries[0].count, expected);
 }
 
 }  // namespace

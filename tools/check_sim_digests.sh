@@ -21,8 +21,8 @@ fail=0
 for pinned in \
     scan_closed:1=fe8d2d15e31fc0b3 scan_closed:2=cfbada53a2aef801 \
     scan_closed:3=324cf55979239ac0 \
-    serve_open:1=34e7d47ff1251b5b serve_open:2=18e7e39677ba09a8 \
-    serve_open:3=6cafcff9a327c4ca \
+    serve_open:1=1463f70cebac3e33 serve_open:2=7364d8d27efcd7ff \
+    serve_open:3=e3f19afff1badf87 \
     paper_single:1=c88e0b90573626ee paper_single:2=644ab4e673976c6c \
     paper_single:3=bc6c8488b0cfaac9 \
     shard_batch:1=7335c325c50bcfbf shard_batch:2=6bede5dfe31b6365 \
