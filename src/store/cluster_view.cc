@@ -3,70 +3,69 @@
 namespace navpath {
 
 AxisCursor::AxisCursor(const ClusterView& view, Axis axis, SlotId origin)
-    : view_(view), axis_(axis), origin_(origin) {
-  const RecordKind k = view_.KindOf(origin);
+    : view_(view), axis_(axis), origin_(origin), budget_(view.slot_count()) {
+  TreePage::CheckedRecord o;
+  if (!view_.page().ReadChecked(origin, &o)) return;  // nothing here
+  const RecordKind k = o.kind;
   switch (axis) {
     case Axis::kSelf:
       if (k == RecordKind::kCore || k == RecordKind::kAttribute) {
         mode_ = Mode::kEmitSelf;
-        after_self_ = Mode::kDone;
       }
       break;
     case Axis::kAttribute:
       if (k == RecordKind::kCore) {
-        mode_ = Mode::kAttrChain;
-        current_ = view_.FirstAttrOf(origin);
+        mode_ = Mode::kNext;
+        current_ = o.first_attr;
       }
       break;
     case Axis::kChild:
       if (k == RecordKind::kCore || k == RecordKind::kBorderUp) {
-        mode_ = Mode::kChainForward;
-        current_ = view_.FirstChildOf(origin);
+        mode_ = Mode::kNext;
+        current_ = o.first_child;
       }
       break;
     case Axis::kFollowingSibling:
       if (k == RecordKind::kBorderUp) {
         // A crossing along the sibling chain arrived here: the border's
         // children are the chain's continuation.
-        mode_ = Mode::kChainForward;
-        current_ = view_.FirstChildOf(origin);
+        mode_ = Mode::kNext;
+        current_ = o.first_child;
       } else if (k != RecordKind::kAttribute) {
-        mode_ = Mode::kChainForward;
-        current_ = view_.NextSiblingOf(origin);
+        mode_ = Mode::kNext;
+        current_ = o.next_sibling;
       }
       break;
     case Axis::kPrecedingSibling:
       if (k == RecordKind::kBorderUp) {
-        mode_ = Mode::kChainReverse;
-        current_ = view_.LastChildOf(origin);
+        mode_ = Mode::kPrev;
+        current_ = o.last_child;
       } else if (k != RecordKind::kAttribute) {
-        mode_ = Mode::kChainReverse;
-        current_ = view_.PrevSiblingOf(origin);
+        mode_ = Mode::kPrev;
+        current_ = o.prev_sibling;
       }
       break;
     case Axis::kParent:
-      if (k == RecordKind::kCore || k == RecordKind::kBorderDown ||
-          k == RecordKind::kAttribute) {
-        mode_ = Mode::kUpSingle;
-        current_ = view_.ParentOf(origin);
+      if (k != RecordKind::kBorderUp) {
+        mode_ = Mode::kParent;
+        current_ = o.parent;
       }
       break;
     case Axis::kAncestor:
-      if (k == RecordKind::kCore || k == RecordKind::kBorderDown ||
-          k == RecordKind::kAttribute) {
-        mode_ = Mode::kUpWalk;
-        current_ = view_.ParentOf(origin);
+      if (k != RecordKind::kBorderUp) {
+        mode_ = Mode::kAncestors;
+        current_ = o.parent;
       }
       break;
     case Axis::kAncestorOrSelf:
       if (k == RecordKind::kCore || k == RecordKind::kAttribute) {
         mode_ = Mode::kEmitSelf;
-        after_self_ = Mode::kUpWalk;
-        current_ = view_.ParentOf(origin);
+        after_self_ = Mode::kAncestors;
+        current_ = o.parent;
       } else if (k == RecordKind::kBorderDown) {
         // "self" was already produced in the cluster the step came from.
-        mode_ = Mode::kUpWalk;
-        current_ = view_.ParentOf(origin);
+        mode_ = Mode::kAncestors;
+        current_ = o.parent;
       }
       break;
     case Axis::kDescendant:
@@ -85,7 +84,6 @@ AxisCursor::AxisCursor(const ClusterView& view, Axis axis, SlotId origin)
         current_ = origin;
       } else if (k == RecordKind::kAttribute) {
         mode_ = Mode::kEmitSelf;  // an attribute's only "descendant"
-        after_self_ = Mode::kDone;
       }
       break;
   }
@@ -110,7 +108,9 @@ bool AxisCursor::Advance(const Filter& filter, Tally* tally, NavEntry* out) {
   if (mode_ == Mode::kEmitSelf) {
     mode_ = after_self_;
     ++tally->hops;
-    if (Takes(filter, origin_, false, tally)) {
+    // The constructor's checked read accepted the origin as a core or
+    // attribute record, so its tag lies inside the page.
+    if (Takes(filter, view_.TagOf(origin_), false, tally)) {
       *out = NavEntry{origin_, false};
       return true;
     }
@@ -119,106 +119,71 @@ bool AxisCursor::Advance(const Filter& filter, Tally* tally, NavEntry* out) {
     case Mode::kDone:
     case Mode::kEmitSelf:  // never follows itself
       return false;
-    case Mode::kChainForward:
-      return WalkChain(filter, /*forward=*/true, tally, out);
-    case Mode::kChainReverse:
-      return WalkChain(filter, /*forward=*/false, tally, out);
-    case Mode::kUpSingle:
-      return WalkUp(filter, /*single=*/true, tally, out);
-    case Mode::kUpWalk:
-      return WalkUp(filter, /*single=*/false, tally, out);
     case Mode::kPreorder:
       return ScanPreorder(filter, tally, out);
-    case Mode::kAttrChain:
-      return WalkAttrChain(filter, tally, out);
+    case Mode::kNext:
+    case Mode::kPrev:
+    case Mode::kParent:
+    case Mode::kAncestors:
+      return Walk(filter, tally, out);
   }
   return false;
 }
 
-bool AxisCursor::WalkAttrChain(const Filter& filter, Tally* tally,
-                               NavEntry* out) {
-  const ClusterView view = view_;
-  SlotId s = current_;
-  while (s != kInvalidSlot) {
-    ++tally->hops;
-    NAVPATH_DCHECK(view.KindOf(s) == RecordKind::kAttribute);
-    const SlotId at = s;
-    s = view.NextSiblingOf(at);
-    if (Takes(filter, at, false, tally)) {
-      current_ = s;
-      *out = NavEntry{at, false};
-      return true;
-    }
-  }
-  mode_ = Mode::kDone;
-  return false;
-}
-
-bool AxisCursor::WalkChain(const Filter& filter, bool forward, Tally* tally,
-                           NavEntry* out) {
-  const ClusterView view = view_;
+bool AxisCursor::Walk(const Filter& filter, Tally* tally, NavEntry* out) {
+  // One hop per record the walk arrives at; a chain that comes back to the
+  // origin (an up-border's ring of children) ends there, uncharged. Every
+  // record is read through ReadChecked and every arrival spends one link of
+  // the budget, so a record the read refuses, one of a kind that cannot sit
+  // on the walk's chain, or a spent budget ends the walk. None of these
+  // happens on a page that import and update wrote. The walk keeps its
+  // state, the page view and its counts in locals and writes them back
+  // once, when it returns.
+  const TreePage page = view_.page();
+  const RecordKind member =
+      axis_ == Axis::kAttribute ? RecordKind::kAttribute : RecordKind::kCore;
+  const Mode mode = mode_;
+  const bool sibling_links = mode == Mode::kNext || mode == Mode::kPrev;
   const SlotId origin = origin_;
-  SlotId s = current_;
-  while (s != kInvalidSlot && s != origin) {
-    ++tally->hops;
-    const RecordKind k = view.KindOf(s);
-    if (k == RecordKind::kCore || k == RecordKind::kBorderDown) {
-      const SlotId at = s;
-      const bool crossing = k == RecordKind::kBorderDown;
-      s = forward ? view.NextSiblingOf(at) : view.PrevSiblingOf(at);
-      if (Takes(filter, at, crossing, tally)) {
-        current_ = s;
-        *out = NavEntry{at, crossing};
-        return true;
-      }
-      continue;
-    }
-    // Attributes never appear in child chains.
-    NAVPATH_DCHECK(k == RecordKind::kBorderUp);
-    // Chain terminal. For sibling axes the chain logically continues in
-    // the partner cluster; for the child axis the parent border is not a
-    // child, so the enumeration simply ends.
-    if (k == RecordKind::kBorderUp &&
-        (axis_ == Axis::kFollowingSibling ||
-         axis_ == Axis::kPrecedingSibling) &&
-        Takes(filter, s, true, tally)) {
-      mode_ = Mode::kDone;
-      *out = NavEntry{s, true};
-      return true;
-    }
-    break;
-  }
-  mode_ = Mode::kDone;
-  return false;
-}
-
-bool AxisCursor::WalkUp(const Filter& filter, bool single, Tally* tally,
-                        NavEntry* out) {
-  const ClusterView view = view_;
-  SlotId s = current_;
-  while (s != kInvalidSlot) {
-    ++tally->hops;
-    const RecordKind k = view.KindOf(s);
-    if (k == RecordKind::kBorderUp) {
-      // The ancestor chain leaves the cluster here.
-      if (Takes(filter, s, true, tally)) {
-        mode_ = Mode::kDone;
-        *out = NavEntry{s, true};
-        return true;
-      }
+  std::uint16_t budget = budget_;
+  Tally counted;
+  Mode after = Mode::kDone;
+  bool found = false;
+  for (SlotId s = current_; s != kInvalidSlot && s != origin && budget > 0;) {
+    --budget;
+    ++counted.hops;
+    TreePage::CheckedRecord rec;
+    if (!page.ReadChecked(s, &rec)) break;
+    if (rec.kind == RecordKind::kBorderUp && member == RecordKind::kCore) {
+      // A sibling chain's end or the fragment's parent: the axis continues
+      // in the partner cluster, except child, for which the border is no
+      // child.
+      found = axis_ != Axis::kChild;
+      if (found) *out = NavEntry{s, true};
       break;
     }
-    NAVPATH_DCHECK(k == RecordKind::kCore);
-    const SlotId at = s;
-    s = single ? kInvalidSlot : view.ParentOf(at);
-    if (Takes(filter, at, false, tally)) {
-      current_ = s;  // kInvalidSlot after a parent step: the next call ends
-      *out = NavEntry{at, false};
-      return true;
+    // A down-border interrupts a sibling chain: the chain crosses there.
+    const bool crossing = rec.kind == RecordKind::kBorderDown &&
+                          sibling_links && member == RecordKind::kCore;
+    if (rec.kind != member && !crossing) break;
+    const SlotId next = mode == Mode::kNext        ? rec.next_sibling
+                        : mode == Mode::kPrev      ? rec.prev_sibling
+                        : mode == Mode::kAncestors ? rec.parent
+                                                   : kInvalidSlot;
+    if (Takes(filter, rec.tag, crossing, &counted)) {
+      after = mode;
+      current_ = next;  // kInvalidSlot after a parent step: the next call ends
+      *out = NavEntry{s, crossing};
+      found = true;
+      break;
     }
+    s = next;
   }
-  mode_ = Mode::kDone;
-  return false;
+  mode_ = after;
+  budget_ = budget;
+  tally->hops += counted.hops;
+  tally->tests += counted.tests;
+  return found;
 }
 
 bool AxisCursor::ScanPreorder(const Filter& filter, Tally* tally,
@@ -251,11 +216,11 @@ bool AxisCursor::ScanPreorder(const Filter& filter, Tally* tally,
   const std::uint64_t passed = j - from - 1;  // entries the filter refused
   if (j < n && e[j].depth > top) {
     const bool crossing = e[j].key == NavIndex::kDownBorderKey;
-    NAVPATH_DCHECK(view_.IsLive(e[j].slot));
-    NAVPATH_DCHECK(crossing
-                       ? view_.KindOf(e[j].slot) == RecordKind::kBorderDown
-                       : view_.KindOf(e[j].slot) == RecordKind::kCore &&
-                             view_.TagOf(e[j].slot) == e[j].key);
+    NAVPATH_DCHECK(view_.page().IsLive(e[j].slot));
+    NAVPATH_DCHECK(
+        crossing ? view_.page().KindOf(e[j].slot) == RecordKind::kBorderDown
+                 : view_.page().KindOf(e[j].slot) == RecordKind::kCore &&
+                       view_.TagOf(e[j].slot) == e[j].key);
     tally->hops += 2 * (j - from) + e[from].depth - e[j].depth;
     if (filter.scan) tally->tests += passed + (crossing ? 0 : 1);
     mode_ = Mode::kPreorder;

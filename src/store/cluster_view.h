@@ -9,7 +9,11 @@
 // yields every entry; Scan() runs on to the next crossing or the next
 // record that passes a node test. The descendant axes scan the page's
 // preorder image (NavIndex) instead of following links, and charge
-// exactly the hops the link walk would have followed.
+// exactly the hops the link walk would have followed. The other axes
+// follow the page's slot links, reading every record through
+// TreePage::ReadChecked and at most slot_count links per cursor, so no
+// byte pattern makes a cursor read outside its page or run forever
+// (DESIGN.md §3 "Checked link walks").
 //
 // The origin record may itself be a border record, in which case the
 // cursor enumerates the continuation of a partially evaluated step that
@@ -25,7 +29,7 @@
 // Direction/record-kind combinations that cannot occur as real
 // continuations (e.g. child from a down-border) enumerate nothing, which
 // is what XScan's speculative seeds rely on (Sec. 5.4.3: seeds that fail
-// to extend are filtered).
+// to extend are filtered). So does an origin no checked read accepts.
 #ifndef NAVPATH_STORE_CLUSTER_VIEW_H_
 #define NAVPATH_STORE_CLUSTER_VIEW_H_
 
@@ -71,14 +75,17 @@ class ClusterView {
   PageId page_id() const { return page_id_; }
   std::uint16_t slot_count() const { return page_.slot_count(); }
 
-  RecordKind KindOf(SlotId slot) const { return page_.KindOf(slot); }
-  /// False for slots whose record was removed by an update.
-  bool IsLive(SlotId slot) const { return page_.IsLive(slot); }
+  /// The page's bytes, for readers that follow links themselves (the
+  /// exports) and for debug checks.
+  const TreePage& page() const { return page_; }
+
+  // Fields of a record a cursor returned, which ReadChecked or the image's
+  // build accepted, so they lie inside the page: a core or attribute
+  // record's tag, order key and text, and a border's partner, target(x)
+  // of the paper.
   TagId TagOf(SlotId slot) const { return page_.TagOf(slot); }
   std::uint64_t OrderOf(SlotId slot) const { return page_.OrderOf(slot); }
   std::string_view TextOf(SlotId slot) const { return page_.TextOf(slot); }
-
-  /// target(x) of the paper: the border record on the other side.
   NodeID PartnerOf(SlotId slot) const { return page_.PartnerOf(slot); }
 
   NodeID IdOf(SlotId slot) const { return NodeID{page_id_, slot}; }
@@ -95,18 +102,6 @@ class ClusterView {
     metrics_->intra_cluster_hops += hops;
     metrics_->node_tests += tests;
   }
-
-  // Raw link accessors (uncharged; cursors charge per hop themselves).
-  SlotId ParentOf(SlotId slot) const { return page_.ParentOf(slot); }
-  SlotId FirstChildOf(SlotId slot) const { return page_.FirstChildOf(slot); }
-  SlotId NextSiblingOf(SlotId slot) const {
-    return page_.NextSiblingOf(slot);
-  }
-  SlotId PrevSiblingOf(SlotId slot) const {
-    return page_.PrevSiblingOf(slot);
-  }
-  SlotId LastChildOf(SlotId slot) const { return page_.LastChildOf(slot); }
-  SlotId FirstAttrOf(SlotId slot) const { return page_.FirstAttrOf(slot); }
 
   /// The page's preorder image, valid until the next call on any view.
   const NavIndex& Index() const {
@@ -153,15 +148,14 @@ class AxisCursor {
   void Rebind(const ClusterView& view) { view_ = view; }
 
  private:
-  enum class Mode {
+  enum class Mode : std::uint8_t {
     kDone,
-    kEmitSelf,      // pending self emission (self / *-or-self from core)
-    kChainForward,  // sibling-chain walk via next pointers
-    kChainReverse,  // sibling-chain walk via prev pointers
-    kUpSingle,      // parent
-    kUpWalk,        // ancestor(-or-self)
-    kPreorder,      // descendant(-or-self): the preorder image
-    kAttrChain,     // attribute chain of a core element
+    kEmitSelf,   // pending self emission (self / *-or-self)
+    kNext,       // next-sibling links: child, following-sibling, attribute
+    kPrev,       // previous-sibling links: preceding-sibling
+    kParent,     // one parent link
+    kAncestors,  // parent links up to the fragment's root
+    kPreorder,   // descendant(-or-self): the preorder image
   };
 
   struct Tally {
@@ -177,23 +171,19 @@ class AxisCursor {
     bool any = true;
     TagId want = 0;
   };
-  bool Takes(const Filter& filter, SlotId slot, bool crossing,
-             Tally* tally) const {
+  static bool Takes(const Filter& filter, TagId tag, bool crossing,
+                    Tally* tally) {
     if (!filter.scan || crossing) return true;
     ++tally->tests;
-    return filter.any || view_.TagOf(slot) == filter.want;
+    return filter.any || tag == filter.want;
   }
 
   // Each walk runs until it returns an entry the filter takes, which it
   // writes to `out`, or until the axis is exhausted. Hops and tests go to
-  // the tally; the caller charges it. The link walks keep their state in
-  // locals and write it back once, when they return.
+  // the tally; the caller charges it.
   bool Advance(const Filter& filter, Tally* tally, NavEntry* out);
-  bool WalkChain(const Filter& filter, bool forward, Tally* tally,
-                 NavEntry* out);
-  bool WalkAttrChain(const Filter& filter, Tally* tally, NavEntry* out);
-  bool WalkUp(const Filter& filter, bool single, Tally* tally,
-              NavEntry* out);
+  // Follows the mode's link from current_, one checked record per hop.
+  bool Walk(const Filter& filter, Tally* tally, NavEntry* out);
   // The descendant walk: a scan of the preorder image from current_'s
   // entry through the origin's subtree.
   bool ScanPreorder(const Filter& filter, Tally* tally, NavEntry* out);
@@ -204,6 +194,9 @@ class AxisCursor {
   Mode after_self_ = Mode::kDone;  // mode entered after kEmitSelf
   SlotId origin_ = kInvalidSlot;
   SlotId current_ = kInvalidSlot;
+  // Links the walk may still follow: slot_count at the start, enough for
+  // any chain on a well-formed page, which visits each slot at most once.
+  std::uint16_t budget_ = 0;
 };
 
 }  // namespace navpath

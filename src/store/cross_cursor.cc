@@ -66,11 +66,12 @@ Result<LogicalNode> CrossClusterCursor::Describe(NodeID id) {
       db_->buffer()->Fix(TranslateToPhysical(translator_, id.page)));
   if (on_visit_) on_visit_(id.page);
   const ClusterView view = db_->MakeView(guard, id.page);
-  if (id.slot >= view.slot_count() || !view.IsLive(id.slot) ||
-      view.KindOf(id.slot) != RecordKind::kCore) {
+  TreePage::CheckedRecord rec;
+  if (!view.page().ReadChecked(id.slot, &rec) ||
+      rec.kind != RecordKind::kCore) {
     return Status::InvalidArgument("not a core node: " + id.ToString());
   }
-  return LogicalNode{id, view.TagOf(id.slot), view.OrderOf(id.slot)};
+  return LogicalNode{id, rec.tag, view.OrderOf(id.slot)};
 }
 
 }  // namespace navpath

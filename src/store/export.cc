@@ -9,8 +9,9 @@ namespace navpath {
 
 void AppendAttributes(const ClusterView& view, TagRegistry* tags,
                       SlotId element, std::string* out) {
-  for (SlotId a = view.FirstAttrOf(element); a != kInvalidSlot;
-       a = view.NextSiblingOf(a)) {
+  const TreePage& page = view.page();
+  for (SlotId a = page.FirstAttrOf(element); a != kInvalidSlot;
+       a = page.NextSiblingOf(a)) {
     view.ChargeHop();
     out->push_back(' ');
     out->append(tags->Name(view.TagOf(a)));
@@ -57,7 +58,7 @@ class Exporter {
     Level level;
     level.tag_name = db_->tags()->Name(view.TagOf(id.slot));
     level.chain_page = id.page;
-    level.chain_slot = view.FirstChildOf(id.slot);
+    level.chain_slot = view.page().FirstChildOf(id.slot);
     level.chain_origin = id.slot;
     const std::string_view text = view.TextOf(id.slot);
     out_.push_back('<');
@@ -96,9 +97,9 @@ class Exporter {
     const ClusterView view = db_->MakeView(guard, top.chain_page);
     const SlotId slot = top.chain_slot;
     view.ChargeHop();
-    switch (view.KindOf(slot)) {
+    switch (view.page().KindOf(slot)) {
       case RecordKind::kCore: {
-        top.chain_slot = view.NextSiblingOf(slot);
+        top.chain_slot = view.page().NextSiblingOf(slot);
         const NodeID child{top.chain_page, slot};
         guard.Release();
         return OpenElement(child);
@@ -107,7 +108,7 @@ class Exporter {
         // Continue this level's chain inside the partner fragment.
         const NodeID partner = view.PartnerOf(slot);
         ++db_->metrics()->inter_cluster_hops;
-        top.chain_slot = view.NextSiblingOf(slot);
+        top.chain_slot = view.page().NextSiblingOf(slot);
         // Remember where to resume after the partner fragment: the
         // partner's children are enumerated first, then we return here.
         Level detour = top;  // copy of the element level state
@@ -117,7 +118,7 @@ class Exporter {
                 TranslateToPhysical(options_.translator, partner.page)));
         const ClusterView pview = db_->MakeView(pguard, partner.page);
         detour.chain_page = partner.page;
-        detour.chain_slot = pview.FirstChildOf(partner.slot);
+        detour.chain_slot = pview.page().FirstChildOf(partner.slot);
         detour.chain_origin = partner.slot;
         detour.closes_tag = false;  // continues the element's child list
         detour.tag_name.clear();

@@ -46,16 +46,17 @@ class ScanExporter {
   /// Serializes every fragment rooted in this cluster into a partial
   /// document instance.
   Status SerializeClusterFragments(const ClusterView& view) {
-    for (SlotId slot = 0; slot < view.slot_count(); ++slot) {
+    const TreePage& page = view.page();
+    for (SlotId slot = 0; slot < page.slot_count(); ++slot) {
       view.ChargeHop();
-      if (!view.IsLive(slot)) continue;
-      const RecordKind kind = view.KindOf(slot);
+      if (!page.IsLive(slot)) continue;
+      const RecordKind kind = page.KindOf(slot);
       if (kind == RecordKind::kBorderUp) {
         FragmentText fragment;
-        SerializeChain(view, view.FirstChildOf(slot), slot, &fragment);
+        SerializeChain(view, page.FirstChildOf(slot), slot, &fragment);
         Store(view.IdOf(slot).Pack(), std::move(fragment));
       } else if (kind == RecordKind::kCore &&
-                 view.ParentOf(slot) == kInvalidSlot) {
+                 page.ParentOf(slot) == kInvalidSlot) {
         // The document root: a fragment of its own.
         FragmentText fragment;
         SerializeElement(view, slot, &fragment);
@@ -69,9 +70,10 @@ class ScanExporter {
   /// (kInvalidSlot) or loops back to the fragment root `stop`.
   void SerializeChain(const ClusterView& view, SlotId first, SlotId stop,
                       FragmentText* out) {
+    const TreePage& page = view.page();
     for (SlotId cur = first; cur != kInvalidSlot && cur != stop;) {
       view.ChargeHop();
-      switch (view.KindOf(cur)) {
+      switch (page.KindOf(cur)) {
         case RecordKind::kCore:
           SerializeElement(view, cur, out);
           break;
@@ -83,7 +85,7 @@ class ScanExporter {
         case RecordKind::kAttribute:
           return;  // attributes never appear in child chains
       }
-      cur = view.NextSiblingOf(cur);
+      cur = page.NextSiblingOf(cur);
     }
   }
 
@@ -91,7 +93,7 @@ class ScanExporter {
                         FragmentText* out) {
     const std::string& name = db_->tags()->Name(view.TagOf(element));
     const std::string_view text = view.TextOf(element);
-    const SlotId first_child = view.FirstChildOf(element);
+    const SlotId first_child = view.page().FirstChildOf(element);
     out->AppendChar('<');
     out->Append(name);
     AppendAttributes(view, db_->tags(), element, &out->texts.back());

@@ -122,31 +122,6 @@ std::string_view TreePage::TextOf(SlotId slot) const {
                           len);
 }
 
-bool TreePage::ReadChecked(SlotId slot, CheckedRecord* out) const {
-  const std::size_t entry = kHeaderBytes + std::size_t{slot} * kSlotEntryBytes;
-  if (slot >= slot_count() || entry + kSlotEntryBytes > page_size_) {
-    return false;
-  }
-  const std::size_t off = LoadU16(entry);
-  if (off == 0 || off + kBorderRecordBytes > page_size_) return false;
-  out->kind = static_cast<RecordKind>(LoadU8(off));
-  out->parent = LoadU16(off + 2);
-  out->first_child = LoadU16(off + 4);
-  out->next_sibling = LoadU16(off + 6);
-  out->tag = 0;
-  switch (out->kind) {
-    case RecordKind::kBorderDown:
-    case RecordKind::kBorderUp:
-      return true;
-    case RecordKind::kCore:
-    case RecordKind::kAttribute:
-      if (off + kCoreRecordBase > page_size_) return false;
-      out->tag = LoadU32(off + 10);
-      return true;
-  }
-  return false;
-}
-
 Status TreePage::Validate() const {
   const std::uint16_t count = slot_count();
   const std::size_t dir_end = kHeaderBytes + count * kSlotEntryBytes;

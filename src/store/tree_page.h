@@ -195,19 +195,57 @@ class TreePage {
     StoreU16(RecordOffset(slot) + 16, v);
   }
 
-  /// A record's kind, tree links and tag, read through offsets checked
-  /// against the page size.
+  /// A record's kind, links and tag, read through offsets checked against
+  /// the page size.
   struct CheckedRecord {
     RecordKind kind;
     SlotId parent;
     SlotId first_child;
     SlotId next_sibling;
-    TagId tag;  // 0 for a border
+    SlotId prev_sibling;
+    SlotId last_child;  // a border's; kInvalidSlot otherwise
+    TagId tag;          // 0 for a border
+    SlotId first_attr;  // kInvalidSlot for a border
   };
   /// Fills `out` for readers that must survive any byte pattern. False if
   /// `slot` is dead, past the slot count, or its directory entry or record
-  /// lies outside the page, or the record's kind is unknown.
-  bool ReadChecked(SlotId slot, CheckedRecord* out) const;
+  /// lies outside the page, the record's kind is unknown, or a core or
+  /// attribute record's text runs past the page. So every field of a
+  /// record it accepts, text included, lies inside the page. Inline: the
+  /// axis walks read every record they arrive at through it.
+  bool ReadChecked(SlotId slot, CheckedRecord* out) const {
+    const std::size_t entry =
+        kHeaderBytes + std::size_t{slot} * kSlotEntryBytes;
+    if (slot >= slot_count() || entry + kSlotEntryBytes > page_size_) {
+      return false;
+    }
+    const std::size_t off = LoadU16(entry);
+    if (off == 0 || off + kBorderRecordBytes > page_size_) return false;
+    out->kind = static_cast<RecordKind>(LoadU8(off));
+    out->parent = LoadU16(off + 2);
+    out->first_child = LoadU16(off + 4);
+    out->next_sibling = LoadU16(off + 6);
+    out->prev_sibling = LoadU16(off + 8);
+    switch (out->kind) {
+      case RecordKind::kBorderDown:
+      case RecordKind::kBorderUp:
+        out->last_child = LoadU16(off + 16);
+        out->tag = 0;
+        out->first_attr = kInvalidSlot;
+        return true;
+      case RecordKind::kCore:
+      case RecordKind::kAttribute:
+        if (off + kCoreRecordBase > page_size_ ||
+            off + kCoreRecordBase + LoadU16(off + 24) > page_size_) {
+          return false;
+        }
+        out->last_child = kInvalidSlot;
+        out->tag = LoadU32(off + 10);
+        out->first_attr = LoadU16(off + 22);
+        return true;
+    }
+    return false;
+  }
 
   /// Validates structural invariants of the page (for tests/fsck):
   /// in-bounds offsets, link symmetry, border field sanity.

@@ -1,8 +1,9 @@
 // Tests for the preorder navigation image (NavIndex): its layout on a
-// hand-built page, its termination on malformed pages (cycles, links out of
-// range or to dead slots), and its cache's validity rules in a Database
-// (kept across evictions, rebuilt after writes, never trusted while a
-// writer holds the page).
+// hand-built page; its termination, and that of every axis's cursor, on
+// malformed pages (cycles, links out of range or to dead slots, text past
+// the page); and its cache's validity rules in a Database (kept across
+// evictions, rebuilt after writes, never trusted while a writer holds the
+// page).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -95,26 +96,36 @@ void ExpectWellFormed(const NavIndex& index, std::size_t slot_count) {
   }
 }
 
-// Every descendant enumeration from every live slot ends, through Scan and
-// Next, within one call per placed record plus one.
+constexpr Axis kAllAxes[] = {
+    Axis::kSelf,           Axis::kChild,
+    Axis::kParent,         Axis::kDescendant,
+    Axis::kDescendantOrSelf, Axis::kAncestor,
+    Axis::kAncestorOrSelf, Axis::kFollowingSibling,
+    Axis::kPrecedingSibling, Axis::kAttribute,
+};
+
+// Every enumeration of every axis from every live slot ends, through Next,
+// through Scan for "any", and through Scan for a name no record has,
+// within one call per slot plus one.
 void ExpectEnumerationsEnd(const std::vector<std::byte>& bytes) {
   SimClock clock;
   Metrics metrics;
   CpuCostModel costs;
   const ClusterView view(bytes.data(), kPage, 3, &clock, &costs, &metrics);
+  const TreePage page = TreePage::ReadOnly(bytes.data(), kPage);
   for (SlotId origin = 0; origin < view.slot_count(); ++origin) {
-    if (!view.IsLive(origin)) continue;
-    for (const Axis axis : {Axis::kDescendant, Axis::kDescendantOrSelf}) {
-      for (const std::optional<TagId> tag :
-           {std::optional<TagId>(), std::optional<TagId>(1)}) {
-        for (const bool scan : {false, true}) {
-          AxisCursor cursor(view, axis, origin);
-          NavEntry entry;
-          std::size_t calls = 0;
-          while (scan ? cursor.Scan(tag, &entry) : cursor.Next(&entry)) {
-            ASSERT_LE(++calls, view.slot_count() + 1u)
-                << "origin " << origin << " axis " << AxisName(axis);
-          }
+    if (!page.IsLive(origin)) continue;
+    for (const Axis axis : kAllAxes) {
+      for (int run = 0; run < 3; ++run) {
+        const std::optional<TagId> tag =
+            run == 2 ? std::optional<TagId>(0xABCDEF) : std::nullopt;
+        AxisCursor cursor(view, axis, origin);
+        NavEntry entry;
+        std::size_t calls = 0;
+        while (run == 0 ? cursor.Next(&entry) : cursor.Scan(tag, &entry)) {
+          ASSERT_LE(++calls, view.slot_count() + 1u)
+              << "origin " << origin << " axis " << AxisName(axis)
+              << " run " << run;
         }
       }
     }
@@ -150,6 +161,24 @@ TEST(NavIndexTest, MalformedLinksEndChainsAndEnumerations) {
          p->page.SetFirstChild(6, p->a);
          p->page.SetParent(6, kInvalidSlot);
        }},
+      {"sibling cycle past the origin",
+       [](SmallPage* p) { p->page.SetNextSibling(p->c, p->b); }},
+      {"reverse sibling cycle past the origin",
+       [](SmallPage* p) { p->page.SetPrevSibling(p->a, p->b); }},
+      {"parent cycle",
+       [](SmallPage* p) { p->page.SetParent(p->a, p->d); }},
+      {"attribute chain cycle",
+       [](SmallPage* p) {
+         const SlotId x = *p->page.AddAttributeRecord(4, 21, "v");
+         const SlotId y = *p->page.AddAttributeRecord(5, 22, "w");
+         p->page.SetParent(x, p->a);
+         p->page.SetParent(y, p->a);
+         p->page.SetFirstAttr(p->a, x);
+         p->page.SetNextSibling(x, y);
+         p->page.SetNextSibling(y, x);
+       }},
+      {"attribute chain into the tree",
+       [](SmallPage* p) { p->page.SetFirstAttr(p->a, p->d); }},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.what);
@@ -166,18 +195,27 @@ TEST(NavIndexTest, RandomLinksAlwaysGiveAFiniteImage) {
   Random rng(42);
   for (int round = 0; round < 300; ++round) {
     SmallPage p(/*extra=*/4);
+    const SlotId x = *p.page.AddAttributeRecord(4, 21, "v");
+    p.page.SetParent(x, p.a);
+    p.page.SetFirstAttr(p.a, x);
     const std::size_t n = p.page.slot_count();
     for (int k = 0; k < 4; ++k) {
       const SlotId s = static_cast<SlotId>(rng.NextBounded(n));
       const SlotId to = rng.NextBool(0.1)
                             ? kInvalidSlot
                             : static_cast<SlotId>(rng.NextBounded(n + 3));
-      switch (rng.NextBounded(3)) {
+      switch (rng.NextBounded(5)) {
         case 0:
           p.page.SetParent(s, to);
           break;
         case 1:
           p.page.SetFirstChild(s, to);
+          break;
+        case 2:
+          p.page.SetPrevSibling(s, to);
+          break;
+        case 3:
+          if (!p.page.IsBorder(s)) p.page.SetFirstAttr(s, to);
           break;
         default:
           p.page.SetNextSibling(s, to);
@@ -203,10 +241,51 @@ TEST(NavIndexTest, DirectoryAndRecordsOutsideThePageArePassedOver) {
   index.Build(p.bytes.data(), kPage);
   ExpectWellFormed(index, p.page.slot_count());
   EXPECT_EQ(index.PositionOf(p.c), NavIndex::kNoPosition);
+  ExpectEnumerationsEnd(p.bytes);
   const std::uint16_t huge = 0xFFFE;
   std::memcpy(p.bytes.data(), &huge, sizeof(huge));
   index.Build(p.bytes.data(), kPage);
   ExpectWellFormed(index, huge);
+}
+
+TEST(NavIndexTest, TextPastThePageIsNotPlaced) {
+  // C's text and A's attribute X's text each run one byte past the page.
+  SmallPage p;
+  const SlotId x = *p.page.AddAttributeRecord(4, 21, "v");
+  p.page.SetParent(x, p.a);
+  p.page.SetFirstAttr(p.a, x);
+  for (const SlotId slot : {p.c, x}) {
+    std::uint16_t off;
+    std::memcpy(&off,
+                p.bytes.data() + TreePage::kHeaderBytes +
+                    slot * TreePage::kSlotEntryBytes,
+                sizeof(off));
+    const auto len =
+        static_cast<std::uint16_t>(kPage - off - TreePage::kCoreRecordBase + 1);
+    std::memcpy(p.bytes.data() + off + 24, &len, sizeof(len));
+    TreePage::CheckedRecord rec;
+    EXPECT_FALSE(p.page.ReadChecked(slot, &rec)) << "slot " << slot;
+  }
+  NavIndex index;
+  index.Build(p.bytes.data(), kPage);
+  ExpectWellFormed(index, p.page.slot_count());
+  EXPECT_EQ(index.PositionOf(p.c), NavIndex::kNoPosition);
+  EXPECT_NE(index.PositionOf(p.b), NavIndex::kNoPosition);
+  // No cursor starts at or arrives at either record, so no caller reads
+  // their text.
+  SimClock clock;
+  Metrics metrics;
+  CpuCostModel costs;
+  const ClusterView view(p.bytes.data(), kPage, 3, &clock, &costs, &metrics);
+  NavEntry entry;
+  EXPECT_FALSE(AxisCursor(view, Axis::kSelf, p.c).Next(&entry));
+  EXPECT_FALSE(AxisCursor(view, Axis::kSelf, x).Next(&entry));
+  EXPECT_FALSE(AxisCursor(view, Axis::kAttribute, p.a).Next(&entry));
+  AxisCursor siblings(view, Axis::kFollowingSibling, p.a);
+  ASSERT_TRUE(siblings.Next(&entry));
+  EXPECT_EQ(entry.slot, p.b);
+  EXPECT_FALSE(siblings.Next(&entry));
+  ExpectEnumerationsEnd(p.bytes);
 }
 
 TEST(NavIndexTest, SeedsComeOnlyFromPlacedBorders) {
@@ -276,13 +355,15 @@ struct CacheFixture {
   std::vector<SlotId> ScanPage(PageId page) {
     auto guard = db.buffer()->Fix(page);
     guard.status().AbortIfNotOk();
-    return ScanView(db.MakeView(*guard));
+    return ScanView(db.MakeView(*guard),
+                    TreePage::ReadOnly(guard->data(), kPage));
   }
 
-  std::vector<SlotId> ScanView(const ClusterView& view) {
+  std::vector<SlotId> ScanView(const ClusterView& view,
+                               const TreePage& bytes) {
     std::vector<SlotId> out;
-    for (SlotId s = 0; s < view.slot_count(); ++s) {
-      if (!view.IsLive(s) || view.KindOf(s) == RecordKind::kAttribute) {
+    for (SlotId s = 0; s < bytes.slot_count(); ++s) {
+      if (!bytes.IsLive(s) || bytes.KindOf(s) == RecordKind::kAttribute) {
         continue;
       }
       AxisCursor cursor(view, Axis::kDescendant, s);
@@ -338,7 +419,7 @@ TEST(NavIndexTest, NoImageIsTrustedWhileAWriterHoldsThePage) {
   ASSERT_TRUE(guard.ok());
   TreePage bytes(guard->mutable_data(), kPage);
   const ClusterView view = f.db.MakeView(*guard);
-  const std::vector<SlotId> before = f.ScanView(view);
+  const std::vector<SlotId> before = f.ScanView(view, bytes);
   // Give `parent` a new first child tagged t1 while the writer lives.
   auto added = bytes.AddCoreRecord(f.t1, 1, "");
   ASSERT_TRUE(added.ok());
@@ -351,7 +432,7 @@ TEST(NavIndexTest, NoImageIsTrustedWhileAWriterHoldsThePage) {
   NavEntry entry;
   ASSERT_TRUE(cursor.Scan(f.t1, &entry));
   EXPECT_EQ(entry.slot, *added);
-  EXPECT_NE(f.ScanView(view), before);
+  EXPECT_NE(f.ScanView(view, bytes), before);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Property tests for the navigational primitives: for random documents,
 // random clusterings, every axis and every context node, cross-cluster
 // navigation over the paged store must produce exactly the nodes the DOM
-// oracle produces, in the same order; and the descendant axes, which scan
-// each page's preorder image, must return and charge exactly what the
-// link walk they replaced did.
+// oracle produces, in the same order; and every axis, whose walks read
+// each record through TreePage::ReadChecked under a link budget (the
+// descendant axes scan each page's preorder image), must return and charge
+// exactly what the unchecked link walks did.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -331,61 +332,135 @@ std::vector<ScanReturn> NextReturns(ChargedView* v, Axis axis,
   return returns;
 }
 
-// The reference for the descendant axes: the link walk AxisCursor made
-// before the preorder image. It follows first-child and next-sibling
-// links, charging one hop to arrive at each record and one per
-// next-sibling probe; climbing is free. As Next (`scan` false) it returns
-// every entry; as Scan it counts a node test per non-crossing entry and
-// returns crossings and records whose tag is `tag` (every record when
-// `tag` is empty). Each return charges what was counted since the last,
-// in one ChargeNavigation, as the cursor does.
-std::vector<ScanReturn> ReferenceDescendants(ChargedView* v, Axis axis,
-                                             SlotId origin,
-                                             std::optional<TagId> tag,
-                                             bool scan) {
+// The reference for every axis: the walks AxisCursor made before its
+// checked reads and the preorder image, following the page's slot links
+// through TreePage's unchecked accessors. Each walk charges one hop to arrive at each record it visits;
+// the descendant walk also charges one per next-sibling probe, and
+// climbing is free. A chain walk stops, uncharged, where it comes back to
+// the origin; an up-border ends the sibling and upward walks as a
+// crossing and the child walk without one. As Next (`scan` false) the
+// reference returns every entry; as Scan it counts a node test per
+// non-crossing entry and returns crossings and records whose tag is `tag`
+// (every record when `tag` is empty). Each return charges what was counted
+// since the last, in one ChargeNavigation, as the cursor does.
+std::vector<ScanReturn> ReferenceWalk(ChargedView* v, Axis axis,
+                                      SlotId origin, std::optional<TagId> tag,
+                                      bool scan) {
   const ClusterView& view = v->view;
+  const TreePage& page = view.page();
   std::vector<ScanReturn> returns;
   std::uint64_t hops = 0;
   std::uint64_t tests = 0;
   auto visit = [&](SlotId slot, bool crossing) {
     if (scan && !crossing) {
       ++tests;
-      if (tag.has_value() && view.TagOf(slot) != *tag) return;
+      if (tag.has_value() && page.TagOf(slot) != *tag) return;
     }
     view.ChargeNavigation(hops, tests);
     hops = 0;
     tests = 0;
     returns.push_back(v->Record(slot, crossing));
   };
-  const RecordKind kind = view.KindOf(origin);
-  if (axis == Axis::kDescendantOrSelf &&
-      (kind == RecordKind::kCore || kind == RecordKind::kAttribute)) {
+  auto self = [&] {
     ++hops;
     visit(origin, false);
-  }
-  if (kind == RecordKind::kCore || kind == RecordKind::kBorderUp) {
+  };
+  auto chain = [&](SlotId s, bool forward) {
+    const bool sibling = axis != Axis::kChild;
+    while (s != kInvalidSlot && s != origin) {
+      ++hops;
+      const RecordKind k = page.KindOf(s);
+      if (k == RecordKind::kBorderUp) {
+        if (sibling) visit(s, true);
+        return;
+      }
+      visit(s, k == RecordKind::kBorderDown);
+      s = forward ? page.NextSiblingOf(s) : page.PrevSiblingOf(s);
+    }
+  };
+  auto up = [&](bool single) {
+    for (SlotId s = page.ParentOf(origin); s != kInvalidSlot;) {
+      ++hops;
+      if (page.KindOf(s) == RecordKind::kBorderUp) {
+        visit(s, true);
+        return;
+      }
+      visit(s, false);
+      s = single ? kInvalidSlot : page.ParentOf(s);
+    }
+  };
+  auto descendants = [&] {
     SlotId cur = origin;
     bool leaf = false;  // down-borders are leaves in this cluster
     for (;;) {
-      SlotId next = leaf ? kInvalidSlot : view.FirstChildOf(cur);
+      SlotId next = leaf ? kInvalidSlot : page.FirstChildOf(cur);
       // Move to the next sibling, climbing when chains end. Chains of a
       // fragment root's children end at the up-border.
       while (next == kInvalidSlot && cur != origin) {
-        const SlotId ns = view.NextSiblingOf(cur);
+        const SlotId ns = page.NextSiblingOf(cur);
         ++hops;
         if (ns == kInvalidSlot || ns == origin ||
-            view.KindOf(ns) == RecordKind::kBorderUp) {
-          cur = view.ParentOf(cur);
+            page.KindOf(ns) == RecordKind::kBorderUp) {
+          cur = page.ParentOf(cur);
         } else {
           next = ns;
         }
       }
-      if (next == kInvalidSlot) break;
+      if (next == kInvalidSlot) return;
       ++hops;
       cur = next;
-      leaf = view.KindOf(cur) == RecordKind::kBorderDown;
+      leaf = page.KindOf(cur) == RecordKind::kBorderDown;
       visit(cur, leaf);
     }
+  };
+  const RecordKind k = page.KindOf(origin);
+  const bool core = k == RecordKind::kCore;
+  const bool up_border = k == RecordKind::kBorderUp;
+  const bool attribute = k == RecordKind::kAttribute;
+  switch (axis) {
+    case Axis::kSelf:
+      if (core || attribute) self();
+      break;
+    case Axis::kAttribute:
+      if (!core) break;
+      for (SlotId a = page.FirstAttrOf(origin); a != kInvalidSlot;
+           a = page.NextSiblingOf(a)) {
+        ++hops;
+        visit(a, false);
+      }
+      break;
+    case Axis::kChild:
+      if (core || up_border) chain(page.FirstChildOf(origin), true);
+      break;
+    case Axis::kFollowingSibling:
+      if (up_border) {
+        chain(page.FirstChildOf(origin), true);
+      } else if (!attribute) {
+        chain(page.NextSiblingOf(origin), true);
+      }
+      break;
+    case Axis::kPrecedingSibling:
+      if (up_border) {
+        chain(page.LastChildOf(origin), false);
+      } else if (!attribute) {
+        chain(page.PrevSiblingOf(origin), false);
+      }
+      break;
+    case Axis::kParent:
+    case Axis::kAncestor:
+      if (!up_border) up(axis == Axis::kParent);
+      break;
+    case Axis::kAncestorOrSelf:
+      if (core || attribute) self();
+      if (!up_border) up(false);
+      break;
+    case Axis::kDescendant:
+      if (core || up_border) descendants();
+      break;
+    case Axis::kDescendantOrSelf:
+      if (core || attribute) self();
+      if (core || up_border) descendants();
+      break;
   }
   view.ChargeNavigation(hops, tests);
   returns.push_back(v->Record(kInvalidSlot, false));
@@ -417,51 +492,61 @@ TEST_P(ScanDifferential, ScanMatchesFilteredNextOnEveryOriginAxisAndTest) {
   const CpuCostModel& costs = db.options().cpu_costs;
   std::uint64_t origins[4] = {0, 0, 0, 0};  // by RecordKind
   std::uint64_t skipping_scans = 0;
+  std::uint64_t crossings[10] = {};  // by axis
   for (PageId page = doc->first_page; page <= doc->last_page; ++page) {
     auto guard = db.buffer()->Fix(page);
     ASSERT_TRUE(guard.ok()) << guard.status().ToString();
     const std::byte* data = guard->data();
-    const ClusterView layout(data, db.options().page_size, page,
-                             db.clock(), &costs, db.metrics());
-    for (SlotId origin = 0; origin < layout.slot_count(); ++origin) {
-      if (!layout.IsLive(origin)) continue;
-      ++origins[static_cast<int>(layout.KindOf(origin))];
+    const TreePage bytes = TreePage::ReadOnly(data, db.options().page_size);
+    for (SlotId origin = 0; origin < bytes.slot_count(); ++origin) {
+      if (!bytes.IsLive(origin)) continue;
+      ++origins[static_cast<int>(bytes.KindOf(origin))];
       for (const Axis axis : kAxes) {
-        const bool descendant = axis == Axis::kDescendant ||
-                                axis == Axis::kDescendantOrSelf;
-        if (descendant) {
+        const std::string where = "page " + std::to_string(page) +
+                                  " origin " + std::to_string(origin) +
+                                  " axis " + AxisName(axis);
+        {
           ChargedView reference(data, &db, page);
           ChargedView next(data, &db, page);
-          ASSERT_EQ(NextReturns(&next, axis, origin),
-                    ReferenceDescendants(&reference, axis, origin,
-                                         std::nullopt, /*scan=*/false))
-              << "Next: page " << page << " origin " << origin << " axis "
-              << AxisName(axis);
+          const std::vector<ScanReturn> got = NextReturns(&next, axis, origin);
+          ASSERT_EQ(got, ReferenceWalk(&reference, axis, origin,
+                                       std::nullopt, /*scan=*/false))
+              << "Next: " << where;
+          for (const ScanReturn& r : got) {
+            crossings[static_cast<int>(axis)] += r.crossing;
+          }
         }
         for (const std::optional<TagId>& tag : tests) {
           ChargedView reference(data, &db, page);
+          ChargedView filtered(data, &db, page);
           ChargedView scan(data, &db, page);
-          const std::vector<ScanReturn> want =
-              descendant ? ReferenceDescendants(&reference, axis, origin, tag,
-                                                /*scan=*/true)
-                         : FilteredNext(&reference, costs, axis, origin, tag);
           const std::vector<ScanReturn> got =
               Scanned(&scan, axis, origin, tag);
-          ASSERT_EQ(got, want)
-              << "page " << page << " origin " << origin << " axis "
-              << AxisName(axis) << " test "
-              << (tag.has_value() ? db.tags()->Name(*tag) : "node()");
+          const std::string what =
+              where + " test " +
+              (tag.has_value() ? db.tags()->Name(*tag) : "node()");
+          ASSERT_EQ(got, ReferenceWalk(&reference, axis, origin, tag,
+                                       /*scan=*/true))
+              << what;
+          ASSERT_EQ(got, FilteredNext(&filtered, costs, axis, origin,
+                                      tag))
+              << what;
           // Some entry was passed over, not returned.
           if (got.back().tests > got.size() - 1) ++skipping_scans;
         }
       }
     }
   }
-  // Origins of every record kind, and scans that skip, were exercised.
+  // Origins of every record kind, scans that skip, and crossings on every
+  // axis that can cross were exercised.
   for (int kind = 0; kind < 4; ++kind) {
     EXPECT_GT(origins[kind], 0u) << "record kind " << kind;
   }
   EXPECT_GT(skipping_scans, 0u);
+  for (const Axis axis : kAxes) {
+    if (axis == Axis::kSelf || axis == Axis::kAttribute) continue;
+    EXPECT_GT(crossings[static_cast<int>(axis)], 0u) << AxisName(axis);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
